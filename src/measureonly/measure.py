@@ -31,6 +31,7 @@ __all__ = [
     "BinaryMeasurement",
     "CompleteMeasurement",
     "expand_f_separate",
+    "parity_slots",
     "solve_two_qubit_parity_form",
     "u_basis_measurement",
     "two_qubit_u_basis_measurement",
@@ -73,12 +74,16 @@ class SingleQubitBinary:
         if abs(norm - 1.0) > STRUCT_TOL:
             raise ValueError(f"Bloch vector norm {norm} is not 1")
 
+    @property
+    def observable(self) -> np.ndarray:
+        """The +/-1 observable bloch . sigma; outcome 0 is its +1 eigenspace."""
+        return sum(c * SIGMA[a + 1] for a, c in enumerate(self.bloch))
+
     def projector(self, bit: int) -> np.ndarray:
         if bit not in (0, 1):
             raise ValueError("outcome bit must be 0 or 1")
         sign = 1.0 if bit == 0 else -1.0
-        axis = sum(c * SIGMA[a + 1] for a, c in enumerate(self.bloch))
-        return (np.eye(2, dtype=complex) + sign * axis) / 2
+        return (np.eye(2, dtype=complex) + sign * self.observable) / 2
 
     @property
     def p0(self) -> np.ndarray:
@@ -246,6 +251,18 @@ def expand_f_separate(form: PseudoseparateForm) -> BinaryMeasurement:
         Projector(sums[1], form.targets),
         pseudoseparate=form,
     )
+
+
+def parity_slots(form: PseudoseparateForm) -> tuple[Projector, Projector]:
+    """Slots (I +/- A (x) B) / 2 of a two-qubit parity form whose parts observe A and B.
+
+    Equal to ``expand_f_separate(form).slots()``, without its expansion loop and checks.
+    """
+    if form.f != BalancedBooleanFn.parity(2):
+        raise ValueError("expected a two-qubit parity form")
+    ab = np.kron(form.parts[0].observable, form.parts[1].observable)
+    eye = np.eye(4, dtype=complex)
+    return Projector((eye + ab) / 2, form.targets), Projector((eye - ab) / 2, form.targets)
 
 
 def _bloch_of(m: np.ndarray) -> tuple[float, float, float]:

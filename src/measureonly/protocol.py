@@ -207,10 +207,7 @@ class _PendingTwoQubit:
         return self.pair is None
 
     def matrix44(self) -> np.ndarray:
-        if self.pair is None:
-            return _CNOT
-        a, b = self.pair
-        return np.kron(a.matrix(), b.matrix())
+        return _frame_matrix(self.pair)
 
     def advanced(self, prepared: tuple[int, int], measured: tuple[int, int]) -> "_PendingTwoQubit":
         j, k = prepared
@@ -224,6 +221,16 @@ class _PendingTwoQubit:
             a, b = self.pair
             pair = (_conjugate_by_axis(a.indices[0], alpha, p), _conjugate_by_axis(b.indices[0], beta, q))
         return _PendingTwoQubit(pair, self.history + ((prepared, measured),))
+
+
+@lru_cache(maxsize=None)
+def _frame_matrix(pair: Optional[tuple[PhasedPauli, PhasedPauli]]) -> np.ndarray:
+    """Dense form of a pending two-qubit frame; the frames are finitely many."""
+    if pair is None:
+        return _CNOT
+    m = np.kron(pair[0].matrix(), pair[1].matrix())
+    m.setflags(write=False)
+    return m
 
 
 def _conjugate_by_axis(axis: int, phase: complex, index: int) -> PhasedPauli:
@@ -301,9 +308,7 @@ def _fresh_labels(existing: Sequence[Label], count: int) -> tuple[str, ...]:
 @lru_cache(maxsize=512)
 def _one_qubit_prep_instruments(target_bytes: bytes):
     target = np.frombuffer(target_bytes, dtype=complex).reshape(2, 2)
-    mx = msr.expand_f_separate(msr.solve_two_qubit_parity_form(1, target, targets=_PREP1))
-    mz = msr.expand_f_separate(msr.solve_two_qubit_parity_form(3, target, targets=_PREP1))
-    return (mx.slots(), mz.slots())
+    return tuple(msr.parity_slots(msr.solve_two_qubit_parity_form(i, target, targets=_PREP1)) for i in (1, 3))
 
 
 @lru_cache(maxsize=512)
@@ -361,9 +366,11 @@ def _cnot_prep_instruments():
     return tuple(out)
 
 
-@lru_cache(maxsize=512)
-def _two_qubit_ancilla(matrix_bytes: bytes, j: int, k: int) -> QuantumState:
-    u = np.frombuffer(matrix_bytes, dtype=complex).reshape(4, 4)
+# Keyed on the exact frame: at most 257 frames (the controlled-NOT or a pair
+# of phased Paulis) times 16 prepared indices.
+@lru_cache(maxsize=None)
+def _two_qubit_ancilla(pair: Optional[tuple[PhasedPauli, PhasedPauli]], j: int, k: int) -> QuantumState:
+    u = _frame_matrix(pair)
     base = qcore.tensor(qcore.epr_state((_PREP2[0], _PREP2[2])), qcore.epr_state((_PREP2[1], _PREP2[3])))
     state = qcore.apply_unitary(base, u @ np.kron(SIGMA[j], SIGMA[k]), (_PREP2[2], _PREP2[3]))
     return qcore.permute_to(state, _PREP2)
@@ -377,8 +384,7 @@ def _prepare_two(
     """Prepare the four-qubit ancilla register (canonical labels)."""
     if mode == "direct":
         j, k = (int(x) for x in rng.integers(0, 4, size=2))
-        key = np.ascontiguousarray(pending.matrix44()).tobytes()
-        return (j, k), _two_qubit_ancilla(key, j, k), None
+        return (j, k), _two_qubit_ancilla(pending.pair, j, k), None
     if mode != "measured":
         raise ValueError(f"unknown preparation mode {mode!r}")
     if pending.is_first:
@@ -400,25 +406,9 @@ def _prepare_two(
     return (j, k), qcore.tensor(state_a, state_b), bits_a + bits_b
 
 
-#: The four Bell state vectors in slot order, fixed once for factoring.
-_BELL_VECTORS = tuple(qcore.bell_state(i).data for i in range(4))
-
-
-@lru_cache(maxsize=128)
-def _bell_instruments_at(n: int, pos_a: int, pos_b: int, negate_x: bool, negate_z: bool):
-    sx = -1.0 if negate_x else 1.0
-    sz = -1.0 if negate_z else 1.0
-    eye4 = np.eye(4, dtype=complex)
-    xx = (eye4 + sx * np.kron(SIGMA[1], SIGMA[1])) / 2
-    zz = (eye4 + sz * np.kron(SIGMA[3], SIGMA[3])) / 2
-    out = []
-    for local in (xx, zz):
-        p0 = qcore.embed_at(local, (pos_a, pos_b), n)
-        p1 = np.eye(2**n, dtype=complex) - p0
-        p0.setflags(write=False)
-        p1.setflags(write=False)
-        out.append((p0, p1))
-    return tuple(out)
+#: The conjugated Bell states <B_i| in bit order: row 2x + z is the Bell state
+#: with x-type bit x and z-type bit z, that is B_{BIT_DECODE[(x, z)]}.
+_BELL_ROWS = np.array([qcore.bell_state(BIT_DECODE[divmod(r, 2)]).data.conj() for r in range(4)])
 
 
 def _bell_measure_bits(
@@ -427,22 +417,25 @@ def _bell_measure_bits(
     rng: np.random.Generator,
     variant: tuple[int, int] = (0, 0),
 ) -> tuple[int, QuantumState, tuple[int, int]]:
-    qa, qb = pair
-    if qa == qb:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    pos = (state.position(qa), state.position(qb))
-    instruments = _bell_instruments_at(state.n, pos[0], pos[1], bool(variant[0]), bool(variant[1]))
-    labels = state.labels
-    a, state, _ = qcore.measure(
-        state, (Projector(instruments[0][0], labels), Projector(instruments[0][1], labels)), rng, check=False
-    )
-    b, state, _ = qcore.measure(
-        state, (Projector(instruments[1][0], labels), Projector(instruments[1][1], labels)), rng, check=False
-    )
-    m = BIT_DECODE[(a, b)]
-    basis_index = BIT_DECODE[(a ^ variant[0], b ^ variant[1])]
-    post = qcore.factor_out(state, (qa, qb), _BELL_VECTORS[basis_index])
-    return m, post, (a, b)
+    """Bell-measure a pure register's pair by one local contraction.
+
+    Each Bell row times the (4, 2^(n-2)) block of the pair's axes is the rest
+    of the register given that Bell state; its squared norm is the outcome's
+    weight.  The x-type then the z-type bit are drawn from these weights as
+    two parity measurements would draw them.
+    """
+    pos = (state.position(pair[0]), state.position(pair[1]))
+    axes = pos + tuple(p for p in range(state.n) if p not in pos)
+    rows = _BELL_ROWS @ state.data.reshape((2,) * state.n).transpose(axes).reshape(4, -1)
+    w = (np.abs(rows) ** 2).sum(axis=1).tolist()
+    vx, vz = variant
+    a = qcore._draw((w[2 * vx] + w[2 * vx + 1], w[2 - 2 * vx] + w[3 - 2 * vx]), rng)
+    x = a ^ vx
+    px = w[2 * x] + w[2 * x + 1]
+    b = qcore._draw((w[2 * x + vz] / px, w[2 * x + 1 - vz] / px), rng)
+    r = 2 * x + (b ^ vz)
+    rest = tuple(q for q in state.labels if q not in pair)
+    return BIT_DECODE[(a, b)], QuantumState._trusted(rows[r] / np.sqrt(w[r]), rest), (a, b)
 
 
 def bell_measure(
@@ -462,8 +455,18 @@ def bell_measure(
     """
     if variant[0] not in (0, 1) or variant[1] not in (0, 1):
         raise ValueError("variant must be a pair of bits")
-    m, post, _bits = _bell_measure_bits(state, pair, rng, variant)
-    return m, post
+    if pair[0] == pair[1]:
+        raise ValueError("Bell measurement needs two distinct qubits")
+    if state.is_pure:
+        m, post, _bits = _bell_measure_bits(state, pair, rng, variant)
+        return m, post
+    # A density matrix takes the generic route: the variant's two parity
+    # binaries (those of Pauli gate BIT_DECODE[variant]) as local projectors.
+    mx, mz = msr.u_basis_binary_pair(SIGMA[BIT_DECODE[tuple(variant)]], labels=pair)
+    a, state, _ = qcore.measure(state, mx.slots(), rng, check=False)
+    b, state, _ = qcore.measure(state, mz.slots(), rng, check=False)
+    post = qcore.factor_out(state, pair, _BELL_ROWS[2 * (a ^ variant[0]) + (b ^ variant[1])].conj())
+    return BIT_DECODE[(a, b)], post
 
 
 def simulate_one_qubit(

@@ -77,6 +77,13 @@ class QuantumState:
             raise ValueError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")
 
     @classmethod
+    def _trusted(cls, data: np.ndarray, labels: tuple[Label, ...], kind: str = "pure") -> "QuantumState":
+        """Unchecked wrap of data the library derived from a validated state."""
+        state = object.__new__(cls)
+        state.__dict__.update(data=data, labels=labels, kind=kind)
+        return state
+
+    @classmethod
     def pure(cls, vector: np.ndarray, labels: Sequence[Label]) -> "QuantumState":
         return cls(np.asarray(vector, dtype=complex), tuple(labels), "pure")
 
@@ -266,6 +273,18 @@ def measure(
     else:
         shots = None
         probs = [float(np.trace(m @ state.data).real) for m in mats]
+    outcome = _draw(probs, rng)
+    prob = probs[outcome]
+    if state.is_pure:
+        post = QuantumState._trusted(shots[outcome] / np.sqrt(prob), state.labels)
+    else:
+        m = mats[outcome]
+        post = QuantumState._trusted(m @ state.data @ m / prob, state.labels, "mixed")
+    return outcome, post, prob
+
+
+def _draw(probs: Sequence[float], rng: np.random.Generator) -> int:
+    """Outcome drawn in proportion to ``probs`` from one ``rng.random()``: the package's one sampling rule."""
     total_p = sum(probs)
     if total_p < STRUCT_TOL:
         raise ValueError("degenerate state: all outcome probabilities vanish")
@@ -277,17 +296,10 @@ def measure(
         outcome = i
         if r < acc:
             break
-    prob = probs[outcome]
-    if prob <= 0.0:
+    if probs[outcome] <= 0.0:
         # numerically possible only when r lands beyond the last positive bin
         outcome = int(np.argmax(probs))
-        prob = probs[outcome]
-    if state.is_pure:
-        post = QuantumState.pure(shots[outcome] / np.sqrt(prob), state.labels)
-    else:
-        m = mats[outcome]
-        post = QuantumState.mixed(m @ state.data @ m / prob, state.labels)
-    return outcome, post, prob
+    return outcome
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -318,9 +330,11 @@ def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
     if set(a.labels) & set(b.labels):
         raise ValueError("tensor factors must have disjoint labels")
     labels = a.labels + b.labels
+    if len(labels) > 8:
+        raise ValueError("at most 8 qubits are supported")
     if a.is_pure and b.is_pure:
-        return QuantumState.pure(np.multiply.outer(a.data, b.data).reshape(-1), labels)
-    return QuantumState.mixed(np.kron(a.to_density(), b.to_density()), labels)
+        return QuantumState._trusted(np.multiply.outer(a.data, b.data).reshape(-1), labels)
+    return QuantumState._trusted(np.kron(a.to_density(), b.to_density()), labels, "mixed")
 
 
 def permute_to(state: QuantumState, new_labels: Sequence[Label]) -> QuantumState:
@@ -334,16 +348,18 @@ def permute_to(state: QuantumState, new_labels: Sequence[Label]) -> QuantumState
     n = state.n
     if state.is_pure:
         data = state.data.reshape((2,) * n).transpose(perm).reshape(-1)
-        return QuantumState.pure(data, new)
+        return QuantumState._trusted(data, new)
     axes = perm + [p + n for p in perm]
     data = state.data.reshape((2,) * (2 * n)).transpose(axes).reshape(state.dim, state.dim)
-    return QuantumState.mixed(data, new)
+    return QuantumState._trusted(data, new, "mixed")
 
 
 def relabel(state: QuantumState, mapping: dict[Label, Label]) -> QuantumState:
     """Rename qubit labels in place (order and data unchanged)."""
     new = tuple(mapping.get(q, q) for q in state.labels)
-    return QuantumState(state.data, new, state.kind)
+    if len(set(new)) != len(new):
+        raise ValueError("duplicate qubit labels")
+    return QuantumState._trusted(state.data, new, state.kind)
 
 
 def factor_out(

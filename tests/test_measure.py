@@ -21,6 +21,7 @@ from measureonly.measure import (
     expand_f_separate,
     is_pseudoseparate_witness,
     match_projector_sets,
+    parity_slots,
     solve_two_qubit_parity_form,
     two_qubit_u_basis_measurement,
     u_basis_binary_pair,
@@ -207,6 +208,24 @@ class TestSolveTwoQubitParityForm:
                 assert min(dists) < 0.5, (i, a, b)
                 populated[int(np.argmin(dists))] += 1
             assert all(c > 0 for c in populated)
+
+
+class TestParitySlots:
+    def test_direct_slots_equal_the_expansion(self):
+        rng = np.random.default_rng(17)
+        gates = [haar_unitary(rng) for _ in range(8)] + [HADAMARD, T_GATE] + PAULIS
+        for u in gates:
+            for axis in (1, 3):
+                form = solve_two_qubit_parity_form(axis, u, targets=("a", "b"))
+                direct = parity_slots(form)
+                for got, want in zip(direct, expand_f_separate(form).slots()):
+                    assert got.labels == want.labels == ("a", "b")
+                    np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+
+    def test_rejects_non_parity_forms(self):
+        form = PseudoseparateForm(BalancedBooleanFn.parity(3), (MEAS_X,) * 3, (0, 1, 2))
+        with pytest.raises(ValueError, match="parity"):
+            parity_slots(form)
 
 
 class TestUBasisMeasurement:

@@ -5,6 +5,8 @@ distributions are checked against exactly computed overlap probabilities.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import measureonly.qcore as qcore
@@ -16,6 +18,7 @@ from measureonly.protocol import (
     PendingGate,
     ProtocolConfig,
     ProtocolError,
+    _bell_measure_bits,
     _PendingTwoQubit,
     bell_measure,
     direct_state,
@@ -204,6 +207,50 @@ class TestBellMeasure:
             bell_measure(qcore.epr_state((0, 1)), (0, 0), rng)
         with pytest.raises(ValueError, match="unknown"):
             bell_measure(qcore.epr_state((0, 1)), (0, 9), rng)
+
+
+def dense_bell_reference(state, pair, rng, variant):
+    """The Bell step the slow way: embedded (I +/- XX)/2 and (I +/- ZZ)/2, then factor_out."""
+    eye = np.eye(4, dtype=complex)
+    bits = []
+    for v, p in zip(variant, (X, Z)):
+        p0 = qcore.embed((eye + (-1) ** v * np.kron(p, p)) / 2, pair, state.labels)
+        slots = (qcore.Projector(p0, state.labels), qcore.Projector(np.eye(state.dim) - p0, state.labels))
+        bit, state, _ = qcore.measure(state, slots, rng, check=False)
+        bits.append(bit)
+    a, b = bits
+    bell = np.kron(I2, PAULIS[BIT_DECODE[(a ^ variant[0], b ^ variant[1])]]) @ EPR
+    return BIT_DECODE[(a, b)], qcore.factor_out(state, pair, bell), (a, b)
+
+
+class TestBellKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        order=st.randoms(use_true_random=False),
+        variant=st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
+        seed=st.integers(0, 2**32 - 1),
+        bell_on_pair=st.sampled_from([None, 0, 1, 2, 3]),
+    )
+    def test_matches_the_dense_reference(self, n, order, variant, seed, bell_on_pair):
+        labels = list(range(n))
+        order.shuffle(labels)
+        pair = (labels[0], labels[1])
+        gen = np.random.default_rng(seed)
+        if bell_on_pair is None:
+            state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
+        else:
+            # a definite Bell state on the pair makes some outcomes impossible
+            rest = QuantumState.pure(haar_state(gen, n - 2), tuple(labels[2:])) if n > 2 else None
+            state = qcore.bell_state(bell_on_pair, pair)
+            state = qcore.permute_to(tensor(state, rest) if rest else state, tuple(range(n)))
+        rng_kernel, rng_dense = np.random.default_rng(seed), np.random.default_rng(seed)
+        m, post, bits = _bell_measure_bits(state, pair, rng_kernel, variant)
+        m_ref, post_ref, bits_ref = dense_bell_reference(state, pair, rng_dense, variant)
+        assert (m, bits) == (m_ref, bits_ref)
+        assert post.labels == post_ref.labels == tuple(q for q in range(n) if q not in pair)
+        assert fidelity_up_to_phase(post, post_ref) >= 1 - 1e-12
+        assert rng_kernel.random() == rng_dense.random()
 
 
 class TestPendingGateClosure:

@@ -274,6 +274,15 @@ class TestRegisterPlumbing:
         s = relabel(zero_state((0, 1)), {1: "x"})
         assert s.labels == (0, "x")
 
+    def test_library_built_states_keep_the_register_invariants(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            relabel(zero_state((0, 1)), {1: 0})
+        with pytest.raises(ValueError, match="8"):
+            tensor(zero_state(tuple(range(5))), zero_state(tuple(range(5, 9))))
+        built = permute_to(tensor(epr_state(("a", "b")), zero_state((0,))), (0, "b", "a"))
+        assert isinstance(built.labels, tuple) and built.kind == "pure"
+        np.testing.assert_allclose(np.linalg.norm(built.data), 1.0, atol=1e-15)
+
     def test_factor_out_pure_product(self):
         rng = np.random.default_rng(8)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)

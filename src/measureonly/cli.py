@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -48,7 +49,18 @@ def _input_state(kind: str, arity: int, rng: np.random.Generator) -> qcore.Quant
     raise ValueError(f"unknown input state {kind!r}")
 
 
+def _shared_args_error(args: argparse.Namespace) -> Optional[str]:
+    """Range errors in the options simulate, stats and run share, or None."""
+    if args.seed < 0:
+        return f"seed must be a non-negative integer, got {args.seed}"
+    if not 0.0 < args.epsilon < 1.0:
+        return f"epsilon must lie in (0, 1), got {args.epsilon}"
+    return None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        return _usage_error(f"tolerance must be a positive finite number, got {args.tolerance}")
     checks = identities.identity_checks(tolerance=args.tolerance)
     passed = all(c.passed for c in checks)
     failed = [c for c in checks if not c.passed]
@@ -76,7 +88,7 @@ def _gate_report(gate: GateSpec, state_kind: str, args: argparse.Namespace) -> t
     rng_state = np.random.default_rng([args.seed, 0])
     rng_proto = np.random.default_rng([args.seed, 1])
     initial = _input_state(state_kind, gate.arity, rng_state)
-    cfg = ProtocolConfig(epsilon=args.epsilon, prep_mode=args.prep, seed=args.seed)
+    cfg = ProtocolConfig(epsilon=args.epsilon, prep_mode=args.prep)
     if gate.arity == 1:
         out, trace = protocol.simulate_one_qubit(gate, initial, 0, cfg, rng_proto)
     else:
@@ -117,8 +129,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     name = args.gate.upper()
     if name not in _GATES:
         return _usage_error(f"unknown gate {args.gate!r} (expected one of {', '.join(_GATES)})")
-    if not 0.0 < args.epsilon < 1.0:
-        return _usage_error(f"epsilon must lie in (0, 1), got {args.epsilon}")
     gate = GateSpec.named(name)
     report, lines, status = _gate_report(gate, args.state, args)
     _emit(report, args.json, lines)
@@ -131,10 +141,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return _usage_error(f"unknown gate {args.gate!r} (expected one of {', '.join(_GATES)})")
     if args.trials < 1:
         return _usage_error("trials must be at least 1")
-    if not 0.0 < args.epsilon < 1.0:
-        return _usage_error(f"epsilon must lie in (0, 1), got {args.epsilon}")
     gate = GateSpec.named(name)
-    cfg = ProtocolConfig(epsilon=args.epsilon, prep_mode=args.prep, seed=args.seed)
+    cfg = ProtocolConfig(epsilon=args.epsilon, prep_mode=args.prep)
     counts: dict[int, int] = {}
     first_successes = 0
     total = 0
@@ -214,8 +222,6 @@ def parse_circuit_file(text: str) -> list[tuple[GateSpec, tuple[int, ...]]]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if not 0.0 < args.epsilon < 1.0:
-        return _usage_error(f"epsilon must lie in (0, 1), got {args.epsilon}")
     try:
         text = open(args.circuit, encoding="utf-8").read()
     except OSError as exc:
@@ -225,7 +231,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except CircuitParseError as exc:
         return _usage_error(f"{args.circuit}: {exc}")
     n_qubits = max((max(q) for _, q in circuit), default=0) + 1
-    cfg = ProtocolConfig(epsilon=args.epsilon, seed=args.seed, prep_mode=args.prep)
+    cfg = ProtocolConfig(epsilon=args.epsilon, prep_mode=args.prep)
     rng = np.random.default_rng([args.seed, 1])
     aborted = None
     try:
@@ -311,6 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command != "verify":
+        error = _shared_args_error(args)
+        if error is not None:
+            return _usage_error(error)
     return args.func(args)
 
 

@@ -10,13 +10,14 @@ prepares ancillas for the controlled-NOT.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import qcore
-from .pauli import SIGMA
+from .pauli import SIGMA, kron2
 from .qcore import Label, Projector, STRUCT_TOL
 
 __all__ = [
@@ -45,6 +46,13 @@ __all__ = [
 #: Sign of sigma_i (x) sigma_i in the sum of the 0th and i-th Bell projectors,
 #: indexed 1..3 (entry 0 is unused padding).
 GAMMA: tuple[int, int, int, int] = (0, 1, -1, 1)
+
+# Rows are sigma_x, sigma_y, sigma_z flattened: a Bloch vector times _XYZ is its
+# observable, and since each sigma_a is Hermitian, _XYZ_CONJ times a flattened m
+# is (tr(sigma_a m))_a.
+_XYZ = np.stack(SIGMA[1:]).reshape(3, 4)
+_XYZ_CONJ = _XYZ.conj()
+_EYE4 = np.eye(4, dtype=complex)
 
 
 def _require_unitary(u: np.ndarray, dim: int) -> np.ndarray:
@@ -77,13 +85,13 @@ class SingleQubitBinary:
     @property
     def observable(self) -> np.ndarray:
         """The +/-1 observable bloch . sigma; outcome 0 is its +1 eigenspace."""
-        return sum(c * SIGMA[a + 1] for a, c in enumerate(self.bloch))
+        return (self.bloch @ _XYZ).reshape(2, 2)
 
     def projector(self, bit: int) -> np.ndarray:
         if bit not in (0, 1):
             raise ValueError("outcome bit must be 0 or 1")
         sign = 1.0 if bit == 0 else -1.0
-        return (np.eye(2, dtype=complex) + sign * self.observable) / 2
+        return (SIGMA[0] + sign * self.observable) / 2
 
     @property
     def p0(self) -> np.ndarray:
@@ -135,6 +143,7 @@ class BalancedBooleanFn:
         return self.table[index]
 
     @classmethod
+    @lru_cache(maxsize=None)
     def parity(cls, arity: int) -> "BalancedBooleanFn":
         table = tuple(bin(i).count("1") & 1 for i in range(2**arity))
         return cls(arity, table)
@@ -244,7 +253,7 @@ def expand_f_separate(form: PseudoseparateForm) -> BinaryMeasurement:
     for bits in _cartesian((0, 1), repeat=n):
         term = np.array([[1.0 + 0j]])
         for part, bit in zip(form.parts, bits):
-            term = np.kron(term, part.projector(bit))
+            term = kron2(term, part.projector(bit))
         sums[form.f(bits)] += term
     return BinaryMeasurement(
         Projector(sums[0], form.targets),
@@ -260,18 +269,21 @@ def parity_slots(form: PseudoseparateForm) -> tuple[Projector, Projector]:
     """
     if form.f != BalancedBooleanFn.parity(2):
         raise ValueError("expected a two-qubit parity form")
-    ab = np.kron(form.parts[0].observable, form.parts[1].observable)
-    eye = np.eye(4, dtype=complex)
-    return Projector((eye + ab) / 2, form.targets), Projector((eye - ab) / 2, form.targets)
+    ab = kron2(form.parts[0].observable, form.parts[1].observable)
+    return Projector((_EYE4 + ab) / 2, form.targets), Projector((_EYE4 - ab) / 2, form.targets)
 
 
 def _bloch_of(m: np.ndarray) -> tuple[float, float, float]:
     """Bloch axis of a traceless Hermitian unitary 2x2 matrix."""
-    bloch = tuple(float(np.trace(SIGMA[a] @ m).real) / 2 for a in (1, 2, 3))
-    axis = sum(c * SIGMA[a + 1] for a, c in enumerate(bloch))
-    if np.abs(m - axis).max() > STRUCT_TOL:
+    bloch = (_XYZ_CONJ @ m.reshape(4)).real / 2
+    if np.abs(m - (bloch @ _XYZ).reshape(2, 2)).max() > STRUCT_TOL:
         raise ValueError("matrix is not a unit combination of the traceless Paulis")
-    return bloch
+    return tuple(bloch.tolist())
+
+
+# First parts of the pair-sum forms by axis 1..3 (entry 0 is unused padding);
+# each equals SingleQubitBinary(_bloch_of(SIGMA[i])) bit for bit.
+_AXIS_PARTS = (None, MEAS_X, MEAS_Y, MEAS_Z)
 
 
 def solve_two_qubit_parity_form(
@@ -290,10 +302,9 @@ def solve_two_qubit_parity_form(
     if i not in (1, 2, 3):
         raise ValueError(f"axis index must be 1, 2 or 3, got {i!r}")
     u = _require_unitary(u, 2)
-    first = SingleQubitBinary(_bloch_of(SIGMA[i]))
     conjugated = u @ SIGMA[i] @ u.conj().T
     second = SingleQubitBinary(_bloch_of(GAMMA[i] * conjugated))
-    return PseudoseparateForm(BalancedBooleanFn.parity(2), (first, second), targets)
+    return PseudoseparateForm(BalancedBooleanFn.parity(2), (_AXIS_PARTS[i], second), targets)
 
 
 def u_basis_measurement(u: np.ndarray, labels: tuple[Label, Label] = (0, 1)) -> CompleteMeasurement:
@@ -326,7 +337,7 @@ def two_qubit_u_basis_measurement(
     projs = []
     for j in range(4):
         for k in range(4):
-            op = u @ np.kron(SIGMA[j], SIGMA[k])
+            op = u @ kron2(SIGMA[j], SIGMA[k])
             v = qcore.apply_unitary(base, op, (l3, l4)).data
             projs.append(Projector(np.outer(v, v.conj()), labels))
     return CompleteMeasurement(tuple(projs))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import measure as msr
 from . import qcore
-from .pauli import PhasedPauli, SIGMA, cnot_frame_update, nearest_phased_pauli, pauli_product
+from .pauli import PhasedPauli, SIGMA, cnot_frame_update, kron2, nearest_phased_pauli, pauli_product
 from .qcore import Label, Projector, QuantumState
 
 __all__ = [
@@ -141,7 +141,6 @@ class ProtocolConfig:
     epsilon: Optional[float] = 1e-9
     max_trials: Optional[int] = None
     prep_mode: str = "measured"
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.prep_mode not in ("measured", "direct"):
@@ -228,7 +227,7 @@ def _frame_matrix(pair: Optional[tuple[PhasedPauli, PhasedPauli]]) -> np.ndarray
     """Dense form of a pending two-qubit frame; the frames are finitely many."""
     if pair is None:
         return _CNOT
-    m = np.kron(pair[0].matrix(), pair[1].matrix())
+    m = kron2(pair[0].matrix(), pair[1].matrix())
     m.setflags(write=False)
     return m
 
@@ -372,7 +371,7 @@ def _cnot_prep_instruments():
 def _two_qubit_ancilla(pair: Optional[tuple[PhasedPauli, PhasedPauli]], j: int, k: int) -> QuantumState:
     u = _frame_matrix(pair)
     base = qcore.tensor(qcore.epr_state((_PREP2[0], _PREP2[2])), qcore.epr_state((_PREP2[1], _PREP2[3])))
-    state = qcore.apply_unitary(base, u @ np.kron(SIGMA[j], SIGMA[k]), (_PREP2[2], _PREP2[3]))
+    state = qcore.apply_unitary(base, u @ kron2(SIGMA[j], SIGMA[k]), (_PREP2[2], _PREP2[3]))
     return qcore.permute_to(state, _PREP2)
 
 

@@ -12,7 +12,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .pauli import SIGMA
+from .pauli import SIGMA, kron2
 
 Label = Hashable
 
@@ -174,7 +174,7 @@ def embed_at(op: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
         raise ValueError(f"operator shape {op.shape} does not match {k} position(s)")
     if len(set(positions)) != k or any(not 0 <= p < n for p in positions):
         raise ValueError(f"invalid positions {positions!r} for {n} qubits")
-    full = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
+    full = kron2(op, np.eye(2 ** (n - k), dtype=complex))
     # Tensor axes of `full` are ordered (positions..., rest...); route each to
     # its place in the register.
     src = list(positions) + [p for p in range(n) if p not in positions]
@@ -334,7 +334,7 @@ def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
         raise ValueError("at most 8 qubits are supported")
     if a.is_pure and b.is_pure:
         return QuantumState._trusted(np.multiply.outer(a.data, b.data).reshape(-1), labels)
-    return QuantumState._trusted(np.kron(a.to_density(), b.to_density()), labels, "mixed")
+    return QuantumState._trusted(kron2(a.to_density(), b.to_density()), labels, "mixed")
 
 
 def permute_to(state: QuantumState, new_labels: Sequence[Label]) -> QuantumState:

@@ -54,6 +54,14 @@ class TestVerify:
         assert status == 1
         assert report["failed_count"] > 0
 
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+    def test_non_positive_tolerance_is_a_usage_error(self, tolerance, capsys):
+        # a report with such a tolerance would break the schema's exclusiveMinimum
+        status, out = run_cli(["verify", "--json", f"--tolerance={tolerance}"])
+        assert status == 2
+        assert out == ""
+        assert "tolerance" in capsys.readouterr().err
+
     def test_text_output_summarises(self):
         status, out = run_cli(["verify"])
         assert status == 0
@@ -165,6 +173,33 @@ class TestRun:
     def test_missing_file(self):
         status, _ = run_cli(["run", "/nonexistent/circuit.txt"])
         assert status == 2
+
+
+class TestSharedArguments:
+    @pytest.fixture
+    def argv(self, request, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("H 0\n")
+        return {
+            "simulate": ["simulate", "--gate", "H"],
+            "stats": ["stats", "--gate", "H", "--trials", "2"],
+            "run": ["run", str(path)],
+        }[request.param]
+
+    @pytest.mark.parametrize("argv", ["simulate", "stats", "run"], indirect=True)
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        status, out = run_cli(argv + ["--seed=-1", "--json"])
+        assert status == 2
+        assert out == ""
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", ["simulate", "stats", "run"], indirect=True)
+    @pytest.mark.parametrize("epsilon", ["1", "nan"])
+    def test_epsilon_outside_the_open_unit_interval_is_a_usage_error(self, argv, epsilon, capsys):
+        status, out = run_cli(argv + [f"--epsilon={epsilon}"])
+        assert status == 2
+        assert out == ""
+        assert "epsilon" in capsys.readouterr().err
 
 
 class TestParseCircuitFile:

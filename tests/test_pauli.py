@@ -6,12 +6,16 @@ matrices), so the oracle never shares code with the implementation.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from measureonly.pauli import (
     PHASES,
     PhasedPauli,
     cnot_frame_update,
     conjugate,
+    kron2,
     nearest_phased_pauli,
     pauli_matrix,
     pauli_product,
@@ -202,3 +206,25 @@ class TestCnotFrameUpdate:
         assert cnot_frame_update(1, 0) == (1, 1, 1)
         assert cnot_frame_update(1, 3) == (-1, 2, 2)
         assert cnot_frame_update(0, 0) == (1, 0, 0)
+
+
+# Finite parts with both signed zeros drawn often; the bound keeps every
+# product and sum of products finite.
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e100, 1e100))
+_ENTRIES = st.builds(complex, _PARTS, _PARTS)
+
+
+def _complex_matrices(max_rows, max_cols):
+    shapes = st.tuples(st.integers(1, max_rows), st.integers(1, max_cols))
+    return shapes.flatmap(lambda shape: arrays(complex, shape, elements=_ENTRIES))
+
+
+class TestKron2:
+    @settings(max_examples=300, deadline=None)
+    @given(a=_complex_matrices(4, 4), b=_complex_matrices(16, 16))
+    def test_bit_for_bit_equal_to_numpy_kron(self, a, b):
+        got, want = kron2(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))

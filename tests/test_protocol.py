@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import measureonly.qcore as qcore
+from measureonly.measure import parity_slots, solve_two_qubit_parity_form
 from measureonly.pauli import nearest_phased_pauli
 from measureonly.protocol import (
     BIT_DECODE,
@@ -140,6 +141,26 @@ class TestPrepareAncillaOne:
                 assert fidelity_up_to_phase(state, expected) > 1 - 1e-10
             freq = counts / n_runs
             np.testing.assert_allclose(freq, exact, atol=5 * np.sqrt(0.25 / n_runs) + 1e-12)
+
+    @pytest.mark.parametrize("which", list(range(20)) + ["H", "T", "I", "X", "Y", "Z"])
+    def test_prepared_index_law_is_exact(self, which):
+        # deterministic companion of the sampled check above: the x-axis slot a
+        # then the z-axis slot b of the public parity forms leave |00> with
+        # weight |<U_j|00>|^2 = |(u sigma_j)_00|^2 / 2, j = BIT_DECODE[(a, b)]
+        named = {"H": HADAMARD, "T": T_GATE, "I": I2, "X": X, "Y": Y, "Z": Z}
+        u = named[which] if which in named else haar_unitary(np.random.default_rng([which, 13]))
+        slots_x, slots_z = (parity_slots(solve_two_qubit_parity_form(i, u)) for i in (1, 3))
+        ket00 = np.eye(4, dtype=complex)[0]
+        law = np.zeros(4)
+        for a in (0, 1):
+            for b in (0, 1):
+                j = BIT_DECODE[(a, b)]
+                v = slots_z[b].matrix @ slots_x[a].matrix @ ket00
+                law[j] = np.vdot(v, v).real
+                assert law[j] == pytest.approx(abs((u @ PAULIS[j])[0, 0]) ** 2 / 2, abs=1e-12)
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        if which == "T":
+            np.testing.assert_allclose(law, [0.5, 0, 0, 0.5], atol=1e-12)
 
     def test_identity_prep_from_zeros_reaches_indices_0_and_3_only(self):
         # |<B_1|00>| = |<B_2|00>| = 0, so those indices can never occur
@@ -389,6 +410,31 @@ class TestSimulateOneQubit:
             expected = apply_unitary(state, gate.matrix, (0,))
             assert fidelity_up_to_phase(fixed, expected) > 1 - 1e-10
         assert failures > 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        prep=st.sampled_from(["measured", "direct"]),
+        max_trials=st.integers(1, 4),
+    )
+    def test_custom_gates_finish_or_owe_their_residual(self, seed, n, prep, max_trials):
+        gen = np.random.default_rng(seed)
+        u = haar_unitary(gen)
+        qubit = int(gen.integers(0, n))
+        state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
+        cfg = ProtocolConfig(max_trials=max_trials, prep_mode=prep)
+        out, trace = simulate_one_qubit(GateSpec.custom(u), state, qubit, cfg, gen)
+        assert out.labels == state.labels
+        assert trace.total_trials <= max_trials
+        expected = apply_unitary(state, u, (qubit,))
+        if trace.succeeded:
+            assert trace.residual_matrix is None
+        else:
+            # the gate still owed, applied to the output, completes U|psi>
+            assert trace.total_trials == max_trials
+            out = apply_unitary(out, trace.residual_matrix, (qubit,))
+        assert fidelity_up_to_phase(out, expected) >= 1 - 1e-10
 
     def test_direct_mode_matches_oracle(self):
         cfg = ProtocolConfig(epsilon=1e-9, prep_mode="direct")

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -192,7 +193,7 @@ def parse_circuit_file(text: str) -> list[tuple[GateSpec, tuple[int, ...]]]:
     """Parse a circuit file: one gate per line, '#' comments, blank lines allowed.
 
     Grammar: ``H q`` | ``T q`` | ``X q`` | ``Y q`` | ``Z q`` | ``CNOT qc qt``
-    with qubit indices in 0..3 and distinct controlled-NOT operands.
+    with qubit indices in 0..7 and distinct controlled-NOT operands.
     """
     ops: list[tuple[GateSpec, tuple[int, ...]]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -213,8 +214,8 @@ def parse_circuit_file(text: str) -> list[tuple[GateSpec, tuple[int, ...]]]:
             qubits = tuple(int(p) for p in parts[1:])
         except ValueError:
             raise CircuitParseError(line_no, f"qubit operands must be integers: {line!r}") from None
-        if any(not 0 <= q <= 3 for q in qubits):
-            raise CircuitParseError(line_no, "qubit indices must lie in 0..3")
+        if any(not 0 <= q <= 7 for q in qubits):
+            raise CircuitParseError(line_no, "qubit indices must lie in 0..7")
         if name == "CNOT" and qubits[0] == qubits[1]:
             raise CircuitParseError(line_no, "controlled-NOT operands must be distinct")
         ops.append((GateSpec.named(name), qubits))
@@ -223,8 +224,8 @@ def parse_circuit_file(text: str) -> list[tuple[GateSpec, tuple[int, ...]]]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        text = open(args.circuit, encoding="utf-8").read()
-    except OSError as exc:
+        text = Path(args.circuit).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(f"cannot read {args.circuit!r}: {exc}")
     try:
         circuit = parse_circuit_file(text)

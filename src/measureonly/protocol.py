@@ -19,7 +19,7 @@ import numpy as np
 from . import measure as msr
 from . import qcore
 from .pauli import PhasedPauli, SIGMA, cnot_frame_update, kron2, nearest_phased_pauli, pauli_product
-from .qcore import Label, Projector, QuantumState
+from .qcore import Label, QuantumState
 
 __all__ = [
     "BIT_DECODE",
@@ -56,8 +56,8 @@ _GATE_MATRICES: dict[str, np.ndarray] = {
     "CNOT": _CNOT,
 }
 
-# Canonical internal labels for ancilla registers while they are prepared;
-# they are renamed to fresh labels before being tensored into a run.
+# Internal labels of ancilla registers while they are prepared by measurement;
+# a trial uses only their vectors, in this qubit order.
 _PREP1 = ("prep0", "prep1")
 _PREP2 = ("prep0", "prep1", "prep2", "prep3")
 
@@ -291,45 +291,60 @@ class ProtocolTrace:
         }
 
 
-def _fresh_labels(existing: Sequence[Label], count: int) -> tuple[str, ...]:
-    used = set(existing)
-    out: list[str] = []
-    i = 0
-    while len(out) < count:
-        cand = f"a{i}"
-        if cand not in used:
-            out.append(cand)
-            used.add(cand)
-        i += 1
-    return tuple(out)
+class _BranchTable:
+    """Measured preparation of one frame, replayed from its outcome branches.
+
+    The table maps the bits drawn so far to the next measurement's outcome
+    probabilities and post-measurement states on the all-|0> register.  Each
+    branch is filled on its first visit by ``qcore.measure``'s arithmetic,
+    so a replay draws the same bits and reaches the same state as running
+    the measurements afresh on the same random stream.
+    """
+
+    def __init__(self, instruments: tuple[tuple[np.ndarray, np.ndarray], ...], start: QuantumState):
+        self.instruments = instruments
+        self.start = start
+        self.branches: dict[tuple[int, ...], tuple[list[float], list]] = {}
+
+    def replay(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:
+        state, bits = self.start, ()
+        for mats in self.instruments:
+            branch = self.branches.get(bits)
+            if branch is None:
+                branch = self.branches[bits] = qcore._collapse(state, mats)
+            probs, posts = branch
+            b = qcore._draw(probs, rng)
+            state, bits = posts[b], bits + (b,)
+        return bits, state.data
+
+
+_ZERO1 = qcore.zero_state(_PREP1)
+_ZERO2 = qcore.zero_state(_PREP2)
 
 
 @lru_cache(maxsize=512)
-def _one_qubit_prep_instruments(target_bytes: bytes):
+def _one_qubit_prep_table(target_bytes: bytes) -> _BranchTable:
     target = np.frombuffer(target_bytes, dtype=complex).reshape(2, 2)
-    return tuple(msr.parity_slots(msr.solve_two_qubit_parity_form(i, target, targets=_PREP1)) for i in (1, 3))
+    forms = (msr.solve_two_qubit_parity_form(i, target, targets=_PREP1) for i in (1, 3))
+    return _BranchTable(tuple(tuple(p.matrix for p in msr.parity_slots(f)) for f in forms), _ZERO1)
 
 
 @lru_cache(maxsize=512)
-def _one_qubit_ancilla(target_bytes: bytes, j: int) -> QuantumState:
+def _one_qubit_ancilla(target_bytes: bytes, j: int) -> np.ndarray:
     target = np.frombuffer(target_bytes, dtype=complex).reshape(2, 2)
-    state = qcore.epr_state(_PREP1)
-    return qcore.apply_unitary(state, target @ SIGMA[j], (_PREP1[1],))
+    return qcore.apply_unitary(qcore.epr_state(_PREP1), target @ SIGMA[j], (_PREP1[1],)).data
 
 
 def _prepare_one(
     target: np.ndarray,
     mode: str,
     rng: np.random.Generator,
-) -> tuple[int, QuantumState, Optional[tuple[int, int]]]:
-    """Prepare a two-qubit ancilla (canonical labels) in a target-twisted Bell state."""
+) -> tuple[int, np.ndarray, Optional[tuple[int, int]]]:
+    """Prepare a two-qubit ancilla vector (order ``_PREP1``) in a target-twisted Bell state."""
     key = np.ascontiguousarray(target).tobytes()
     if mode == "measured":
-        instruments = _one_qubit_prep_instruments(key)
-        state = qcore.zero_state(_PREP1)
-        a, state, _ = qcore.measure(state, instruments[0], rng, check=False)
-        b, state, _ = qcore.measure(state, instruments[1], rng, check=False)
-        return BIT_DECODE[(a, b)], state, (a, b)
+        bits, ancilla = _one_qubit_prep_table(key).replay(rng)
+        return BIT_DECODE[bits], ancilla, bits
     if mode == "direct":
         j = int(rng.integers(0, 4))
         return j, _one_qubit_ancilla(key, j), None
@@ -350,64 +365,80 @@ def prepare_ancilla_one(
     ``"direct"`` mode the index is drawn uniformly and the state is written
     down directly.  Returns (state, index).
     """
-    j, state, _bits = _prepare_one(np.asarray(u, dtype=complex), mode, rng)
-    return qcore.relabel(state, dict(zip(_PREP1, labels))), j
+    j, ancilla, _bits = _prepare_one(np.asarray(u, dtype=complex), mode, rng)
+    # the vector is shared with the preparation caches
+    return QuantumState.pure(ancilla.copy(), labels), j
 
 
 @lru_cache(maxsize=1)
-def _cnot_prep_instruments():
+def _cnot_prep_table() -> _BranchTable:
     binaries = msr.cnot_measurement_set(labels=_PREP2)
-    out = []
-    for m in binaries:
-        p0 = Projector(qcore.embed(m.p0.matrix, m.labels, _PREP2), _PREP2)
-        p1 = Projector(qcore.embed(m.p1.matrix, m.labels, _PREP2), _PREP2)
-        out.append((p0, p1))
-    return tuple(out)
+    mats = tuple(tuple(qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()) for m in binaries)
+    return _BranchTable(mats, _ZERO2)
 
 
 # Keyed on the exact frame: at most 257 frames (the controlled-NOT or a pair
 # of phased Paulis) times 16 prepared indices.
 @lru_cache(maxsize=None)
-def _two_qubit_ancilla(pair: Optional[tuple[PhasedPauli, PhasedPauli]], j: int, k: int) -> QuantumState:
+def _two_qubit_ancilla(pair: Optional[tuple[PhasedPauli, PhasedPauli]], j: int, k: int) -> np.ndarray:
     u = _frame_matrix(pair)
     base = qcore.tensor(qcore.epr_state((_PREP2[0], _PREP2[2])), qcore.epr_state((_PREP2[1], _PREP2[3])))
     state = qcore.apply_unitary(base, u @ kron2(SIGMA[j], SIGMA[k]), (_PREP2[2], _PREP2[3]))
-    return qcore.permute_to(state, _PREP2)
+    return qcore.permute_to(state, _PREP2).data
 
 
 def _prepare_two(
     pending: _PendingTwoQubit,
     mode: str,
     rng: np.random.Generator,
-) -> tuple[tuple[int, int], QuantumState, Optional[tuple[int, ...]]]:
-    """Prepare the four-qubit ancilla register (canonical labels)."""
+) -> tuple[tuple[int, int], np.ndarray, Optional[tuple[int, ...]]]:
+    """Prepare the four-qubit ancilla vector (order ``_PREP2``)."""
     if mode == "direct":
         j, k = (int(x) for x in rng.integers(0, 4, size=2))
         return (j, k), _two_qubit_ancilla(pending.pair, j, k), None
     if mode != "measured":
         raise ValueError(f"unknown preparation mode {mode!r}")
     if pending.is_first:
-        state = qcore.zero_state(_PREP2)
-        bits = []
-        for pair in _cnot_prep_instruments():
-            b, state, _ = qcore.measure(state, pair, rng, check=False)
-            bits.append(b)
-        j = BIT_DECODE[(bits[0], bits[1])]
-        k = BIT_DECODE[(bits[2], bits[3])]
-        return (j, k), state, tuple(bits)
+        bits, ancilla = _cnot_prep_table().replay(rng)
+        return (BIT_DECODE[bits[:2]], BIT_DECODE[bits[2:]]), ancilla, bits
     # After the first failure the pending gate factors, so the two ancilla
-    # pairs are prepared independently by (possibly negated) Bell binaries.
+    # pairs (prep0, prep2) and (prep1, prep3) are prepared independently by
+    # (possibly negated) Bell binaries.
     a, b = pending.pair
-    j, state_a, bits_a = _prepare_one(a.matrix(), "measured", rng)
-    k, state_b, bits_b = _prepare_one(b.matrix(), "measured", rng)
-    state_a = qcore.relabel(state_a, dict(zip(_PREP1, (_PREP2[0], _PREP2[2]))))
-    state_b = qcore.relabel(state_b, dict(zip(_PREP1, (_PREP2[1], _PREP2[3]))))
-    return (j, k), qcore.tensor(state_a, state_b), bits_a + bits_b
+    j, anc_a, bits_a = _prepare_one(a.matrix(), "measured", rng)
+    k, anc_b, bits_b = _prepare_one(b.matrix(), "measured", rng)
+    ancilla = np.multiply.outer(anc_a.reshape(2, 2), anc_b.reshape(2, 2)).transpose(0, 2, 1, 3)
+    return (j, k), ancilla.reshape(-1), bits_a + bits_b
 
 
 #: The conjugated Bell states <B_i| in bit order: row 2x + z is the Bell state
 #: with x-type bit x and z-type bit z, that is B_{BIT_DECODE[(x, z)]}.
 _BELL_ROWS = np.array([qcore.bell_state(BIT_DECODE[divmod(r, 2)]).data.conj() for r in range(4)])
+
+# Bell rows of k pairs (data d_i, ancilla a_i) on a 2k-qubit ancilla
+# (a_1..a_k, f_1..f_k): their product with the ancilla vector lists the 4^k
+# maps, row (r_1..r_k, f_1..f_k), column (d_1..d_k), from the data qubits to
+# the ancilla's free half f.
+_B, _I2 = _BELL_ROWS.reshape(4, 2, 2), np.eye(2)
+_BELL_MAPS = {
+    1: np.einsum("rda,fg->rfdag", _B, _I2).reshape(16, 4),
+    2: np.einsum("xca,ytb,fh,gi->xyfgctabhi", _B, _B, _I2, _I2).reshape(256, 16),
+}
+
+
+def _draw_bell(w: list[float], rng: np.random.Generator,
+               variant: tuple[int, int] = (0, 0)) -> tuple[int, tuple[int, int]]:
+    """Row 2x + z of a Bell outcome drawn from the four rows' weights, and its bits.
+
+    The x-type then the z-type bit are drawn as two parity measurements
+    would draw them; ``variant`` negates either binary's second input bit.
+    """
+    vx, vz = variant
+    a = qcore._draw((w[2 * vx] + w[2 * vx + 1], w[2 - 2 * vx] + w[3 - 2 * vx]), rng)
+    x = a ^ vx
+    px = w[2 * x] + w[2 * x + 1]
+    b = qcore._draw((w[2 * x + vz] / px, w[2 * x + 1 - vz] / px), rng)
+    return 2 * x + (b ^ vz), (a, b)
 
 
 def _bell_measure_bits(
@@ -420,21 +451,40 @@ def _bell_measure_bits(
 
     Each Bell row times the (4, 2^(n-2)) block of the pair's axes is the rest
     of the register given that Bell state; its squared norm is the outcome's
-    weight.  The x-type then the z-type bit are drawn from these weights as
-    two parity measurements would draw them.
+    weight.
     """
     pos = (state.position(pair[0]), state.position(pair[1]))
     axes = pos + tuple(p for p in range(state.n) if p not in pos)
     rows = _BELL_ROWS @ state.data.reshape((2,) * state.n).transpose(axes).reshape(4, -1)
     w = (np.abs(rows) ** 2).sum(axis=1).tolist()
-    vx, vz = variant
-    a = qcore._draw((w[2 * vx] + w[2 * vx + 1], w[2 - 2 * vx] + w[3 - 2 * vx]), rng)
-    x = a ^ vx
-    px = w[2 * x] + w[2 * x + 1]
-    b = qcore._draw((w[2 * x + vz] / px, w[2 * x + 1 - vz] / px), rng)
-    r = 2 * x + (b ^ vz)
+    r, bits = _draw_bell(w, rng, variant)
     rest = tuple(q for q in state.labels if q not in pair)
-    return BIT_DECODE[(a, b)], QuantumState._trusted(rows[r] / np.sqrt(w[r]), rest), (a, b)
+    return BIT_DECODE[bits], QuantumState._trusted(rows[r] / np.sqrt(w[r]), rest), bits
+
+
+def _teleport_step(data: np.ndarray, n: int, positions: tuple[int, ...], ancilla: np.ndarray,
+                   rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray, tuple[int, ...]]:
+    """Bell-measure k data qubits of an n-qubit vector against a 2k-qubit ancilla, in place.
+
+    The ancilla's first k qubits pair with the data qubits at ``positions``;
+    its last k take their places.  One product of the Bell maps with the
+    (2^k, 2^(n-k)) data block gives every outcome's branch, weighted by its
+    squared norm, without forming the (n + 2k)-qubit register.  The pairs
+    are drawn in order, the second conditioned on the first.  Returns
+    (outcomes, new data vector, bits).
+    """
+    k = len(positions)
+    axes = positions + tuple(p for p in range(n) if p not in positions)
+    block = data.reshape((2,) * n).transpose(axes).reshape(2**k, -1)
+    rows = ((_BELL_MAPS[k] @ ancilla).reshape(-1, 2**k) @ block).reshape(4**k, -1)
+    w = (np.abs(rows) ** 2).sum(axis=1)
+    r, bits = _draw_bell(w.reshape(4, -1).sum(axis=1).tolist(), rng)
+    if k == 2:
+        r2, bits2 = _draw_bell(w[4 * r:4 * r + 4].tolist(), rng)
+        r, bits = 4 * r + r2, bits + bits2
+    out = np.empty_like(data)
+    out.reshape((2,) * n).transpose(axes)[...] = (rows[r] / np.sqrt(w[r])).reshape((2,) * n)
+    return tuple(BIT_DECODE[bits[i:i + 2]] for i in range(0, 2 * k, 2)), out, bits
 
 
 def bell_measure(
@@ -477,26 +527,23 @@ def simulate_one_qubit(
 ) -> tuple[QuantumState, ProtocolTrace]:
     """Apply a one-qubit gate to one qubit of a register, by measurements only.
 
-    Returns the new register (same labels and order as the input; the
-    surviving ancilla qubit is relabelled back to ``qubit``) and the trial
-    trace.  When the trial budget runs out the trace reports the residual
-    gate still owed, canonicalised to a phased Pauli whenever it is one.
+    Each trial Bell-measures the qubit against the first half of the
+    ancilla, whose second half takes its place in the register.  Returns the
+    new register (same labels and order as the input) and the trial trace.
+    When the trial budget runs out the trace reports the residual gate still
+    owed, canonicalised to a phased Pauli whenever it is one.
     """
     if gate.arity != 1:
         raise ValueError("expected a one-qubit gate")
-    original = state.labels
-    state.position(qubit)
+    positions = (state.position(qubit),)
+    data = state.data
     pending = PendingGate(gate.matrix)
     trials: list[TrialRecord] = []
-    data_label: Label = qubit
     succeeded = False
     budget = cfg.budget(1)
     for r in range(1, budget + 1):
-        la, lb = _fresh_labels(state.labels, 2)
         j, ancilla, prep_bits = _prepare_one(pending.target, cfg.prep_mode, rng)
-        ancilla = qcore.relabel(ancilla, dict(zip(_PREP1, (la, lb))))
-        merged = qcore.tensor(state, ancilla)
-        m, state, bell_bits = _bell_measure_bits(merged, (data_label, la), rng)
+        (m,), data, bell_bits = _teleport_step(data, state.n, positions, ancilla, rng)
         success = m == j
         trials.append(
             TrialRecord(
@@ -509,13 +556,11 @@ def simulate_one_qubit(
                 target=pending.target,
             )
         )
-        data_label = lb
         if success:
             succeeded = True
             break
         pending = pending.advanced(j, m)
-    state = qcore.relabel(state, {data_label: qubit})
-    state = qcore.permute_to(state, original)
+    state = QuantumState._trusted(data, state.labels)
     if succeeded:
         trace = ProtocolTrace(tuple(trials), True)
     else:
@@ -539,27 +584,22 @@ def simulate_cnot(
     The first trial prepares four ancilla qubits with the four-measurement
     set; failed trials reduce the pending gate to a tensor product of phased
     Paulis, so every later trial needs only (possibly negated) Bell binaries
-    on the two ancilla pairs independently.
+    on the two ancilla pairs independently.  Each trial Bell-measures the
+    control then the target against the ancilla's first two qubits, whose
+    partners take their places in the register.
     """
     qc, qt = qubits
     if qc == qt:
         raise ValueError("controlled-NOT needs two distinct qubits")
-    original = state.labels
-    state.position(qc)
-    state.position(qt)
+    positions = (state.position(qc), state.position(qt))
+    data = state.data
     pending = _PendingTwoQubit()
     trials: list[TrialRecord] = []
-    cur_c: Label = qc
-    cur_t: Label = qt
     succeeded = False
     budget = cfg.budget(2)
     for r in range(1, budget + 1):
-        c1, c2, c3, c4 = _fresh_labels(state.labels, 4)
         (j, k), ancilla, prep_bits = _prepare_two(pending, cfg.prep_mode, rng)
-        ancilla = qcore.relabel(ancilla, dict(zip(_PREP2, (c1, c2, c3, c4))))
-        merged = qcore.tensor(state, ancilla)
-        m, merged, bits_m = _bell_measure_bits(merged, (cur_c, c1), rng)
-        n, merged, bits_n = _bell_measure_bits(merged, (cur_t, c2), rng)
+        (m, n), data, bell_bits = _teleport_step(data, state.n, positions, ancilla, rng)
         success = (m, n) == (j, k)
         trials.append(
             TrialRecord(
@@ -567,19 +607,16 @@ def simulate_cnot(
                 prepared=(j, k),
                 outcome=(m, n),
                 prep_bits=prep_bits,
-                bell_bits=bits_m + bits_n,
+                bell_bits=bell_bits,
                 success=success,
                 target=pending.matrix44(),
             )
         )
-        state = merged
-        cur_c, cur_t = c3, c4
         if success:
             succeeded = True
             break
         pending = pending.advanced((j, k), (m, n))
-    state = qcore.relabel(state, {cur_c: qc, cur_t: qt})
-    state = qcore.permute_to(state, original)
+    state = QuantumState._trusted(data, state.labels)
     if succeeded:
         trace = ProtocolTrace(tuple(trials), True)
     else:
@@ -600,12 +637,12 @@ def run_circuit(
 ) -> tuple[QuantumState, list[ProtocolTrace], list[Label]]:
     """Execute a circuit on an all-zero register, measurement-only.
 
-    The logical register keeps labels 0..n-1 throughout (teleported qubits
-    are spliced back in under their old labels).  Raises BudgetExceeded with
+    The logical register keeps labels 0..n-1 throughout (each gate is
+    teleported in place).  Raises BudgetExceeded with
     the partial traces if any gate exhausts its trial budget.
     """
-    if not 1 <= n_qubits <= 4:
-        raise ValueError("the logical register holds between 1 and 4 qubits")
+    if not 1 <= n_qubits <= 8:
+        raise ValueError("the logical register holds between 1 and 8 qubits")
     state = qcore.zero_state(tuple(range(n_qubits)))
     traces: list[ProtocolTrace] = []
     for idx, (gate, labels) in enumerate(circuit):

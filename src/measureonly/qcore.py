@@ -267,20 +267,27 @@ def measure(
                         f"projectors {i} and {j} are not mutually annihilating "
                         f"(max overlap {overlap:.3e})"
                     )
+    probs, posts = _collapse(state, mats)
+    outcome = _draw(probs, rng)
+    return outcome, posts[outcome], probs[outcome]
+
+
+def _collapse(state: QuantumState, mats: Sequence[np.ndarray]) -> tuple[list[float], list]:
+    """Every outcome's probability tr(P_i rho) and collapsed state (None unless p_i > 0).
+
+    ``mats`` are full-register projector matrices.  This is the arithmetic
+    of :func:`measure`, which draws one outcome from it.
+    """
     if state.is_pure:
         shots = [m @ state.data for m in mats]
         probs = [float(np.vdot(v, v).real) for v in shots]
+        posts = [QuantumState._trusted(v / np.sqrt(p), state.labels) if p > 0 else None
+                 for v, p in zip(shots, probs)]
     else:
-        shots = None
         probs = [float(np.trace(m @ state.data).real) for m in mats]
-    outcome = _draw(probs, rng)
-    prob = probs[outcome]
-    if state.is_pure:
-        post = QuantumState._trusted(shots[outcome] / np.sqrt(prob), state.labels)
-    else:
-        m = mats[outcome]
-        post = QuantumState._trusted(m @ state.data @ m / prob, state.labels, "mixed")
-    return outcome, post, prob
+        posts = [QuantumState._trusted(m @ state.data @ m / p, state.labels, "mixed") if p > 0 else None
+                 for m, p in zip(mats, probs)]
+    return probs, posts
 
 
 def _draw(probs: Sequence[float], rng: np.random.Generator) -> int:

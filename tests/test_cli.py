@@ -165,10 +165,27 @@ class TestRun:
 
     def test_out_of_range_index_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
-        path.write_text("H 4\n")
+        path.write_text("H 8\n")
         status, _ = run_cli(["run", str(path)])
         assert status == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_highest_index_runs(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("H 7\nCNOT 7 0\n")
+        status, report = run_json(["run", str(path), "--seed", "3", "--json"])
+        assert status == 0
+        assert report["n_qubits"] == 8
+        assert report["gates"][1]["qubits"] == [7, 0]
+        assert report["fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfeH 0\n")
+        status, out = run_cli(["run", str(path), "--json"])
+        assert status == 2
+        assert out == ""
+        assert "cannot read" in capsys.readouterr().err
 
     def test_missing_file(self):
         status, _ = run_cli(["run", "/nonexistent/circuit.txt"])

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import measureonly.qcore as qcore
-from measureonly.measure import parity_slots, solve_two_qubit_parity_form
+from measureonly import protocol
+from measureonly.measure import cnot_measurement_set, parity_slots, solve_two_qubit_parity_form
 from measureonly.pauli import nearest_phased_pauli
 from measureonly.protocol import (
     BIT_DECODE,
@@ -21,6 +22,7 @@ from measureonly.protocol import (
     ProtocolError,
     _bell_measure_bits,
     _PendingTwoQubit,
+    _teleport_step,
     bell_measure,
     direct_state,
     prepare_ancilla_one,
@@ -272,6 +274,104 @@ class TestBellKernel:
         assert post.labels == post_ref.labels == tuple(q for q in range(n) if q not in pair)
         assert fidelity_up_to_phase(post, post_ref) >= 1 - 1e-12
         assert rng_kernel.random() == rng_dense.random()
+
+
+def pair_ancilla(u, indices):
+    """(I (x) u (sigma_j (x) ...)) on EPR pairs (a_i, f_i), in qubit order (a_1..a_k, f_1..f_k)."""
+    k = len(indices)
+    epr, paulis = EPR, PAULIS[indices[0]]
+    for j in indices[1:]:
+        epr, paulis = np.kron(epr, EPR), np.kron(paulis, PAULIS[j])
+    # (a_1, f_1, a_2, f_2) -> (a_1, a_2, f_1, f_2)
+    epr = epr.reshape((2,) * 2 * k).transpose(tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2)))
+    return np.kron(np.eye(2**k), u @ paulis) @ epr.reshape(-1)
+
+
+class TestTeleportStep:
+    """The in-place step against the merged register it replaces."""
+
+    @staticmethod
+    def merged_reference(state, positions, ancilla, rng):
+        # tensor the ancilla in, Bell-measure each pair, splice the free half back
+        k = len(positions)
+        anc = QuantumState.pure(ancilla, [f"a{i}" for i in range(k)] + [f"f{i}" for i in range(k)])
+        merged = tensor(state, anc)
+        outcomes, bits = (), ()
+        for i, p in enumerate(positions):
+            m, merged, b = _bell_measure_bits(merged, (state.labels[p], f"a{i}"), rng)
+            outcomes, bits = outcomes + (m,), bits + b
+        merged = qcore.relabel(merged, {f"f{i}": state.labels[p] for i, p in enumerate(positions)})
+        return outcomes, qcore.permute_to(merged, state.labels), bits
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2]),
+        extra=st.integers(0, 5),
+        order=st.randoms(use_true_random=False),
+        kind=st.sampled_from(["haar", "cnot", "pauli"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_merged_register(self, k, extra, order, kind, seed):
+        n = min(k + extra, 8 - 2 * k)
+        gen = np.random.default_rng(seed)
+        positions = list(range(n))
+        order.shuffle(positions)
+        positions = tuple(positions[:k])
+        if kind == "haar":
+            u = haar_unitary(gen, 2**k)
+        elif kind == "cnot" and k == 2:
+            u = CNOT
+        else:
+            # a phased Pauli (pair): the frames left after a failed trial
+            u = (1, -1, 1j, -1j)[int(gen.integers(4))] * np.eye(1)
+            for i in gen.integers(4, size=k):
+                u = np.kron(u, PAULIS[int(i)])
+        ancilla = pair_ancilla(u, tuple(int(j) for j in gen.integers(4, size=k)))
+        state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
+        rng_step, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        outcomes, data, bits = _teleport_step(state.data, n, positions, ancilla, rng_step)
+        outcomes_ref, post_ref, bits_ref = self.merged_reference(state, positions, ancilla, rng_ref)
+        assert (outcomes, bits) == (outcomes_ref, bits_ref)
+        assert fidelity_up_to_phase(QuantumState.pure(data, state.labels), post_ref) >= 1 - 1e-12
+        assert rng_step.random() == rng_ref.random()
+
+
+class TestBranchTables:
+    """Replayed measured preparation against a fresh sequence of measurements."""
+
+    @staticmethod
+    def replay_matches_fresh(table, instruments, labels, seeds):
+        for seed in seeds:
+            rng_table, rng_fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+            bits, ancilla = table.replay(rng_table)
+            state, fresh_bits = zero_state(labels), ()
+            for slots in instruments:
+                b, state, _ = qcore.measure(state, slots, rng_fresh)
+                fresh_bits += (b,)
+            assert bits == fresh_bits
+            assert np.array_equal(ancilla, state.data)
+            assert rng_table.random() == rng_fresh.random()
+
+    @pytest.mark.parametrize("which", list(range(20)) + ["H", "T", "I", "X", "Y", "Z"])
+    def test_one_qubit_frames(self, which):
+        named = {"H": HADAMARD, "T": T_GATE, "I": I2, "X": X, "Y": Y, "Z": Z}
+        u = named[which] if which in named else haar_unitary(np.random.default_rng([which, 29]))
+        table = protocol._one_qubit_prep_table(np.ascontiguousarray(u).tobytes())
+        labels = protocol._PREP1
+        instruments = [parity_slots(solve_two_qubit_parity_form(i, u, targets=labels)) for i in (1, 3)]
+        self.replay_matches_fresh(table, instruments, labels, range(40))
+
+    def test_cnot_set(self):
+        labels = protocol._PREP2
+        instruments = [m.slots() for m in cnot_measurement_set(labels=labels)]
+        self.replay_matches_fresh(protocol._cnot_prep_table(), instruments, labels, range(80))
+
+    def test_fresh_custom_gates_keep_the_cache_bounded(self):
+        cfg = ProtocolConfig(max_trials=1, prep_mode="measured")
+        rng = np.random.default_rng(30)
+        for _ in range(2000):
+            simulate_one_qubit(GateSpec.custom(haar_unitary(rng)), zero_state((0,)), 0, cfg, rng)
+        assert protocol._one_qubit_prep_table.cache_info().currsize <= 512
 
 
 class TestPendingGateClosure:
@@ -544,6 +644,25 @@ class TestRunCircuit:
             assert fidelity_up_to_phase(final, reference) > 1 - 1e-8
             assert direct_state(circuit, 3).labels == (0, 1, 2)
 
+    @pytest.mark.parametrize("prep", ["measured", "direct"])
+    def test_eight_logical_qubits_match_direct_simulation(self, prep):
+        # no merged register: only the 8-qubit cap on QuantumState applies
+        rng = np.random.default_rng(31)
+        names = ("H", "T", "X", "Y", "Z", "CNOT")
+        circuit = []
+        for _ in range(30):
+            name = names[rng.integers(len(names))]
+            if name == "CNOT":
+                qubits = tuple(int(q) for q in rng.choice(8, size=2, replace=False))
+            else:
+                qubits = (int(rng.integers(8)),)
+            circuit.append((GateSpec.named(name), qubits))
+        cfg = ProtocolConfig(epsilon=1e-9, prep_mode=prep)
+        final, traces, register = run_circuit(circuit, 8, cfg, rng)
+        assert register == list(range(8))
+        assert all(t.succeeded for t in traces)
+        assert fidelity_up_to_phase(final, direct_state(circuit, 8)) >= 1 - 1e-9
+
     def test_budget_exhaustion_aborts_with_partial_traces(self):
         cfg = ProtocolConfig(max_trials=1, prep_mode="direct")
         circuit = [(GateSpec.named("H"), (0,))] * 10
@@ -563,8 +682,8 @@ class TestRunCircuit:
 
     def test_register_size_limits(self):
         rng = np.random.default_rng(25)
-        with pytest.raises(ValueError, match="between 1 and 4"):
-            run_circuit([], 5, self.CFG, rng)
+        with pytest.raises(ValueError, match="between 1 and 8"):
+            run_circuit([], 9, self.CFG, rng)
 
 
 class TestStatistics:

@@ -6,6 +6,12 @@ the ancilla, and succeeds when the measured index matches the prepared one.
 On failure the residual Pauli error is tracked classically and folded into
 the gate attempted on the next trial, so a successful trial always leaves
 exactly the requested gate applied, up to a global phase.
+
+The gates still owed are interned frames (``_Frame``), one per one-qubit
+target in a bounded cache and one per pair a failed controlled-NOT leaves.
+A frame keeps its preparation plan with the ancillas' Bell maps and its
+successor after each failure, so a trial costs lookups, the random draws
+and one product with the data block, kept in one layout for the whole gate.
 """
 from __future__ import annotations
 
@@ -42,10 +48,7 @@ __all__ = [
 #: (x-type bit, z-type bit) -> basis index for the twisted-Bell bases.
 BIT_DECODE: dict[tuple[int, int], int] = {(0, 0): 0, (0, 1): 1, (1, 0): 3, (1, 1): 2}
 
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-    dtype=complex,
-)
+_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 _GATE_MATRICES: dict[str, np.ndarray] = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -55,11 +58,14 @@ _GATE_MATRICES: dict[str, np.ndarray] = {
     "Z": SIGMA[3],
     "CNOT": _CNOT,
 }
+for _m in _GATE_MATRICES.values():
+    _m.setflags(write=False)
 
 # Internal labels of ancilla registers while they are prepared by measurement;
 # a trial uses only their vectors, in this qubit order.
 _PREP1 = ("prep0", "prep1")
 _PREP2 = ("prep0", "prep1", "prep2", "prep3")
+_ZERO1 = qcore.zero_state(_PREP1)
 
 
 class ProtocolError(Exception):
@@ -85,7 +91,9 @@ class GateSpec:
     arity: int
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=complex)
+        # a read-only copy: frames and trial records share it
+        matrix = np.array(self.matrix, dtype=complex)
+        matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         dim = 2**self.arity
         if self.arity not in (1, 2) or matrix.shape != (dim, dim):
@@ -149,8 +157,8 @@ class ProtocolConfig:
             raise ValueError("either epsilon or max_trials must be set")
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if self.max_trials is not None and self.max_trials < 1:
-            raise ValueError("max_trials must be at least 1")
+        if self.max_trials is not None and (type(self.max_trials) is not int or self.max_trials < 1):
+            raise ValueError(f"max_trials must be an integer of at least 1, got {self.max_trials!r}")
 
     def budget(self, arity: int) -> int:
         if self.max_trials is not None:
@@ -171,14 +179,11 @@ class PendingGate:
     history: tuple[tuple[int, int], ...] = ()
 
     def advanced(self, prepared: int, measured: int) -> "PendingGate":
-        key = np.ascontiguousarray(self.target).tobytes()
-        nxt = _next_target(key, prepared, measured)
+        nxt = _next_target(np.ascontiguousarray(self.target), prepared, measured)
         return PendingGate(nxt, self.history + ((prepared, measured),))
 
 
-@lru_cache(maxsize=2048)
-def _next_target(target_bytes: bytes, prepared: int, measured: int) -> np.ndarray:
-    t = np.frombuffer(target_bytes, dtype=complex).reshape(2, 2)
+def _next_target(t: np.ndarray, prepared: int, measured: int) -> np.ndarray:
     nxt = t @ SIGMA[measured] @ SIGMA[prepared] @ t.conj().T
     pauli = nearest_phased_pauli(nxt)
     if pauli is not None:
@@ -201,12 +206,8 @@ class _PendingTwoQubit:
     pair: Optional[tuple[PhasedPauli, PhasedPauli]] = None
     history: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
 
-    @property
-    def is_first(self) -> bool:
-        return self.pair is None
-
     def matrix44(self) -> np.ndarray:
-        return _frame_matrix(self.pair)
+        return _two_qubit_frame(self.pair).target
 
     def advanced(self, prepared: tuple[int, int], measured: tuple[int, int]) -> "_PendingTwoQubit":
         j, k = prepared
@@ -220,16 +221,6 @@ class _PendingTwoQubit:
             a, b = self.pair
             pair = (_conjugate_by_axis(a.indices[0], alpha, p), _conjugate_by_axis(b.indices[0], beta, q))
         return _PendingTwoQubit(pair, self.history + ((prepared, measured),))
-
-
-@lru_cache(maxsize=None)
-def _frame_matrix(pair: Optional[tuple[PhasedPauli, PhasedPauli]]) -> np.ndarray:
-    """Dense form of a pending two-qubit frame; the frames are finitely many."""
-    if pair is None:
-        return _CNOT
-    m = kron2(pair[0].matrix(), pair[1].matrix())
-    m.setflags(write=False)
-    return m
 
 
 def _conjugate_by_axis(axis: int, phase: complex, index: int) -> PhasedPauli:
@@ -295,16 +286,17 @@ class _BranchTable:
     """Measured preparation of one frame, replayed from its outcome branches.
 
     The table maps the bits drawn so far to the next measurement's outcome
-    probabilities and post-measurement states on the all-|0> register.  Each
-    branch is filled on its first visit by ``qcore.measure``'s arithmetic,
-    so a replay draws the same bits and reaches the same state as running
-    the measurements afresh on the same random stream.
+    probabilities and post-measurement states on the all-|0> register, and
+    the bits of a whole preparation (a leaf) to its ancilla's Bell maps.
+    Each entry is filled on its first visit, branches by ``qcore.measure``'s
+    arithmetic, so a replay draws the same bits and reaches the same state
+    as running the measurements afresh on the same random stream.
     """
 
     def __init__(self, instruments: tuple[tuple[np.ndarray, np.ndarray], ...], start: QuantumState):
         self.instruments = instruments
         self.start = start
-        self.branches: dict[tuple[int, ...], tuple[list[float], list]] = {}
+        self.branches: dict[tuple[int, ...], object] = {}
 
     def replay(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:
         state, bits = self.start, ()
@@ -313,42 +305,124 @@ class _BranchTable:
             if branch is None:
                 branch = self.branches[bits] = qcore._collapse(state, mats)
             probs, posts = branch
-            b = qcore._draw(probs, rng)
+            b = qcore._draw2(probs[0], probs[1], rng)
             state, bits = posts[b], bits + (b,)
         return bits, state.data
 
+    def prepare(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:
+        """The bits of one replayed preparation and the Bell maps of its ancilla."""
+        bits, ancilla = self.replay(rng)
+        maps = self.branches.get(bits)
+        if maps is None:
+            maps = self.branches[bits] = _bell_maps(ancilla)
+        return bits, maps
 
-_ZERO1 = qcore.zero_state(_PREP1)
-_ZERO2 = qcore.zero_state(_PREP2)
+
+class _PairTable:
+    """Measured preparation of a phased-Pauli pair frame: the pending gate factors, so the
+    ancilla pairs (prep0, prep2) and (prep1, prep3) are prepared independently.  The maps
+    are formed per trial; cached for 256 frames and 16 indices they would take 16 MiB.
+    """
+
+    def __init__(self, a: _BranchTable, b: _BranchTable):
+        self.halves = (a, b)
+
+    def prepare(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:
+        (bits_a, anc_a), (bits_b, anc_b) = (half.replay(rng) for half in self.halves)
+        ancilla = np.multiply.outer(anc_a.reshape(2, 2), anc_b.reshape(2, 2)).transpose(0, 2, 1, 3)
+        return bits_a + bits_b, _bell_maps(ancilla.reshape(-1))
 
 
-@lru_cache(maxsize=512)
 def _one_qubit_prep_table(target_bytes: bytes) -> _BranchTable:
-    target = np.frombuffer(target_bytes, dtype=complex).reshape(2, 2)
-    forms = (msr.solve_two_qubit_parity_form(i, target, targets=_PREP1) for i in (1, 3))
-    return _BranchTable(tuple(tuple(p.matrix for p in msr.parity_slots(f)) for f in forms), _ZERO1)
+    return _one_qubit_frame(target_bytes).plan()
+
+
+@lru_cache(maxsize=1)
+def _cnot_prep_table() -> _BranchTable:
+    binaries = msr.cnot_measurement_set(labels=_PREP2)
+    mats = tuple(tuple(qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()) for m in binaries)
+    return _BranchTable(mats, qcore.zero_state(_PREP2))
+
+
+class _Frame:
+    """The gate still owed to k data qubits, interned, with what a trial from it needs.
+
+    One-qubit frames are keyed on their target, two-qubit frames on the
+    controlled-NOT (None) or the phased-Pauli pair a failed trial left.  A
+    frame holds its read-only target, its measured-preparation plan and its
+    direct-mode data (filled on first use), and its successor after each
+    failed trial, at code prepared * 4^k + measured.  One-qubit successors
+    are keys into the bounded frame cache, so no link outlives the cache;
+    the at most 257 two-qubit frames are never dropped and link directly.
+    """
+
+    def __init__(self, k: int, key, target: np.ndarray):
+        self.k, self.key, self.target = k, key, target
+        self._plan: Union[_BranchTable, _PairTable, None] = None
+        # per prepared index: the Bell maps (k = 1) or the ancilla (k = 2)
+        self.direct: list[Optional[np.ndarray]] = [None] * 4**k
+        self.successors: list = [None] * 16**k
+
+    def plan(self) -> Union[_BranchTable, _PairTable]:
+        if self._plan is None:
+            if self.k == 1:
+                forms = (msr.solve_two_qubit_parity_form(i, self.target, targets=_PREP1) for i in (1, 3))
+                self._plan = _BranchTable(tuple(tuple(p.matrix for p in msr.parity_slots(f)) for f in forms), _ZERO1)
+            elif self.key is None:
+                self._plan = _cnot_prep_table()
+            else:
+                self._plan = _PairTable(*(_one_qubit_prep_table(p.matrix().tobytes()) for p in self.key))
+        return self._plan
+
+    def ancilla(self, code: int) -> np.ndarray:
+        """The 2k-qubit ancilla vector (order ``_PREP1``/``_PREP2``) prepared with index code ``code``."""
+        if self.k == 1:
+            return qcore.apply_unitary(qcore.epr_state(_PREP1), self.target @ SIGMA[code], (_PREP1[1],)).data
+        j, k = divmod(code, 4)
+        base = qcore.tensor(qcore.epr_state((_PREP2[0], _PREP2[2])), qcore.epr_state((_PREP2[1], _PREP2[3])))
+        state = qcore.apply_unitary(base, self.target @ kron2(SIGMA[j], SIGMA[k]), (_PREP2[2], _PREP2[3]))
+        return qcore.permute_to(state, _PREP2).data
+
+    def prepare(self, mode: str, rng: np.random.Generator) -> tuple[int, np.ndarray, Optional[tuple[int, ...]]]:
+        """(prepared index code, Bell maps, preparation bits) of one fresh ancilla."""
+        if mode == "measured":
+            bits, maps = self.plan().prepare(rng)
+            return _CODE[bits], maps, bits
+        if self.k == 1:
+            code = int(rng.integers(0, 4))
+        else:
+            j, k = (int(x) for x in rng.integers(0, 4, size=2))
+            code = 4 * j + k
+        held = self.direct[code]
+        if held is None:
+            held = self.direct[code] = self.ancilla(code) if self.k == 2 else _bell_maps(self.ancilla(code))
+        return code, held if self.k == 1 else _bell_maps(held), None
+
+    def after(self, prepared: int, measured: int) -> "_Frame":
+        """The frame left by a failed trial, from the index codes it prepared and measured."""
+        code = prepared * 4**self.k + measured
+        nxt = self.successors[code]
+        if nxt is None:
+            if self.k == 1:
+                nxt = _next_target(self.target, prepared, measured).tobytes()
+            else:
+                pending = _PendingTwoQubit(self.key).advanced(divmod(prepared, 4), divmod(measured, 4))
+                nxt = _two_qubit_frame(pending.pair)
+            self.successors[code] = nxt
+        return _one_qubit_frame(nxt) if self.k == 1 else nxt
 
 
 @lru_cache(maxsize=512)
-def _one_qubit_ancilla(target_bytes: bytes, j: int) -> np.ndarray:
-    target = np.frombuffer(target_bytes, dtype=complex).reshape(2, 2)
-    return qcore.apply_unitary(qcore.epr_state(_PREP1), target @ SIGMA[j], (_PREP1[1],)).data
+def _one_qubit_frame(target_bytes: bytes) -> _Frame:
+    return _Frame(1, target_bytes, np.frombuffer(target_bytes, dtype=complex).reshape(2, 2))
 
 
-def _prepare_one(
-    target: np.ndarray,
-    mode: str,
-    rng: np.random.Generator,
-) -> tuple[int, np.ndarray, Optional[tuple[int, int]]]:
-    """Prepare a two-qubit ancilla vector (order ``_PREP1``) in a target-twisted Bell state."""
-    key = np.ascontiguousarray(target).tobytes()
-    if mode == "measured":
-        bits, ancilla = _one_qubit_prep_table(key).replay(rng)
-        return BIT_DECODE[bits], ancilla, bits
-    if mode == "direct":
-        j = int(rng.integers(0, 4))
-        return j, _one_qubit_ancilla(key, j), None
-    raise ValueError(f"unknown preparation mode {mode!r}")
+# At most 257 keys: the controlled-NOT or a pair of phased Paulis.
+@lru_cache(maxsize=None)
+def _two_qubit_frame(pair: Optional[tuple[PhasedPauli, PhasedPauli]]) -> _Frame:
+    target = _CNOT if pair is None else kron2(pair[0].matrix(), pair[1].matrix())
+    target.setflags(write=False)
+    return _Frame(2, pair, target)
 
 
 def prepare_ancilla_one(
@@ -365,50 +439,17 @@ def prepare_ancilla_one(
     ``"direct"`` mode the index is drawn uniformly and the state is written
     down directly.  Returns (state, index).
     """
-    j, ancilla, _bits = _prepare_one(np.asarray(u, dtype=complex), mode, rng)
-    # the vector is shared with the preparation caches
-    return QuantumState.pure(ancilla.copy(), labels), j
-
-
-@lru_cache(maxsize=1)
-def _cnot_prep_table() -> _BranchTable:
-    binaries = msr.cnot_measurement_set(labels=_PREP2)
-    mats = tuple(tuple(qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()) for m in binaries)
-    return _BranchTable(mats, _ZERO2)
-
-
-# Keyed on the exact frame: at most 257 frames (the controlled-NOT or a pair
-# of phased Paulis) times 16 prepared indices.
-@lru_cache(maxsize=None)
-def _two_qubit_ancilla(pair: Optional[tuple[PhasedPauli, PhasedPauli]], j: int, k: int) -> np.ndarray:
-    u = _frame_matrix(pair)
-    base = qcore.tensor(qcore.epr_state((_PREP2[0], _PREP2[2])), qcore.epr_state((_PREP2[1], _PREP2[3])))
-    state = qcore.apply_unitary(base, u @ kron2(SIGMA[j], SIGMA[k]), (_PREP2[2], _PREP2[3]))
-    return qcore.permute_to(state, _PREP2).data
-
-
-def _prepare_two(
-    pending: _PendingTwoQubit,
-    mode: str,
-    rng: np.random.Generator,
-) -> tuple[tuple[int, int], np.ndarray, Optional[tuple[int, ...]]]:
-    """Prepare the four-qubit ancilla vector (order ``_PREP2``)."""
-    if mode == "direct":
-        j, k = (int(x) for x in rng.integers(0, 4, size=2))
-        return (j, k), _two_qubit_ancilla(pending.pair, j, k), None
-    if mode != "measured":
+    frame = _one_qubit_frame(np.asarray(u, dtype=complex).tobytes())
+    if mode == "measured":
+        bits, ancilla = frame.plan().replay(rng)
+        j = BIT_DECODE[bits]
+    elif mode == "direct":
+        j = int(rng.integers(0, 4))
+        ancilla = frame.ancilla(j)
+    else:
         raise ValueError(f"unknown preparation mode {mode!r}")
-    if pending.is_first:
-        bits, ancilla = _cnot_prep_table().replay(rng)
-        return (BIT_DECODE[bits[:2]], BIT_DECODE[bits[2:]]), ancilla, bits
-    # After the first failure the pending gate factors, so the two ancilla
-    # pairs (prep0, prep2) and (prep1, prep3) are prepared independently by
-    # (possibly negated) Bell binaries.
-    a, b = pending.pair
-    j, anc_a, bits_a = _prepare_one(a.matrix(), "measured", rng)
-    k, anc_b, bits_b = _prepare_one(b.matrix(), "measured", rng)
-    ancilla = np.multiply.outer(anc_a.reshape(2, 2), anc_b.reshape(2, 2)).transpose(0, 2, 1, 3)
-    return (j, k), ancilla.reshape(-1), bits_a + bits_b
+    # the vector is shared with the preparation plan
+    return QuantumState.pure(ancilla.copy(), labels), j
 
 
 #: The conjugated Bell states <B_i| in bit order: row 2x + z is the Bell state
@@ -425,6 +466,16 @@ _BELL_MAPS = {
     2: np.einsum("xca,ytb,fh,gi->xyfgctabhi", _B, _B, _I2, _I2).reshape(256, 16),
 }
 
+#: Index code of the bits of one or two Bell pairs, x-type bit first in each:
+#: BIT_DECODE of one pair, 4 * first + second of two.
+_CODE = {**BIT_DECODE, **{a + b: 4 * BIT_DECODE[a] + BIT_DECODE[b] for a in BIT_DECODE for b in BIT_DECODE}}
+
+
+def _bell_maps(ancilla: np.ndarray) -> np.ndarray:
+    """The Bell maps of a 2k-qubit ancilla vector, one row per (outcome, free-half) pair."""
+    k = 1 if ancilla.size == 4 else 2
+    return (_BELL_MAPS[k] @ ancilla).reshape(-1, 2**k)
+
 
 def _draw_bell(w: list[float], rng: np.random.Generator,
                variant: tuple[int, int] = (0, 0)) -> tuple[int, tuple[int, int]]:
@@ -434,10 +485,10 @@ def _draw_bell(w: list[float], rng: np.random.Generator,
     would draw them; ``variant`` negates either binary's second input bit.
     """
     vx, vz = variant
-    a = qcore._draw((w[2 * vx] + w[2 * vx + 1], w[2 - 2 * vx] + w[3 - 2 * vx]), rng)
+    a = qcore._draw2(w[2 * vx] + w[2 * vx + 1], w[2 - 2 * vx] + w[3 - 2 * vx], rng)
     x = a ^ vx
     px = w[2 * x] + w[2 * x + 1]
-    b = qcore._draw((w[2 * x + vz] / px, w[2 * x + 1 - vz] / px), rng)
+    b = qcore._draw2(w[2 * x + vz] / px, w[2 * x + 1 - vz] / px, rng)
     return 2 * x + (b ^ vz), (a, b)
 
 
@@ -462,29 +513,45 @@ def _bell_measure_bits(
     return BIT_DECODE[bits], QuantumState._trusted(rows[r] / np.sqrt(w[r]), rest), bits
 
 
+def _bell_block(block: np.ndarray, maps: np.ndarray,
+                rng: np.random.Generator) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """Bell-measure the k data qubits heading a (2^k, 2^(n-k)) block against an ancilla's maps.
+
+    Row r of the maps times the block is, flattened, the new block given outcome r (the
+    ancilla's free half takes the data qubits' place); its squared norm is r's weight.
+    The pairs are drawn in order.  Returns (outcome index code, new block, bits).
+    """
+    rows = (maps @ block).reshape(len(maps) // len(block), -1)
+    w = (np.abs(rows) ** 2).sum(axis=1)
+    r, bits = _draw_bell(w.reshape(4, -1).sum(axis=1).tolist(), rng)
+    if len(w) == 16:
+        r2, bits2 = _draw_bell(w[4 * r:4 * r + 4].tolist(), rng)
+        r, bits = 4 * r + r2, bits + bits2
+    return _CODE[bits], (rows[r] / np.sqrt(w[r])).reshape(block.shape), bits
+
+
+def _to_front(data: np.ndarray, axes: tuple[int, ...], k: int) -> np.ndarray:
+    """The (2^k, 2^(n-k)) block of an n-qubit vector with qubits ``axes[:k]`` at the front."""
+    return data.reshape((2,) * len(axes)).transpose(axes).reshape(2**k, -1)
+
+
+def _from_front(block: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The n-qubit vector of a block from ``_to_front``, its qubits back in place."""
+    out = np.empty(block.size, dtype=complex)
+    out.reshape((2,) * len(axes)).transpose(axes)[...] = block.reshape((2,) * len(axes))
+    return out
+
+
 def _teleport_step(data: np.ndarray, n: int, positions: tuple[int, ...], ancilla: np.ndarray,
                    rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray, tuple[int, ...]]:
-    """Bell-measure k data qubits of an n-qubit vector against a 2k-qubit ancilla, in place.
+    """One Bell step of k data qubits at ``positions`` of an n-qubit vector: (outcomes, new vector, bits).
 
-    The ancilla's first k qubits pair with the data qubits at ``positions``;
-    its last k take their places.  One product of the Bell maps with the
-    (2^k, 2^(n-k)) data block gives every outcome's branch, weighted by its
-    squared norm, without forming the (n + 2k)-qubit register.  The pairs
-    are drawn in order, the second conditioned on the first.  Returns
-    (outcomes, new data vector, bits).
+    The ancilla's first k qubits pair with the data qubits; its last k take their places.
     """
     k = len(positions)
     axes = positions + tuple(p for p in range(n) if p not in positions)
-    block = data.reshape((2,) * n).transpose(axes).reshape(2**k, -1)
-    rows = ((_BELL_MAPS[k] @ ancilla).reshape(-1, 2**k) @ block).reshape(4**k, -1)
-    w = (np.abs(rows) ** 2).sum(axis=1)
-    r, bits = _draw_bell(w.reshape(4, -1).sum(axis=1).tolist(), rng)
-    if k == 2:
-        r2, bits2 = _draw_bell(w[4 * r:4 * r + 4].tolist(), rng)
-        r, bits = 4 * r + r2, bits + bits2
-    out = np.empty_like(data)
-    out.reshape((2,) * n).transpose(axes)[...] = (rows[r] / np.sqrt(w[r])).reshape((2,) * n)
-    return tuple(BIT_DECODE[bits[i:i + 2]] for i in range(0, 2 * k, 2)), out, bits
+    _code, block, bits = _bell_block(_to_front(data, axes, k), _bell_maps(ancilla), rng)
+    return tuple(BIT_DECODE[bits[i:i + 2]] for i in range(0, 2 * k, 2)), _from_front(block, axes), bits
 
 
 def bell_measure(
@@ -518,6 +585,35 @@ def bell_measure(
     return BIT_DECODE[(a, b)], post
 
 
+def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg: ProtocolConfig,
+              rng: np.random.Generator) -> tuple[QuantumState, ProtocolTrace]:
+    """Teleport the gate owed by ``frame`` onto ``qubits`` until a trial succeeds or the budget runs out.
+
+    The data qubits move to the front of the register once: each Bell step
+    leaves the ancilla's free half in their place, so the block keeps its
+    layout until the gate is done.
+    """
+    if not state.is_pure:
+        raise ValueError("the protocol teleports pure states, not density matrices")
+    k, index = frame.k, (range(4) if frame.k == 1 else [divmod(c, 4) for c in range(16)])
+    axes = tuple(state.position(q) for q in qubits)
+    axes += tuple(p for p in range(state.n) if p not in axes)
+    block = _to_front(state.data, axes, k)
+    trials: list[TrialRecord] = []
+    for r in range(1, cfg.budget(k) + 1):
+        prepared, maps, prep_bits = frame.prepare(cfg.prep_mode, rng)
+        measured, block, bell_bits = _bell_block(block, maps, rng)
+        success = measured == prepared
+        trials.append(TrialRecord(r, index[prepared], index[measured], prep_bits, bell_bits, success, frame.target))
+        if success:
+            break
+        frame = frame.after(prepared, measured)
+    state = QuantumState._trusted(_from_front(block, axes), state.labels)
+    if trials[-1].success:
+        return state, ProtocolTrace(tuple(trials), True)
+    return state, ProtocolTrace(tuple(trials), False, frame.target, nearest_phased_pauli(frame.target))
+
+
 def simulate_one_qubit(
     gate: GateSpec,
     state: QuantumState,
@@ -525,7 +621,7 @@ def simulate_one_qubit(
     cfg: ProtocolConfig,
     rng: np.random.Generator,
 ) -> tuple[QuantumState, ProtocolTrace]:
-    """Apply a one-qubit gate to one qubit of a register, by measurements only.
+    """Apply a one-qubit gate to one qubit of a pure register, by measurements only.
 
     Each trial Bell-measures the qubit against the first half of the
     ancilla, whose second half takes its place in the register.  Returns the
@@ -535,42 +631,7 @@ def simulate_one_qubit(
     """
     if gate.arity != 1:
         raise ValueError("expected a one-qubit gate")
-    positions = (state.position(qubit),)
-    data = state.data
-    pending = PendingGate(gate.matrix)
-    trials: list[TrialRecord] = []
-    succeeded = False
-    budget = cfg.budget(1)
-    for r in range(1, budget + 1):
-        j, ancilla, prep_bits = _prepare_one(pending.target, cfg.prep_mode, rng)
-        (m,), data, bell_bits = _teleport_step(data, state.n, positions, ancilla, rng)
-        success = m == j
-        trials.append(
-            TrialRecord(
-                index=r,
-                prepared=j,
-                outcome=m,
-                prep_bits=prep_bits,
-                bell_bits=bell_bits,
-                success=success,
-                target=pending.target,
-            )
-        )
-        if success:
-            succeeded = True
-            break
-        pending = pending.advanced(j, m)
-    state = QuantumState._trusted(data, state.labels)
-    if succeeded:
-        trace = ProtocolTrace(tuple(trials), True)
-    else:
-        trace = ProtocolTrace(
-            tuple(trials),
-            False,
-            residual_matrix=pending.target,
-            residual_pauli=nearest_phased_pauli(pending.target),
-        )
-    return state, trace
+    return _teleport(_one_qubit_frame(gate.matrix.tobytes()), state, (qubit,), cfg, rng)
 
 
 def simulate_cnot(
@@ -579,54 +640,17 @@ def simulate_cnot(
     cfg: ProtocolConfig,
     rng: np.random.Generator,
 ) -> tuple[QuantumState, ProtocolTrace]:
-    """Apply a controlled-NOT (first label controls) by measurements only.
+    """Apply a controlled-NOT (first label controls) to a pure register by measurements only.
 
     The first trial prepares four ancilla qubits with the four-measurement
     set; failed trials reduce the pending gate to a tensor product of phased
-    Paulis, so every later trial needs only (possibly negated) Bell binaries
-    on the two ancilla pairs independently.  Each trial Bell-measures the
-    control then the target against the ancilla's first two qubits, whose
-    partners take their places in the register.
+    Paulis, whose ancilla pairs are prepared independently.  Each trial
+    Bell-measures the control then the target against the ancilla's first
+    two qubits, whose partners take their places in the register.
     """
-    qc, qt = qubits
-    if qc == qt:
+    if qubits[0] == qubits[1]:
         raise ValueError("controlled-NOT needs two distinct qubits")
-    positions = (state.position(qc), state.position(qt))
-    data = state.data
-    pending = _PendingTwoQubit()
-    trials: list[TrialRecord] = []
-    succeeded = False
-    budget = cfg.budget(2)
-    for r in range(1, budget + 1):
-        (j, k), ancilla, prep_bits = _prepare_two(pending, cfg.prep_mode, rng)
-        (m, n), data, bell_bits = _teleport_step(data, state.n, positions, ancilla, rng)
-        success = (m, n) == (j, k)
-        trials.append(
-            TrialRecord(
-                index=r,
-                prepared=(j, k),
-                outcome=(m, n),
-                prep_bits=prep_bits,
-                bell_bits=bell_bits,
-                success=success,
-                target=pending.matrix44(),
-            )
-        )
-        if success:
-            succeeded = True
-            break
-        pending = pending.advanced((j, k), (m, n))
-    state = QuantumState._trusted(data, state.labels)
-    if succeeded:
-        trace = ProtocolTrace(tuple(trials), True)
-    else:
-        residual = pending.matrix44()
-        pauli = None
-        if pending.pair is not None:
-            a, b = pending.pair
-            pauli = PhasedPauli(a.phase * b.phase, (a.indices[0], b.indices[0]))
-        trace = ProtocolTrace(tuple(trials), False, residual_matrix=residual, residual_pauli=pauli)
-    return state, trace
+    return _teleport(_two_qubit_frame(None), state, tuple(qubits), cfg, rng)
 
 
 def run_circuit(
@@ -654,12 +678,7 @@ def run_circuit(
             raise ProtocolError("two-qubit teleportation is implemented for the controlled-NOT only")
         traces.append(trace)
         if not trace.succeeded:
-            raise BudgetExceeded(
-                f"gate {idx} ({gate.name}) exhausted its trial budget",
-                traces,
-                state,
-                idx,
-            )
+            raise BudgetExceeded(f"gate {idx} ({gate.name}) exhausted its trial budget", traces, state, idx)
     return state, traces, list(range(n_qubits))
 
 

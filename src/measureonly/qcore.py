@@ -309,6 +309,17 @@ def _draw(probs: Sequence[float], rng: np.random.Generator) -> int:
     return outcome
 
 
+def _draw2(p0: float, p1: float, rng: np.random.Generator) -> int:
+    """Two-outcome form of :func:`_draw`, with the same arithmetic and the same outcome.
+
+    ``_draw``'s fallback cannot fire here: if p1 <= 0 then r < p0 + p1 <= p0.
+    """
+    total_p = p0 + p1
+    if total_p < STRUCT_TOL:
+        raise ValueError("degenerate state: all outcome probabilities vanish")
+    return 0 if rng.random() * total_p < p0 else 1
+
+
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)

@@ -3,6 +3,8 @@
 Correctness oracles are direct unitary application built in-test; outcome
 distributions are checked against exactly computed overlap probabilities.
 """
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import measureonly.qcore as qcore
-from measureonly import protocol
+from measureonly import identities, protocol
 from measureonly.measure import cnot_measurement_set, parity_slots, solve_two_qubit_parity_form
 from measureonly.pauli import nearest_phased_pauli
 from measureonly.protocol import (
@@ -112,6 +114,14 @@ class TestProtocolConfig:
             ProtocolConfig(epsilon=2.0)
         with pytest.raises(ValueError, match="either"):
             ProtocolConfig(epsilon=None, max_trials=None)
+
+    @pytest.mark.parametrize("bad", [2.5, True, 0])
+    def test_max_trials_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match="max_trials"):
+            ProtocolConfig(max_trials=bad)
+
+    def test_integer_max_trials_is_the_budget(self):
+        assert ProtocolConfig(max_trials=3).budget(2) == 3
 
 
 class TestPrepareAncillaOne:
@@ -371,7 +381,7 @@ class TestBranchTables:
         rng = np.random.default_rng(30)
         for _ in range(2000):
             simulate_one_qubit(GateSpec.custom(haar_unitary(rng)), zero_state((0,)), 0, cfg, rng)
-        assert protocol._one_qubit_prep_table.cache_info().currsize <= 512
+        assert protocol._one_qubit_frame.cache_info().currsize <= 512
 
 
 class TestPendingGateClosure:
@@ -430,6 +440,117 @@ class TestPendingGateClosure:
             oracle = before @ np.kron(PAULIS[m] @ PAULIS[j], PAULIS[n] @ PAULIS[k]) @ before.conj().T
             np.testing.assert_allclose(nxt.matrix44(), oracle, atol=1e-12)
             pending = nxt
+
+
+def _frame_walk(root, steps):
+    frame = root
+    for prepared, measured in steps:
+        frame = frame.after(prepared, measured)
+    return frame
+
+
+class TestFrameGraph:
+    """Interned frames against the pending-gate arithmetic they cache."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gate=st.sampled_from(["H", "T", "X", "Y", "Z", "haar", "CNOT"]),
+        seed=st.integers(0, 2**32 - 1),
+        raw=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 14)), min_size=1, max_size=6),
+    )
+    def test_frames_follow_the_pending_gate(self, gate, seed, raw):
+        codes = 16 if gate == "CNOT" else 4
+        # prepared != measured: a failed trial
+        steps = [(p % codes, (p % codes + 1 + d % (codes - 1)) % codes) for p, d in raw]
+        if gate == "CNOT":
+            root = protocol._two_qubit_frame(None)
+            pending = _PendingTwoQubit()
+            for p, m in steps:
+                pending = pending.advanced(divmod(p, 4), divmod(m, 4))
+            frame = _frame_walk(root, steps)
+            a, b = pending.pair
+            assert frame.key == pending.pair
+            assert np.array_equal(frame.target, np.kron(a.matrix(), b.matrix()))
+        else:
+            u = haar_unitary(np.random.default_rng(seed)) if gate == "haar" else GateSpec.named(gate).matrix
+            root = protocol._one_qubit_frame(np.ascontiguousarray(u).tobytes())
+            pending = PendingGate(u)
+            for p, m in steps:
+                pending = pending.advanced(p, m)
+            frame = _frame_walk(root, steps)
+            assert np.array_equal(frame.target, pending.target)
+        assert _frame_walk(root, steps) is frame
+        assert not frame.target.flags.writeable
+
+    def test_live_frames_stay_bounded(self):
+        # A reused gate keeps its frame hot in the cache while fresh gates
+        # flood it; links to successors must not keep evicted frames alive.
+        cfg = ProtocolConfig(max_trials=4, prep_mode="measured")
+        rng = np.random.default_rng(31)
+        hot = GateSpec.custom(haar_unitary(rng))
+        for i in range(2000):
+            gate = hot if i % 2 else GateSpec.custom(haar_unitary(rng))
+            simulate_one_qubit(gate, zero_state((0,)), 0, cfg, rng)
+        gc.collect()
+        frames = [o for o in gc.get_objects() if isinstance(o, protocol._Frame)]
+        assert sum(f.k == 1 for f in frames) <= 512 + sum(f.k == 2 for f in frames)
+
+
+class TestPublicInputs:
+    def test_density_matrices_are_rejected(self):
+        cfg, rng = ProtocolConfig(max_trials=2), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="pure states"):
+            simulate_one_qubit(GateSpec.named("H"), QuantumState.mixed(np.eye(2) / 2, (0,)), 0, cfg, rng)
+        with pytest.raises(ValueError, match="pure states"):
+            simulate_cnot(QuantumState.mixed(np.eye(4) / 4, (0, 1)), (0, 1), cfg, rng)
+
+    @staticmethod
+    def seeded_outputs():
+        checks = [(c.name, c.deviation) for c in identities.identity_checks()]
+        runs = []
+        for name in ("H", "T", "CNOT"):
+            for prep in ("measured", "direct"):
+                rng = np.random.default_rng(17)
+                cfg = ProtocolConfig(max_trials=3, prep_mode=prep)
+                if name == "CNOT":
+                    out, trace = simulate_cnot(zero_state((0, 1)), (0, 1), cfg, rng)
+                else:
+                    out, trace = simulate_one_qubit(GateSpec.named(name), zero_state((0,)), 0, cfg, rng)
+                runs.append((trace.to_dict(), out.data.tobytes()))
+        return checks, runs
+
+    def test_shared_matrices_are_read_only(self):
+        before = self.seeded_outputs()
+        rng = np.random.default_rng(1)
+        cfg = ProtocolConfig(max_trials=1, prep_mode="direct")
+        _, one = simulate_one_qubit(GateSpec.named("H"), zero_state((0,)), 0, cfg, rng)
+        _, two = simulate_cnot(zero_state((0, 1)), (0, 1), cfg, rng)
+        shared = [GateSpec.named(g).matrix for g in ("H", "T", "X", "CNOT")]
+        shared += list(protocol._GATE_MATRICES.values()) + [one.trials[0].target, two.trials[0].target]
+        for m in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 7
+        custom = haar_unitary(rng)
+        spec = GateSpec.custom(custom)
+        custom[0, 0] = 7
+        assert spec.matrix[0, 0] != 7
+        assert self.seeded_outputs() == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p0=st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-300]) | st.floats(0, 1),
+    p1=st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-300]) | st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_outcome_draw_is_the_general_draw(p0, p1, seed):
+    rng2, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if p0 + p1 < qcore.STRUCT_TOL:
+        with pytest.raises(ValueError, match="degenerate"):
+            qcore._draw2(p0, p1, rng2)
+        return
+    assert qcore._draw2(p0, p1, rng2) == qcore._draw((p0, p1), rng)
+    assert rng2.random() == rng.random()
 
 
 class TestSimulateOneQubit:

@@ -27,7 +27,6 @@ from .qcore import (
     epr_state,
     factor_out,
     fidelity_up_to_phase,
-    measure,
     permute_to,
     relabel,
     tensor,
@@ -72,3 +71,18 @@ from .protocol import (
 )
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "PHASES", "SIGMA", "ConjugationEntry", "PhasedPauli", "cnot_frame_update", "conjugate",
+    "nearest_phased_pauli", "pauli_matrix", "pauli_product",
+    "Projector", "QuantumState", "apply_unitary", "bell_state", "embed", "epr_state", "factor_out",
+    "fidelity_up_to_phase", "permute_to", "relabel", "tensor", "zero_state",
+    "GAMMA", "MEAS_W", "MEAS_X", "MEAS_Y", "MEAS_Z", "BalancedBooleanFn", "BinaryMeasurement",
+    "CompleteMeasurement", "PseudoseparateForm", "SingleQubitBinary", "cnot_measurement_set",
+    "compose_binaries", "expand_f_separate", "is_pseudoseparate_witness", "match_projector_sets",
+    "solve_two_qubit_parity_form", "two_qubit_u_basis_measurement", "u_basis_binary_pair",
+    "u_basis_measurement",
+    "BudgetExceeded", "GateSpec", "PendingGate", "ProtocolConfig", "ProtocolError", "ProtocolTrace",
+    "TrialRecord", "bell_measure", "direct_state", "prepare_ancilla_one", "run_circuit",
+    "simulate_cnot", "simulate_one_qubit", "trials_needed",
+]

@@ -206,9 +206,6 @@ class _PendingTwoQubit:
     pair: Optional[tuple[PhasedPauli, PhasedPauli]] = None
     history: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
 
-    def matrix44(self) -> np.ndarray:
-        return _two_qubit_frame(self.pair).target
-
     def advanced(self, prepared: tuple[int, int], measured: tuple[int, int]) -> "_PendingTwoQubit":
         j, k = prepared
         m, n = measured
@@ -333,10 +330,6 @@ class _PairTable:
         return bits_a + bits_b, _bell_maps(ancilla.reshape(-1))
 
 
-def _one_qubit_prep_table(target_bytes: bytes) -> _BranchTable:
-    return _one_qubit_frame(target_bytes).plan()
-
-
 @lru_cache(maxsize=1)
 def _cnot_prep_table() -> _BranchTable:
     binaries = msr.cnot_measurement_set(labels=_PREP2)
@@ -371,7 +364,7 @@ class _Frame:
             elif self.key is None:
                 self._plan = _cnot_prep_table()
             else:
-                self._plan = _PairTable(*(_one_qubit_prep_table(p.matrix().tobytes()) for p in self.key))
+                self._plan = _PairTable(*(_one_qubit_frame(p.matrix().tobytes()).plan() for p in self.key))
         return self._plan
 
     def ancilla(self, code: int) -> np.ndarray:
@@ -439,7 +432,10 @@ def prepare_ancilla_one(
     ``"direct"`` mode the index is drawn uniformly and the state is written
     down directly.  Returns (state, index).
     """
-    frame = _one_qubit_frame(np.asarray(u, dtype=complex).tobytes())
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 gate matrix, got shape {u.shape}")
+    frame = _one_qubit_frame(u.tobytes())
     if mode == "measured":
         bits, ancilla = frame.plan().replay(rng)
         j = BIT_DECODE[bits]
@@ -560,7 +556,7 @@ def bell_measure(
     rng: np.random.Generator,
     variant: tuple[int, int] = (0, 0),
 ) -> tuple[int, QuantumState]:
-    """Bell-measure two labelled qubits and drop them from the register.
+    """Bell-measure two labelled qubits of a pure register and drop them from it.
 
     The measurement is performed as two commuting parity-form binaries (x
     axis then z axis).  ``variant`` optionally negates the second input bit
@@ -573,16 +569,8 @@ def bell_measure(
         raise ValueError("variant must be a pair of bits")
     if pair[0] == pair[1]:
         raise ValueError("Bell measurement needs two distinct qubits")
-    if state.is_pure:
-        m, post, _bits = _bell_measure_bits(state, pair, rng, variant)
-        return m, post
-    # A density matrix takes the generic route: the variant's two parity
-    # binaries (those of Pauli gate BIT_DECODE[variant]) as local projectors.
-    mx, mz = msr.u_basis_binary_pair(SIGMA[BIT_DECODE[tuple(variant)]], labels=pair)
-    a, state, _ = qcore.measure(state, mx.slots(), rng, check=False)
-    b, state, _ = qcore.measure(state, mz.slots(), rng, check=False)
-    post = qcore.factor_out(state, pair, _BELL_ROWS[2 * (a ^ variant[0]) + (b ^ variant[1])].conj())
-    return BIT_DECODE[(a, b)], post
+    m, post, _bits = _bell_measure_bits(state, pair, rng, variant)
+    return m, post
 
 
 def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg: ProtocolConfig,
@@ -593,8 +581,6 @@ def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg
     leaves the ancilla's free half in their place, so the block keeps its
     layout until the gate is done.
     """
-    if not state.is_pure:
-        raise ValueError("the protocol teleports pure states, not density matrices")
     k, index = frame.k, (range(4) if frame.k == 1 else [divmod(c, 4) for c in range(16)])
     axes = tuple(state.position(q) for q in qubits)
     axes += tuple(p for p in range(state.n) if p not in axes)

@@ -1,9 +1,11 @@
-"""Dense linear algebra on labelled qubit registers.
+"""Dense linear algebra on pure states of labelled qubit registers.
 
-States carry an ordered tuple of distinct qubit labels; the first label is
-the most significant bit of the basis index.  Everything here is a value:
-operations return new states and never mutate their inputs, so independent
-protocol runs can share nothing but code.
+Every state is a pure state vector: the protocol measures a memory prepared
+in |0...0>, so no density matrix ever arises.  States carry an ordered tuple
+of distinct qubit labels; the first label is the most significant bit of the
+basis index.  Everything here is a value: operations return new states and
+never mutate their inputs, so independent protocol runs can share nothing
+but code.
 """
 from __future__ import annotations
 
@@ -41,11 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Pure state vector or density matrix on up to eight labelled qubits."""
+    """Pure state vector on up to eight labelled qubits."""
 
     data: np.ndarray
     labels: tuple[Label, ...]
-    kind: str = "pure"
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -57,39 +58,22 @@ class QuantumState:
         dim = 2 ** len(labels)
         data = np.asarray(self.data, dtype=complex)
         object.__setattr__(self, "data", data)
-        if self.kind == "pure":
-            if data.shape != (dim,):
-                raise ValueError(f"expected a vector of length {dim}, got shape {data.shape}")
-            norm = float(np.sqrt(np.vdot(data, data).real))
-            if abs(norm - 1.0) > STRUCT_TOL:
-                raise ValueError(f"state vector norm {norm} is not 1")
-        elif self.kind == "mixed":
-            if data.shape != (dim, dim):
-                raise ValueError(f"expected a {dim}x{dim} matrix, got shape {data.shape}")
-            if np.abs(data - data.conj().T).max() > STRUCT_TOL:
-                raise ValueError("density matrix is not Hermitian")
-            tr = np.trace(data)
-            if abs(tr - 1.0) > STRUCT_TOL:
-                raise ValueError(f"density matrix trace {tr} is not 1")
-            if np.linalg.eigvalsh(data).min() < -STRUCT_TOL:
-                raise ValueError("density matrix is not positive semidefinite")
-        else:
-            raise ValueError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")
+        if data.shape != (dim,):
+            raise ValueError(f"expected a state vector of length {dim}, got shape {data.shape}")
+        norm = float(np.sqrt(np.vdot(data, data).real))
+        if abs(norm - 1.0) > STRUCT_TOL:
+            raise ValueError(f"state vector norm {norm} is not 1")
 
     @classmethod
-    def _trusted(cls, data: np.ndarray, labels: tuple[Label, ...], kind: str = "pure") -> "QuantumState":
+    def _trusted(cls, data: np.ndarray, labels: tuple[Label, ...]) -> "QuantumState":
         """Unchecked wrap of data the library derived from a validated state."""
         state = object.__new__(cls)
-        state.__dict__.update(data=data, labels=labels, kind=kind)
+        state.__dict__.update(data=data, labels=labels)
         return state
 
     @classmethod
     def pure(cls, vector: np.ndarray, labels: Sequence[Label]) -> "QuantumState":
-        return cls(np.asarray(vector, dtype=complex), tuple(labels), "pure")
-
-    @classmethod
-    def mixed(cls, rho: np.ndarray, labels: Sequence[Label]) -> "QuantumState":
-        return cls(np.asarray(rho, dtype=complex), tuple(labels), "mixed")
+        return cls(np.asarray(vector, dtype=complex), tuple(labels))
 
     @property
     def n(self) -> int:
@@ -99,20 +83,11 @@ class QuantumState:
     def dim(self) -> int:
         return 2**self.n
 
-    @property
-    def is_pure(self) -> bool:
-        return self.kind == "pure"
-
     def position(self, label: Label) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
             raise ValueError(f"unknown qubit label {label!r}") from None
-
-    def to_density(self) -> np.ndarray:
-        if self.is_pure:
-            return np.outer(self.data, self.data.conj())
-        return self.data
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,10 +177,7 @@ def embed(op: np.ndarray, on: Sequence[Label], system: Sequence[Label]) -> np.nd
 
 def apply_unitary(state: QuantumState, op: np.ndarray, on: Sequence[Label]) -> QuantumState:
     """Apply a unitary to the given qubits of a state."""
-    full = embed(op, on, state.labels)
-    if state.is_pure:
-        return QuantumState.pure(full @ state.data, state.labels)
-    return QuantumState.mixed(full @ state.data @ full.conj().T, state.labels)
+    return QuantumState.pure(embed(op, on, state.labels) @ state.data, state.labels)
 
 
 def _instrument_matrices(state: QuantumState, instrument: Sequence[Projector]) -> list[np.ndarray]:
@@ -228,7 +200,7 @@ def measure(
     *,
     check: bool = True,
 ) -> tuple[int, QuantumState, float]:
-    """Sample a projective-measurement outcome and collapse the state.
+    """Sample a projective-measurement outcome and collapse a pure state.
 
     Parameters
     ----------
@@ -240,7 +212,7 @@ def measure(
         automatically).
     rng:
         Explicit random stream; outcome ``i`` is drawn with probability
-        tr(P_i rho).
+        <psi|P_i|psi>.
     check:
         When true, validate the instrument (idempotency, Hermiticity, mutual
         annihilation, completeness) before sampling.
@@ -248,8 +220,8 @@ def measure(
     Returns
     -------
     (outcome, post, prob):
-        The sampled outcome index, the collapsed state P_i rho P_i / p_i
-        (or the renormalised P_i |psi> for pure states), and p_i.
+        The sampled outcome index, the collapsed state P_i|psi> / sqrt(p_i),
+        and p_i.
     """
     mats = _instrument_matrices(state, instrument)
     dim = state.dim
@@ -273,20 +245,15 @@ def measure(
 
 
 def _collapse(state: QuantumState, mats: Sequence[np.ndarray]) -> tuple[list[float], list]:
-    """Every outcome's probability tr(P_i rho) and collapsed state (None unless p_i > 0).
+    """Every outcome's probability <psi|P_i|psi> and collapsed pure state (None unless p_i > 0).
 
     ``mats`` are full-register projector matrices.  This is the arithmetic
     of :func:`measure`, which draws one outcome from it.
     """
-    if state.is_pure:
-        shots = [m @ state.data for m in mats]
-        probs = [float(np.vdot(v, v).real) for v in shots]
-        posts = [QuantumState._trusted(v / np.sqrt(p), state.labels) if p > 0 else None
-                 for v, p in zip(shots, probs)]
-    else:
-        probs = [float(np.trace(m @ state.data).real) for m in mats]
-        posts = [QuantumState._trusted(m @ state.data @ m / p, state.labels, "mixed") if p > 0 else None
-                 for m, p in zip(mats, probs)]
+    shots = [m @ state.data for m in mats]
+    probs = [float(np.vdot(v, v).real) for v in shots]
+    posts = [QuantumState._trusted(v / np.sqrt(p), state.labels) if p > 0 else None
+             for v, p in zip(shots, probs)]
     return probs, posts
 
 
@@ -320,26 +287,11 @@ def _draw2(p0: float, p1: float, rng: np.random.Generator) -> int:
     return 0 if rng.random() * total_p < p0 else 1
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def fidelity_up_to_phase(a: QuantumState, b: QuantumState) -> float:
-    """Fidelity between two states on the same labels, blind to global phase.
-
-    For pure states this is |<a|b>|^2; if either argument is a density matrix
-    the Uhlmann fidelity is used.
-    """
+    """Fidelity |<a|b>|^2 between two pure states on the same labels, blind to global phase."""
     if set(a.labels) != set(b.labels) or a.n != b.n:
         raise ValueError(f"label mismatch: {a.labels!r} vs {b.labels!r}")
-    b = permute_to(b, a.labels)
-    if a.is_pure and b.is_pure:
-        f = float(abs(np.vdot(a.data, b.data)) ** 2)
-    else:
-        s = _psd_sqrt(a.to_density())
-        f = float(np.trace(_psd_sqrt(s @ b.to_density() @ s)).real ** 2)
+    f = float(abs(np.vdot(a.data, permute_to(b, a.labels).data)) ** 2)
     return min(max(f, 0.0), 1.0)
 
 
@@ -350,9 +302,7 @@ def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
     labels = a.labels + b.labels
     if len(labels) > 8:
         raise ValueError("at most 8 qubits are supported")
-    if a.is_pure and b.is_pure:
-        return QuantumState._trusted(np.multiply.outer(a.data, b.data).reshape(-1), labels)
-    return QuantumState._trusted(kron2(a.to_density(), b.to_density()), labels, "mixed")
+    return QuantumState._trusted(np.multiply.outer(a.data, b.data).reshape(-1), labels)
 
 
 def permute_to(state: QuantumState, new_labels: Sequence[Label]) -> QuantumState:
@@ -363,13 +313,7 @@ def permute_to(state: QuantumState, new_labels: Sequence[Label]) -> QuantumState
     if set(new) != set(state.labels) or len(new) != state.n:
         raise ValueError(f"label mismatch: {new!r} is not a permutation of {state.labels!r}")
     perm = [state.labels.index(q) for q in new]
-    n = state.n
-    if state.is_pure:
-        data = state.data.reshape((2,) * n).transpose(perm).reshape(-1)
-        return QuantumState._trusted(data, new)
-    axes = perm + [p + n for p in perm]
-    data = state.data.reshape((2,) * (2 * n)).transpose(axes).reshape(state.dim, state.dim)
-    return QuantumState._trusted(data, new, "mixed")
+    return QuantumState._trusted(state.data.reshape((2,) * state.n).transpose(perm).reshape(-1), new)
 
 
 def relabel(state: QuantumState, mapping: dict[Label, Label]) -> QuantumState:
@@ -377,7 +321,7 @@ def relabel(state: QuantumState, mapping: dict[Label, Label]) -> QuantumState:
     new = tuple(mapping.get(q, q) for q in state.labels)
     if len(set(new)) != len(new):
         raise ValueError("duplicate qubit labels")
-    return QuantumState._trusted(state.data, new, state.kind)
+    return QuantumState._trusted(state.data, new)
 
 
 def factor_out(
@@ -402,17 +346,8 @@ def factor_out(
     rest = tuple(q for q in state.labels if q not in on)
     if len(rest) + k != state.n:
         raise ValueError(f"labels {on!r} are not all present")
-    reordered = permute_to(state, on + rest)
-    if state.is_pure:
-        t = reordered.data.reshape(2**k, -1)
-        out = vec.conj() @ t
-        w = np.linalg.norm(out)
-        if abs(w - 1.0) > tol:
-            raise ValueError(f"register does not factor through the given state (weight {w**2:.6f})")
-        return QuantumState.pure(out / w, rest)
-    r = reordered.data.reshape(2**k, 2 ** (state.n - k), 2**k, 2 ** (state.n - k))
-    out = np.einsum("a,abcd,c->bd", vec.conj(), r, vec)
-    w = float(np.trace(out).real)
+    out = vec.conj() @ permute_to(state, on + rest).data.reshape(2**k, -1)
+    w = np.linalg.norm(out)
     if abs(w - 1.0) > tol:
-        raise ValueError(f"register does not factor through the given state (weight {w:.6f})")
-    return QuantumState.mixed(out / w, rest)
+        raise ValueError(f"register does not factor through the given state (weight {w**2:.6f})")
+    return QuantumState.pure(out / w, rest)

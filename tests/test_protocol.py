@@ -4,6 +4,7 @@ Correctness oracles are direct unitary application built in-test; outcome
 distributions are checked against exactly computed overlap probabilities.
 """
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,11 @@ class TestPrepareAncillaOne:
         state, _ = prepare_ancilla_one(I2, "direct", _ForcedRng(2), labels=("u", "v"))
         assert state.labels == ("u", "v")
 
+    @pytest.mark.parametrize("u", [np.eye(4), np.array([1, 0])], ids=["4x4", "vector"])
+    def test_rejects_a_matrix_that_is_not_2x2(self, u):
+        with pytest.raises(ValueError, match=re.escape(f"2x2 gate matrix, got shape {u.shape}")):
+            prepare_ancilla_one(u, "measured", np.random.default_rng(0))
+
 
 class TestBellMeasure:
     def test_bell_basis_state_is_deterministic(self):
@@ -212,14 +218,16 @@ class TestBellMeasure:
         assert abs(np.vdot(post.data, v)) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_pair_is_uniform(self):
+        # qubits 0 and 1 of the EPR pairs (0, 2) and (1, 3) are maximally
+        # mixed: the pairs purify them
         counts = np.zeros(4)
         n_runs = 2000
+        state = tensor(qcore.epr_state((0, 2)), qcore.epr_state((1, 3)))
         for seed in range(n_runs):
             rng = np.random.default_rng(seed)
-            state = QuantumState.mixed(np.eye(4) / 4, (0, 1))
             m, post = bell_measure(state, (0, 1), rng)
             counts[m] += 1
-            assert post.labels == ()
+            assert post.labels == (2, 3)
         chi2 = float(((counts - n_runs / 4) ** 2 / (n_runs / 4)).sum())
         assert chi2 < 16.27  # 3 dof at significance 1e-3
 
@@ -366,7 +374,7 @@ class TestBranchTables:
     def test_one_qubit_frames(self, which):
         named = {"H": HADAMARD, "T": T_GATE, "I": I2, "X": X, "Y": Y, "Z": Z}
         u = named[which] if which in named else haar_unitary(np.random.default_rng([which, 29]))
-        table = protocol._one_qubit_prep_table(np.ascontiguousarray(u).tobytes())
+        table = protocol._one_qubit_frame(np.ascontiguousarray(u).tobytes()).plan()
         labels = protocol._PREP1
         instruments = [parity_slots(solve_two_qubit_parity_form(i, u, targets=labels)) for i in (1, 3)]
         self.replay_matches_fresh(table, instruments, labels, range(40))
@@ -428,17 +436,17 @@ class TestPendingGateClosure:
                 nxt = pending.advanced((j, k), (m, n))
                 assert nxt.pair is not None
                 oracle = CNOT @ np.kron(PAULIS[m] @ PAULIS[j], PAULIS[n] @ PAULIS[k]) @ CNOT
-                np.testing.assert_allclose(nxt.matrix44(), oracle, atol=1e-12)
+                np.testing.assert_allclose(protocol._two_qubit_frame(nxt.pair).target, oracle, atol=1e-12)
 
     def test_cnot_second_failure_stays_in_pauli_pairs(self):
         rng = np.random.default_rng(5)
         pending = _PendingTwoQubit().advanced((1, 2), (3, 0))
         for _ in range(50):
             j, k, m, n = (int(x) for x in rng.integers(0, 4, size=4))
-            before = pending.matrix44()
+            before = protocol._two_qubit_frame(pending.pair).target
             nxt = pending.advanced((j, k), (m, n))
             oracle = before @ np.kron(PAULIS[m] @ PAULIS[j], PAULIS[n] @ PAULIS[k]) @ before.conj().T
-            np.testing.assert_allclose(nxt.matrix44(), oracle, atol=1e-12)
+            np.testing.assert_allclose(protocol._two_qubit_frame(nxt.pair).target, oracle, atol=1e-12)
             pending = nxt
 
 
@@ -497,13 +505,6 @@ class TestFrameGraph:
 
 
 class TestPublicInputs:
-    def test_density_matrices_are_rejected(self):
-        cfg, rng = ProtocolConfig(max_trials=2), np.random.default_rng(0)
-        with pytest.raises(ValueError, match="pure states"):
-            simulate_one_qubit(GateSpec.named("H"), QuantumState.mixed(np.eye(2) / 2, (0,)), 0, cfg, rng)
-        with pytest.raises(ValueError, match="pure states"):
-            simulate_cnot(QuantumState.mixed(np.eye(4) / 4, (0, 1)), (0, 1), cfg, rng)
-
     @staticmethod
     def seeded_outputs():
         checks = [(c.name, c.deviation) for c in identities.identity_checks()]

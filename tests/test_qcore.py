@@ -3,6 +3,8 @@
 Expected amplitudes and probabilities are derived in-test by elementary
 means (explicit vectors, brute-force Gram matrices, basis enumeration).
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -59,14 +61,11 @@ class TestQuantumState:
         with pytest.raises(ValueError, match="8"):
             zero_state(tuple(range(9)))
 
-    def test_mixed_invariants(self):
-        QuantumState.mixed(np.eye(2) / 2, (0,))
-        with pytest.raises(ValueError, match="trace"):
-            QuantumState.mixed(np.eye(2), (0,))
-        with pytest.raises(ValueError, match="Hermitian"):
-            QuantumState.mixed(np.array([[0.5, 1], [0, 0.5]]), (0,))
-        with pytest.raises(ValueError, match="positive"):
-            QuantumState.mixed(np.diag([1.5, -0.5]), (0,))
+    def test_density_matrices_are_rejected(self):
+        for labels in ((0,), (0, 1)):
+            dim = 2 ** len(labels)
+            with pytest.raises(ValueError, match=re.escape(f"state vector of length {dim}, got shape ({dim}, {dim})")):
+                QuantumState.pure(np.eye(dim) / dim, labels)
 
     def test_zero_qubit_state_is_allowed(self):
         s = QuantumState.pure([1.0], ())
@@ -200,14 +199,6 @@ class TestMeasure:
             assert sum(probs) == pytest.approx(1.0, abs=1e-10)
             assert abs(np.linalg.norm(post.data) - 1) < 1e-10
 
-    def test_mixed_state_collapse(self):
-        rng = np.random.default_rng(5)
-        rho = QuantumState.mixed(np.eye(4) / 4, (0, 1))
-        outcome, post, prob = measure(rho, bell_instrument(), rng)
-        assert prob == pytest.approx(0.25, abs=1e-12)
-        expected = np.outer(bell_state(outcome).data, bell_state(outcome).data.conj())
-        np.testing.assert_allclose(post.data, expected, atol=1e-12)
-
     def test_all_zero_probabilities_rejected(self):
         # reachable only with an unchecked, non-complete instrument
         rng = np.random.default_rng(7)
@@ -251,11 +242,6 @@ class TestFidelity:
         state10 = QuantumState.pure(np.kron(KET1, KET0), (1, 0))
         assert fidelity_up_to_phase(state01, state10) == pytest.approx(1.0, abs=1e-12)
 
-    def test_mixed_against_pure(self):
-        rho = QuantumState.mixed(np.eye(2) / 2, (0,))
-        psi = QuantumState.pure(KET0, (0,))
-        assert fidelity_up_to_phase(rho, psi) == pytest.approx(0.5, abs=1e-10)
-
 
 class TestRegisterPlumbing:
     def test_tensor_and_permute(self):
@@ -280,7 +266,7 @@ class TestRegisterPlumbing:
         with pytest.raises(ValueError, match="8"):
             tensor(zero_state(tuple(range(5))), zero_state(tuple(range(5, 9))))
         built = permute_to(tensor(epr_state(("a", "b")), zero_state((0,))), (0, "b", "a"))
-        assert isinstance(built.labels, tuple) and built.kind == "pure"
+        assert isinstance(built.labels, tuple)
         np.testing.assert_allclose(np.linalg.norm(built.data), 1.0, atol=1e-15)
 
     def test_factor_out_pure_product(self):

@@ -8,16 +8,19 @@ the gate attempted on the next trial, so a successful trial always leaves
 exactly the requested gate applied, up to a global phase.
 
 The gates still owed are interned frames (``_Frame``), one per one-qubit
-target in a bounded cache and one per pair a failed controlled-NOT leaves.
-A frame keeps its preparation plan with the ancillas' Bell maps and its
-successor after each failure, so a trial costs lookups, the random draws
-and one product with the data block, kept in one layout for the whole gate.
+target in a bounded cache, one for the controlled-NOT and one per phased
+Pauli pair a failed controlled-NOT leaves.  A frame keeps its preparation
+plan, its ancillas' Bell maps and its successor after each failure, so a
+trial costs lookups, the random draws and one product with the data block,
+kept in one layout for the whole gate.  A pair frame owes a product of two
+one-qubit gates, so its trials teleport the control and then the target,
+each through the one-qubit frame of its own factor.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -199,34 +202,6 @@ def _next_target(t: np.ndarray, prepared: int, measured: int) -> np.ndarray:
     return nxt
 
 
-@dataclass(frozen=True)
-class _PendingTwoQubit:
-    """Pending controlled-NOT, or the phased-Pauli pair left after a failure."""
-
-    pair: Optional[tuple[PhasedPauli, PhasedPauli]] = None
-    history: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
-
-    def advanced(self, prepared: tuple[int, int], measured: tuple[int, int]) -> "_PendingTwoQubit":
-        j, k = prepared
-        m, n = measured
-        alpha, p = pauli_product(m, j)
-        beta, q = pauli_product(n, k)
-        if self.pair is None:
-            gamma, p2, q2 = cnot_frame_update(p, q)
-            pair = (PhasedPauli(alpha * beta * gamma, (p2,)), PhasedPauli(1, (q2,)))
-        else:
-            a, b = self.pair
-            pair = (_conjugate_by_axis(a.indices[0], alpha, p), _conjugate_by_axis(b.indices[0], beta, q))
-        return _PendingTwoQubit(pair, self.history + ((prepared, measured),))
-
-
-def _conjugate_by_axis(axis: int, phase: complex, index: int) -> PhasedPauli:
-    """sigma_axis (phase * sigma_index) sigma_axis, exactly."""
-    p1, mid = pauli_product(axis, index)
-    p2, out = pauli_product(mid, axis)
-    return PhasedPauli(phase * p1 * p2, (out,))
-
-
 @dataclass(frozen=True, eq=False)
 class TrialRecord:
     """One trial of a protocol run."""
@@ -315,19 +290,8 @@ class _BranchTable:
         return bits, maps
 
 
-class _PairTable:
-    """Measured preparation of a phased-Pauli pair frame: the pending gate factors, so the
-    ancilla pairs (prep0, prep2) and (prep1, prep3) are prepared independently.  The maps
-    are formed per trial; cached for 256 frames and 16 indices they would take 16 MiB.
-    """
-
-    def __init__(self, a: _BranchTable, b: _BranchTable):
-        self.halves = (a, b)
-
-    def prepare(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:
-        (bits_a, anc_a), (bits_b, anc_b) = (half.replay(rng) for half in self.halves)
-        ancilla = np.multiply.outer(anc_a.reshape(2, 2), anc_b.reshape(2, 2)).transpose(0, 2, 1, 3)
-        return bits_a + bits_b, _bell_maps(ancilla.reshape(-1))
+# The Bell maps of one ancilla, or of a pair frame's two one-qubit ancillas.
+_Maps = Union[np.ndarray, tuple[np.ndarray, np.ndarray]]
 
 
 @lru_cache(maxsize=1)
@@ -341,30 +305,35 @@ class _Frame:
     """The gate still owed to k data qubits, interned, with what a trial from it needs.
 
     One-qubit frames are keyed on their target, two-qubit frames on the
-    controlled-NOT (None) or the phased-Pauli pair a failed trial left.  A
-    frame holds its read-only target, its measured-preparation plan and its
-    direct-mode data (filled on first use), and its successor after each
-    failed trial, at code prepared * 4^k + measured.  One-qubit successors
-    are keys into the bounded frame cache, so no link outlives the cache;
-    the at most 257 two-qubit frames are never dropped and link directly.
+    controlled-NOT (None) or on the phased-Pauli pair a failed trial of it
+    left, with the whole phase on the first half.  A frame holds its
+    read-only target, its measured-preparation plan and its Bell maps per
+    prepared index for direct mode (filled on first use), and its successor
+    after each failed trial, at code prepared * 4^k + measured.  A pair
+    frame's ``halves`` key the one-qubit frames of its two factors: its plan
+    and maps are pairs of theirs, held here so that they outlive the bounded
+    cache, and its successor pairs their one-qubit successors.  Halves and
+    one-qubit successors are keys into the bounded frame cache, so no link
+    keeps a one-qubit frame alive; the at most 65 two-qubit frames are never
+    dropped and link directly.
     """
 
     def __init__(self, k: int, key, target: np.ndarray):
         self.k, self.key, self.target = k, key, target
-        self._plan: Union[_BranchTable, _PairTable, None] = None
-        # per prepared index: the Bell maps (k = 1) or the ancilla (k = 2)
-        self.direct: list[Optional[np.ndarray]] = [None] * 4**k
+        self.halves = None if k == 1 or key is None else tuple(p.matrix().tobytes() for p in key)
+        self._plan: Union[_BranchTable, tuple[_BranchTable, _BranchTable], None] = None
+        self.direct: list[Optional[_Maps]] = [None] * 4**k
         self.successors: list = [None] * 16**k
 
-    def plan(self) -> Union[_BranchTable, _PairTable]:
+    def plan(self) -> Union[_BranchTable, tuple[_BranchTable, _BranchTable]]:
         if self._plan is None:
             if self.k == 1:
                 forms = (msr.solve_two_qubit_parity_form(i, self.target, targets=_PREP1) for i in (1, 3))
                 self._plan = _BranchTable(tuple(tuple(p.matrix for p in msr.parity_slots(f)) for f in forms), _ZERO1)
-            elif self.key is None:
-                self._plan = _cnot_prep_table()
+            elif self.halves:
+                self._plan = tuple(_one_qubit_frame(h).plan() for h in self.halves)
             else:
-                self._plan = _PairTable(*(_one_qubit_frame(p.matrix().tobytes()).plan() for p in self.key))
+                self._plan = _cnot_prep_table()
         return self._plan
 
     def ancilla(self, code: int) -> np.ndarray:
@@ -376,20 +345,42 @@ class _Frame:
         state = qcore.apply_unitary(base, self.target @ kron2(SIGMA[j], SIGMA[k]), (_PREP2[2], _PREP2[3]))
         return qcore.permute_to(state, _PREP2).data
 
-    def prepare(self, mode: str, rng: np.random.Generator) -> tuple[int, np.ndarray, Optional[tuple[int, ...]]]:
-        """(prepared index code, Bell maps, preparation bits) of one fresh ancilla."""
+    @cached_property
+    def pauli(self) -> Optional[PhasedPauli]:
+        """The target as a phased Pauli, or None when it is not one."""
+        return nearest_phased_pauli(self.target)
+
+    def maps(self, code: int) -> _Maps:
+        """The Bell maps of the ancilla prepared with index code ``code``."""
+        maps = self.direct[code]
+        if maps is None:
+            if self.halves:
+                maps = tuple(_one_qubit_frame(h).maps(i) for h, i in zip(self.halves, divmod(code, 4)))
+            else:
+                maps = _bell_maps(self.ancilla(code))
+            self.direct[code] = maps
+        return maps
+
+    def prepare(self, mode: str, rng: np.random.Generator) -> tuple[int, _Maps, Optional[tuple[int, ...]]]:
+        """(prepared index code, Bell maps, preparation bits) of one fresh ancilla.
+
+        A pair frame prepares its control's half and then its target's, and
+        returns the pair of their maps.
+        """
         if mode == "measured":
-            bits, maps = self.plan().prepare(rng)
+            if self.halves:
+                a, b = self.plan()
+                (bits_a, maps_a), (bits_b, maps_b) = a.prepare(rng), b.prepare(rng)
+                bits, maps = bits_a + bits_b, (maps_a, maps_b)
+            else:
+                bits, maps = self.plan().prepare(rng)
             return _CODE[bits], maps, bits
         if self.k == 1:
             code = int(rng.integers(0, 4))
         else:
             j, k = (int(x) for x in rng.integers(0, 4, size=2))
             code = 4 * j + k
-        held = self.direct[code]
-        if held is None:
-            held = self.direct[code] = self.ancilla(code) if self.k == 2 else _bell_maps(self.ancilla(code))
-        return code, held if self.k == 1 else _bell_maps(held), None
+        return code, self.maps(code), None
 
     def after(self, prepared: int, measured: int) -> "_Frame":
         """The frame left by a failed trial, from the index codes it prepared and measured."""
@@ -399,8 +390,15 @@ class _Frame:
             if self.k == 1:
                 nxt = _next_target(self.target, prepared, measured).tobytes()
             else:
-                pending = _PendingTwoQubit(self.key).advanced(divmod(prepared, 4), divmod(measured, 4))
-                nxt = _two_qubit_frame(pending.pair)
+                (j, k), (m, n) = divmod(prepared, 4), divmod(measured, 4)
+                if self.key is None:
+                    alpha, p = pauli_product(m, j)
+                    beta, q = pauli_product(n, k)
+                    gamma, p, q = cnot_frame_update(p, q)
+                    a, b = PhasedPauli(alpha * beta * gamma, (p,)), PhasedPauli(1, (q,))
+                else:
+                    a, b = (_one_qubit_frame(h).after(i, o).pauli for h, i, o in zip(self.halves, (j, k), (m, n)))
+                nxt = _two_qubit_frame((PhasedPauli(a.phase * b.phase, a.indices), PhasedPauli(1, b.indices)))
             self.successors[code] = nxt
         return _one_qubit_frame(nxt) if self.k == 1 else nxt
 
@@ -410,7 +408,7 @@ def _one_qubit_frame(target_bytes: bytes) -> _Frame:
     return _Frame(1, target_bytes, np.frombuffer(target_bytes, dtype=complex).reshape(2, 2))
 
 
-# At most 257 keys: the controlled-NOT or a pair of phased Paulis.
+# At most 65 keys: the controlled-NOT or a two-qubit Pauli with its phase on the first half.
 @lru_cache(maxsize=None)
 def _two_qubit_frame(pair: Optional[tuple[PhasedPauli, PhasedPauli]]) -> _Frame:
     target = _CNOT if pair is None else kron2(pair[0].matrix(), pair[1].matrix())
@@ -435,7 +433,7 @@ def prepare_ancilla_one(
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 gate matrix, got shape {u.shape}")
-    frame = _one_qubit_frame(u.tobytes())
+    frame = _one_qubit_frame(msr._require_unitary(u, 2).tobytes())
     if mode == "measured":
         bits, ancilla = frame.plan().replay(rng)
         j = BIT_DECODE[bits]
@@ -519,11 +517,24 @@ def _bell_block(block: np.ndarray, maps: np.ndarray,
     """
     rows = (maps @ block).reshape(len(maps) // len(block), -1)
     w = (np.abs(rows) ** 2).sum(axis=1)
-    r, bits = _draw_bell(w.reshape(4, -1).sum(axis=1).tolist(), rng)
-    if len(w) == 16:
+    if len(w) == 4:
+        r, bits = _draw_bell(w.tolist(), rng)
+    else:
+        r, bits = _draw_bell(w.reshape(4, -1).sum(axis=1).tolist(), rng)
         r2, bits2 = _draw_bell(w[4 * r:4 * r + 4].tolist(), rng)
         r, bits = 4 * r + r2, bits + bits2
     return _CODE[bits], (rows[r] / np.sqrt(w[r])).reshape(block.shape), bits
+
+
+def _pair_block(block: np.ndarray, maps: tuple[np.ndarray, np.ndarray],
+                rng: np.random.Generator) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """Bell-measure the control then the target heading a (4, 2^(n-2)) block, each against
+    its own one-qubit ancilla's maps.  Returns (outcome index code, new block, bits)."""
+    c, block, bits_c = _bell_block(block.reshape(2, -1), maps[0], rng)
+    # the target's step needs it in front; the control's new qubit goes back first after
+    swapped = block.reshape(2, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+    t, swapped, bits_t = _bell_block(swapped, maps[1], rng)
+    return 4 * c + t, swapped.reshape(2, 2, -1).transpose(1, 0, 2).reshape(4, -1), bits_c + bits_t
 
 
 def _to_front(data: np.ndarray, axes: tuple[int, ...], k: int) -> np.ndarray:
@@ -536,18 +547,6 @@ def _from_front(block: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     out = np.empty(block.size, dtype=complex)
     out.reshape((2,) * len(axes)).transpose(axes)[...] = block.reshape((2,) * len(axes))
     return out
-
-
-def _teleport_step(data: np.ndarray, n: int, positions: tuple[int, ...], ancilla: np.ndarray,
-                   rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray, tuple[int, ...]]:
-    """One Bell step of k data qubits at ``positions`` of an n-qubit vector: (outcomes, new vector, bits).
-
-    The ancilla's first k qubits pair with the data qubits; its last k take their places.
-    """
-    k = len(positions)
-    axes = positions + tuple(p for p in range(n) if p not in positions)
-    _code, block, bits = _bell_block(_to_front(data, axes, k), _bell_maps(ancilla), rng)
-    return tuple(BIT_DECODE[bits[i:i + 2]] for i in range(0, 2 * k, 2)), _from_front(block, axes), bits
 
 
 def bell_measure(
@@ -565,7 +564,7 @@ def bell_measure(
     and the negated variants report the prepared index of the corresponding
     Pauli-gate ancilla instead.  Returns (outcome, remaining state).
     """
-    if variant[0] not in (0, 1) or variant[1] not in (0, 1):
+    if tuple(variant) not in BIT_DECODE:
         raise ValueError("variant must be a pair of bits")
     if pair[0] == pair[1]:
         raise ValueError("Bell measurement needs two distinct qubits")
@@ -588,7 +587,7 @@ def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg
     trials: list[TrialRecord] = []
     for r in range(1, cfg.budget(k) + 1):
         prepared, maps, prep_bits = frame.prepare(cfg.prep_mode, rng)
-        measured, block, bell_bits = _bell_block(block, maps, rng)
+        measured, block, bell_bits = (_pair_block if frame.halves else _bell_block)(block, maps, rng)
         success = measured == prepared
         trials.append(TrialRecord(r, index[prepared], index[measured], prep_bits, bell_bits, success, frame.target))
         if success:
@@ -597,7 +596,7 @@ def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg
     state = QuantumState._trusted(_from_front(block, axes), state.labels)
     if trials[-1].success:
         return state, ProtocolTrace(tuple(trials), True)
-    return state, ProtocolTrace(tuple(trials), False, frame.target, nearest_phased_pauli(frame.target))
+    return state, ProtocolTrace(tuple(trials), False, frame.target, frame.pauli)
 
 
 def simulate_one_qubit(
@@ -629,10 +628,10 @@ def simulate_cnot(
     """Apply a controlled-NOT (first label controls) to a pure register by measurements only.
 
     The first trial prepares four ancilla qubits with the four-measurement
-    set; failed trials reduce the pending gate to a tensor product of phased
-    Paulis, whose ancilla pairs are prepared independently.  Each trial
-    Bell-measures the control then the target against the ancilla's first
-    two qubits, whose partners take their places in the register.
+    set and Bell-measures the control then the target against its first two
+    qubits, whose partners take their places in the register.  Failed trials
+    reduce the pending gate to a tensor product of phased Paulis, so later
+    trials teleport each factor on its own qubit, the control first.
     """
     if qubits[0] == qubits[1]:
         raise ValueError("controlled-NOT needs two distinct qubits")

@@ -24,8 +24,6 @@ from measureonly.protocol import (
     ProtocolConfig,
     ProtocolError,
     _bell_measure_bits,
-    _PendingTwoQubit,
-    _teleport_step,
     bell_measure,
     direct_state,
     prepare_ancilla_one,
@@ -199,6 +197,11 @@ class TestPrepareAncillaOne:
         with pytest.raises(ValueError, match=re.escape(f"2x2 gate matrix, got shape {u.shape}")):
             prepare_ancilla_one(u, "measured", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("mode", ["measured", "direct"])
+    def test_rejects_a_matrix_that_is_not_unitary(self, mode):
+        with pytest.raises(ValueError, match="not unitary"):
+            prepare_ancilla_one(np.diag([2**0.5, 0]), mode, np.random.default_rng(0))
+
 
 class TestBellMeasure:
     def test_bell_basis_state_is_deterministic(self):
@@ -248,6 +251,11 @@ class TestBellMeasure:
             bell_measure(qcore.epr_state((0, 1)), (0, 0), rng)
         with pytest.raises(ValueError, match="unknown"):
             bell_measure(qcore.epr_state((0, 1)), (0, 9), rng)
+
+    @pytest.mark.parametrize("variant", [(0,), (0, 1, 0), (2, 0), (0, -1)])
+    def test_rejects_a_variant_that_is_not_a_pair_of_bits(self, variant):
+        with pytest.raises(ValueError, match="pair of bits"):
+            bell_measure(qcore.epr_state((0, 1)), (0, 1), np.random.default_rng(4), variant=variant)
 
 
 def dense_bell_reference(state, pair, rng, variant):
@@ -305,8 +313,12 @@ def pair_ancilla(u, indices):
     return np.kron(np.eye(2**k), u @ paulis) @ epr.reshape(-1)
 
 
+def random_phased_pauli(gen):
+    return (1, -1, 1j, -1j)[int(gen.integers(4))] * PAULIS[int(gen.integers(4))]
+
+
 class TestTeleportStep:
-    """The in-place step against the merged register it replaces."""
+    """The loop's in-place Bell steps against the merged register they replace."""
 
     @staticmethod
     def merged_reference(state, positions, ancilla, rng):
@@ -335,21 +347,29 @@ class TestTeleportStep:
         positions = list(range(n))
         order.shuffle(positions)
         positions = tuple(positions[:k])
-        if kind == "haar":
-            u = haar_unitary(gen, 2**k)
-        elif kind == "cnot" and k == 2:
-            u = CNOT
+        indices = tuple(int(j) for j in gen.integers(4, size=k))
+        if kind == "pauli" and k == 2:
+            # a phased Pauli pair, the frame left after a failed controlled-NOT
+            # trial: two one-qubit ancillas, the control's measured first
+            halves = [random_phased_pauli(gen) for _ in range(2)]
+            ancilla = pair_ancilla(np.kron(*halves), indices)
+            step = protocol._pair_block
+            maps = tuple(protocol._bell_maps(pair_ancilla(u, (j,))) for u, j in zip(halves, indices))
         else:
-            # a phased Pauli (pair): the frames left after a failed trial
-            u = (1, -1, 1j, -1j)[int(gen.integers(4))] * np.eye(1)
-            for i in gen.integers(4, size=k):
-                u = np.kron(u, PAULIS[int(i)])
-        ancilla = pair_ancilla(u, tuple(int(j) for j in gen.integers(4, size=k)))
+            if kind == "haar":
+                u = haar_unitary(gen, 2**k)
+            else:
+                u = CNOT if k == 2 else random_phased_pauli(gen)
+            ancilla = pair_ancilla(u, indices)
+            step, maps = protocol._bell_block, protocol._bell_maps(ancilla)
         state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
+        axes = positions + tuple(p for p in range(n) if p not in positions)
         rng_step, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        outcomes, data, bits = _teleport_step(state.data, n, positions, ancilla, rng_step)
+        code, block, bits = step(protocol._to_front(state.data, axes, k), maps, rng_step)
+        data = protocol._from_front(block, axes)
         outcomes_ref, post_ref, bits_ref = self.merged_reference(state, positions, ancilla, rng_ref)
-        assert (outcomes, bits) == (outcomes_ref, bits_ref)
+        assert (code, bits) == (protocol._CODE[bits_ref], bits_ref)
+        assert tuple(BIT_DECODE[bits[i:i + 2]] for i in range(0, 2 * k, 2)) == outcomes_ref
         assert fidelity_up_to_phase(QuantumState.pure(data, state.labels), post_ref) >= 1 - 1e-12
         assert rng_step.random() == rng_ref.random()
 
@@ -426,28 +446,28 @@ class TestPendingGateClosure:
         assert p.history == ((0, 1), (2, 3))
 
     def test_cnot_closes_after_one_failure(self):
-        pending = _PendingTwoQubit()
+        root = protocol._two_qubit_frame(None)
         for jk in range(16):
             for mn in range(16):
                 if jk == mn:
                     continue
                 j, k = divmod(jk, 4)
                 m, n = divmod(mn, 4)
-                nxt = pending.advanced((j, k), (m, n))
-                assert nxt.pair is not None
+                nxt = root.after(jk, mn)
+                assert nxt.key is not None
                 oracle = CNOT @ np.kron(PAULIS[m] @ PAULIS[j], PAULIS[n] @ PAULIS[k]) @ CNOT
-                np.testing.assert_allclose(protocol._two_qubit_frame(nxt.pair).target, oracle, atol=1e-12)
+                np.testing.assert_allclose(nxt.target, oracle, atol=1e-12)
 
     def test_cnot_second_failure_stays_in_pauli_pairs(self):
         rng = np.random.default_rng(5)
-        pending = _PendingTwoQubit().advanced((1, 2), (3, 0))
+        frame = protocol._two_qubit_frame(None).after(4 * 1 + 2, 4 * 3 + 0)
         for _ in range(50):
             j, k, m, n = (int(x) for x in rng.integers(0, 4, size=4))
-            before = protocol._two_qubit_frame(pending.pair).target
-            nxt = pending.advanced((j, k), (m, n))
+            before = frame.target
+            frame = frame.after(4 * j + k, 4 * m + n)
             oracle = before @ np.kron(PAULIS[m] @ PAULIS[j], PAULIS[n] @ PAULIS[k]) @ before.conj().T
-            np.testing.assert_allclose(protocol._two_qubit_frame(nxt.pair).target, oracle, atol=1e-12)
-            pending = nxt
+            assert frame.key is not None
+            np.testing.assert_allclose(frame.target, oracle, atol=1e-12)
 
 
 def _frame_walk(root, steps):
@@ -472,12 +492,15 @@ class TestFrameGraph:
         steps = [(p % codes, (p % codes + 1 + d % (codes - 1)) % codes) for p, d in raw]
         if gate == "CNOT":
             root = protocol._two_qubit_frame(None)
-            pending = _PendingTwoQubit()
-            for p, m in steps:
-                pending = pending.advanced(divmod(p, 4), divmod(m, 4))
+            oracle = CNOT
+            for prepared, measured in steps:
+                (j, k), (m, n) = divmod(prepared, 4), divmod(measured, 4)
+                oracle = oracle @ np.kron(PAULIS[m] @ PAULIS[j], PAULIS[n] @ PAULIS[k]) @ oracle.conj().T
             frame = _frame_walk(root, steps)
-            a, b = pending.pair
-            assert frame.key == pending.pair
+            np.testing.assert_allclose(frame.target, oracle, atol=1e-12)
+            # the key is the owed gate, with its whole phase on the first half
+            a, b = frame.key
+            assert b.phase == 1
             assert np.array_equal(frame.target, np.kron(a.matrix(), b.matrix()))
         else:
             u = haar_unitary(np.random.default_rng(seed)) if gate == "haar" else GateSpec.named(gate).matrix
@@ -502,6 +525,19 @@ class TestFrameGraph:
         gc.collect()
         frames = [o for o in gc.get_objects() if isinstance(o, protocol._Frame)]
         assert sum(f.k == 1 for f in frames) <= 512 + sum(f.k == 2 for f in frames)
+
+    def test_pair_frames_are_keyed_on_the_owed_gate(self):
+        # however the phase falls between the halves, one owed two-qubit Pauli
+        # has one frame
+        for prep in ("measured", "direct"):
+            cfg = ProtocolConfig(max_trials=8, prep_mode=prep)
+            for seed in range(300):
+                simulate_cnot(zero_state((0, 1)), (0, 1), cfg, np.random.default_rng(seed))
+        gc.collect()
+        pairs = [o for o in gc.get_objects() if isinstance(o, protocol._Frame) and o.k == 2 and o.key is not None]
+        owed = [str(nearest_phased_pauli(f.target)) for f in pairs]
+        assert len(pairs) > 16
+        assert len(set(owed)) == len(owed) <= 64
 
 
 class TestPublicInputs:

@@ -30,6 +30,7 @@ from .qcore import (
     permute_to,
     relabel,
     tensor,
+    twisted_bell,
     zero_state,
 )
 from .measure import (
@@ -76,7 +77,7 @@ __all__ = [
     "PHASES", "SIGMA", "ConjugationEntry", "PhasedPauli", "cnot_frame_update", "conjugate",
     "nearest_phased_pauli", "pauli_matrix", "pauli_product",
     "Projector", "QuantumState", "apply_unitary", "bell_state", "embed", "epr_state", "factor_out",
-    "fidelity_up_to_phase", "permute_to", "relabel", "tensor", "zero_state",
+    "fidelity_up_to_phase", "permute_to", "relabel", "tensor", "twisted_bell", "zero_state",
     "GAMMA", "MEAS_W", "MEAS_X", "MEAS_Y", "MEAS_Z", "BalancedBooleanFn", "BinaryMeasurement",
     "CompleteMeasurement", "PseudoseparateForm", "SingleQubitBinary", "cnot_measurement_set",
     "compose_binaries", "expand_f_separate", "is_pseudoseparate_witness", "match_projector_sets",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import qcore
 from .pauli import SIGMA, kron2
-from .qcore import Label, Projector, STRUCT_TOL
+from .qcore import Label, Projector, STRUCT_TOL, _require_instrument, _require_unitary
 
 __all__ = [
     "GAMMA",
@@ -55,15 +55,6 @@ _XYZ_CONJ = _XYZ.conj()
 _EYE4 = np.eye(4, dtype=complex)
 
 
-def _require_unitary(u: np.ndarray, dim: int) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {u.shape}")
-    if np.abs(u @ u.conj().T - np.eye(dim)).max() > STRUCT_TOL:
-        raise ValueError("matrix is not unitary")
-    return u
-
-
 @dataclass(frozen=True)
 class SingleQubitBinary:
     """A single-qubit binary measurement, fixed by its Bloch axis.
@@ -79,7 +70,7 @@ class SingleQubitBinary:
         bloch = tuple(float(x) for x in self.bloch)
         object.__setattr__(self, "bloch", bloch)
         norm = float(np.linalg.norm(bloch))
-        if abs(norm - 1.0) > STRUCT_TOL:
+        if not abs(norm - 1.0) <= STRUCT_TOL:
             raise ValueError(f"Bloch vector norm {norm} is not 1")
 
     @property
@@ -183,17 +174,10 @@ class BinaryMeasurement:
     def __post_init__(self) -> None:
         if self.p0.labels != self.p1.labels:
             raise ValueError("both projectors must live on the same labels")
-        self.p0.validate()
-        self.p1.validate()
-        a, b = self.p0.matrix, self.p1.matrix
-        dim = a.shape[0]
-        if np.abs(a @ b).max() > STRUCT_TOL:
-            raise ValueError("projectors are not mutually annihilating")
-        if np.abs(a + b - np.eye(dim)).max() > STRUCT_TOL:
-            raise ValueError("projectors do not sum to the identity")
-        half = dim // 2
-        for m in (a, b):
-            if abs(np.trace(m).real - half) > STRUCT_TOL:
+        _require_instrument((self.p0.matrix, self.p1.matrix))
+        half = len(self.p0.matrix) // 2
+        for m in (self.p0.matrix, self.p1.matrix):
+            if not abs(np.trace(m).real - half) <= STRUCT_TOL:
                 raise ValueError(f"projector trace {np.trace(m).real} is not {half}")
 
     @property
@@ -223,15 +207,7 @@ class CompleteMeasurement:
         for p in projs:
             if p.labels != labels:
                 raise ValueError("all projectors must live on the same labels")
-            p.validate()
-        dim = 2 ** len(labels)
-        total = sum(p.matrix for p in projs)
-        if np.abs(total - np.eye(dim)).max() > STRUCT_TOL:
-            raise ValueError("projectors do not sum to the identity")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if np.abs(projs[i].matrix @ projs[j].matrix).max() > STRUCT_TOL:
-                    raise ValueError(f"projectors {i} and {j} are not mutually annihilating")
+        _require_instrument([p.matrix for p in projs])
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -276,7 +252,7 @@ def parity_slots(form: PseudoseparateForm) -> tuple[Projector, Projector]:
 def _bloch_of(m: np.ndarray) -> tuple[float, float, float]:
     """Bloch axis of a traceless Hermitian unitary 2x2 matrix."""
     bloch = (_XYZ_CONJ @ m.reshape(4)).real / 2
-    if np.abs(m - (bloch @ _XYZ).reshape(2, 2)).max() > STRUCT_TOL:
+    if not np.abs(m - (bloch @ _XYZ).reshape(2, 2)).max() <= STRUCT_TOL:
         raise ValueError("matrix is not a unit combination of the traceless Paulis")
     return tuple(bloch.tolist())
 
@@ -313,12 +289,8 @@ def u_basis_measurement(u: np.ndarray, labels: tuple[Label, Label] = (0, 1)) -> 
     Outcome j projects onto (I (x) u sigma_j) applied to the EPR pair.
     """
     u = _require_unitary(u, 2)
-    base = qcore.epr_state(labels)
-    projs = []
-    for j in range(4):
-        v = qcore.apply_unitary(base, u @ SIGMA[j], (labels[1],)).data
-        projs.append(Projector(np.outer(v, v.conj()), labels))
-    return CompleteMeasurement(tuple(projs))
+    vs = (qcore.twisted_bell(u @ SIGMA[j], labels).data for j in range(4))
+    return CompleteMeasurement(tuple(Projector(np.outer(v, v.conj()), labels) for v in vs))
 
 
 def two_qubit_u_basis_measurement(
@@ -332,15 +304,8 @@ def two_qubit_u_basis_measurement(
     u (sigma_j (x) sigma_k) to the last two qubits.
     """
     u = _require_unitary(u, 4)
-    l1, l2, l3, l4 = labels
-    base = qcore.permute_to(qcore.tensor(qcore.epr_state((l1, l3)), qcore.epr_state((l2, l4))), labels)
-    projs = []
-    for j in range(4):
-        for k in range(4):
-            op = u @ kron2(SIGMA[j], SIGMA[k])
-            v = qcore.apply_unitary(base, op, (l3, l4)).data
-            projs.append(Projector(np.outer(v, v.conj()), labels))
-    return CompleteMeasurement(tuple(projs))
+    vs = (qcore.twisted_bell(u @ kron2(SIGMA[j], SIGMA[k]), labels).data for j in range(4) for k in range(4))
+    return CompleteMeasurement(tuple(Projector(np.outer(v, v.conj()), labels) for v in vs))
 
 
 def u_basis_binary_pair(
@@ -414,7 +379,7 @@ def compose_binaries(
         for j in range(i + 1, len(ms)):
             a, b = embedded[i][0], embedded[j][0]
             norm = np.abs(a @ b - b @ a).max()
-            if norm > STRUCT_TOL:
+            if not norm <= STRUCT_TOL:
                 raise ValueError(
                     f"binary measurements {i} and {j} do not commute (commutator norm {norm:.3e})"
                 )

@@ -94,15 +94,17 @@ class GateSpec:
     arity: int
 
     def __post_init__(self) -> None:
-        # a read-only copy: frames and trial records share it
-        matrix = np.array(self.matrix, dtype=complex)
+        if self.arity not in (1, 2):
+            raise ValueError(f"arity must be 1 or 2, got {self.arity!r}")
+        # a read-only copy, shared by frames and trial records; + 0.0 clears
+        # signed zeros, so equal gates have equal frame keys
+        matrix = qcore._require_unitary(self.matrix, 2**self.arity) + 0.0
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        dim = 2**self.arity
-        if self.arity not in (1, 2) or matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {matrix.shape} does not match arity {self.arity}")
-        if np.abs(matrix @ matrix.conj().T - np.eye(dim)).max() > qcore.STRUCT_TOL:
-            raise ValueError("gate matrix is not unitary")
+        named = _GATE_MATRICES.get(self.name)
+        if named is not None and not (named.shape == matrix.shape
+                                      and np.abs(matrix - named).max() <= qcore.STRUCT_TOL):
+            raise ValueError(f"the matrix of a gate named {self.name!r} must be that gate's")
 
     @classmethod
     def named(cls, name: str) -> "GateSpec":
@@ -198,6 +200,7 @@ def _next_target(t: np.ndarray, prepared: int, measured: int) -> np.ndarray:
         # error would otherwise compound multiplicatively along the chain.
         u, _, vh = np.linalg.svd(nxt)
         nxt = u @ vh
+    nxt = nxt + 0.0  # clears signed zeros, which would split equal frame keys
     nxt.setflags(write=False)
     return nxt
 
@@ -339,11 +342,9 @@ class _Frame:
     def ancilla(self, code: int) -> np.ndarray:
         """The 2k-qubit ancilla vector (order ``_PREP1``/``_PREP2``) prepared with index code ``code``."""
         if self.k == 1:
-            return qcore.apply_unitary(qcore.epr_state(_PREP1), self.target @ SIGMA[code], (_PREP1[1],)).data
+            return qcore.twisted_bell(self.target @ SIGMA[code], _PREP1).data
         j, k = divmod(code, 4)
-        base = qcore.tensor(qcore.epr_state((_PREP2[0], _PREP2[2])), qcore.epr_state((_PREP2[1], _PREP2[3])))
-        state = qcore.apply_unitary(base, self.target @ kron2(SIGMA[j], SIGMA[k]), (_PREP2[2], _PREP2[3]))
-        return qcore.permute_to(state, _PREP2).data
+        return qcore.twisted_bell(self.target @ kron2(SIGMA[j], SIGMA[k]), _PREP2).data
 
     @cached_property
     def pauli(self) -> Optional[PhasedPauli]:
@@ -430,10 +431,7 @@ def prepare_ancilla_one(
     ``"direct"`` mode the index is drawn uniformly and the state is written
     down directly.  Returns (state, index).
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 gate matrix, got shape {u.shape}")
-    frame = _one_qubit_frame(msr._require_unitary(u, 2).tobytes())
+    frame = _one_qubit_frame((qcore._require_unitary(u, 2) + 0.0).tobytes())
     if mode == "measured":
         bits, ancilla = frame.plan().replay(rng)
         j = BIT_DECODE[bits]
@@ -650,8 +648,8 @@ def run_circuit(
     teleported in place).  Raises BudgetExceeded with
     the partial traces if any gate exhausts its trial budget.
     """
-    if not 1 <= n_qubits <= 8:
-        raise ValueError("the logical register holds between 1 and 8 qubits")
+    if type(n_qubits) is not int or not 1 <= n_qubits <= 8:
+        raise ValueError(f"the logical register holds between 1 and 8 qubits, got {n_qubits!r}")
     state = qcore.zero_state(tuple(range(n_qubits)))
     traces: list[ProtocolTrace] = []
     for idx, (gate, labels) in enumerate(circuit):

@@ -6,10 +6,17 @@ of distinct qubit labels; the first label is the most significant bit of the
 basis index.  Everything here is a value: operations return new states and
 never mutate their inputs, so independent protocol runs can share nothing
 but code.
+
+The u-twisted Bell states, the resource of gate teleportation, are written
+down in closed form by :func:`twisted_bell`.  The two structural checks the
+other modules run at their public boundaries live here once:
+``_require_unitary`` and ``_require_instrument``.  Every tolerance check is
+written so that NaN or inf fails it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -29,6 +36,7 @@ __all__ = [
     "zero_state",
     "epr_state",
     "bell_state",
+    "twisted_bell",
     "embed",
     "embed_at",
     "apply_unitary",
@@ -61,7 +69,7 @@ class QuantumState:
         if data.shape != (dim,):
             raise ValueError(f"expected a state vector of length {dim}, got shape {data.shape}")
         norm = float(np.sqrt(np.vdot(data, data).real))
-        if abs(norm - 1.0) > STRUCT_TOL:
+        if not abs(norm - 1.0) <= STRUCT_TOL:
             raise ValueError(f"state vector norm {norm} is not 1")
 
     @classmethod
@@ -106,13 +114,6 @@ class Projector:
         if matrix.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {matrix.shape}")
 
-    def validate(self, tol: float = STRUCT_TOL) -> None:
-        m = self.matrix
-        if np.abs(m - m.conj().T).max() > tol:
-            raise ValueError("projector is not Hermitian")
-        if np.abs(m @ m - m).max() > tol:
-            raise ValueError("projector is not idempotent")
-
     @property
     def rank(self) -> int:
         return int(round(np.trace(self.matrix).real))
@@ -136,8 +137,47 @@ def bell_state(i: int, labels: Sequence[Label] = (0, 1)) -> QuantumState:
     """Bell state number i: the second-qubit Pauli sigma_i applied to the EPR pair."""
     if i not in (0, 1, 2, 3):
         raise ValueError(f"Bell index must be one of 0, 1, 2, 3, got {i!r}")
+    return twisted_bell(SIGMA[i], labels)
+
+
+def twisted_bell(op: np.ndarray, labels: Sequence[Label]) -> QuantumState:
+    """(I (x) op) applied to k EPR pairs (a_i, f_i), in qubit order (a_1..a_k, f_1..f_k).
+
+    Its amplitude at (a, f) is op[f, a] / sqrt(2^k), so it is written down
+    directly; ``op`` must be a 2^k x 2^k unitary.
+    """
     labels = tuple(labels)
-    return apply_unitary(epr_state(labels), SIGMA[i], (labels[1],))
+    if len(labels) % 2:
+        raise ValueError(f"a twisted Bell state needs an even number of qubits, got {len(labels)}")
+    op = _require_unitary(op, 2 ** (len(labels) // 2))
+    return QuantumState(op.T.reshape(-1) / np.sqrt(len(op)), labels)
+
+
+def _require_unitary(u: np.ndarray, dim: int) -> np.ndarray:
+    """``u`` as a complex array; raises unless it is a dim x dim unitary."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} gate matrix, got shape {u.shape}")
+    if not np.abs(u @ u.conj().T - np.eye(dim)).max() <= STRUCT_TOL:
+        raise ValueError("gate matrix is not unitary")
+    return u
+
+
+def _require_instrument(mats: Sequence[np.ndarray]) -> None:
+    """Raise unless ``mats`` are Hermitian idempotents that annihilate pairwise and sum to the identity."""
+    for i, m in enumerate(mats):
+        if not np.abs(m - m.conj().T).max() <= STRUCT_TOL:
+            raise ValueError(f"projector {i} is not Hermitian")
+        if not np.abs(m @ m - m).max() <= STRUCT_TOL:
+            raise ValueError(f"projector {i} is not idempotent")
+    if not np.abs(sum(mats) - np.eye(len(mats[0]))).max() <= STRUCT_TOL:
+        raise ValueError("incomplete instrument: projectors do not sum to the identity")
+    for i, j in combinations(range(len(mats)), 2):
+        overlap = np.abs(mats[i] @ mats[j]).max()
+        if not overlap <= STRUCT_TOL:
+            raise ValueError(
+                f"projectors {i} and {j} are not mutually annihilating (max overlap {overlap:.3e})"
+            )
 
 
 def embed_at(op: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
@@ -223,22 +263,10 @@ def measure(
         The sampled outcome index, the collapsed state P_i|psi> / sqrt(p_i),
         and p_i.
     """
+    instrument = tuple(instrument)
     mats = _instrument_matrices(state, instrument)
-    dim = state.dim
     if check:
-        for p in instrument:
-            p.validate()
-        total = sum(mats)
-        if np.abs(total - np.eye(dim)).max() > STRUCT_TOL:
-            raise ValueError("incomplete instrument: projectors do not sum to the identity")
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                overlap = np.abs(mats[i] @ mats[j]).max()
-                if overlap > STRUCT_TOL:
-                    raise ValueError(
-                        f"projectors {i} and {j} are not mutually annihilating "
-                        f"(max overlap {overlap:.3e})"
-                    )
+        _require_instrument([p.matrix for p in instrument])
     probs, posts = _collapse(state, mats)
     outcome = _draw(probs, rng)
     return outcome, posts[outcome], probs[outcome]
@@ -348,6 +376,6 @@ def factor_out(
         raise ValueError(f"labels {on!r} are not all present")
     out = vec.conj() @ permute_to(state, on + rest).data.reshape(2**k, -1)
     w = np.linalg.norm(out)
-    if abs(w - 1.0) > tol:
+    if not abs(w - 1.0) <= tol:
         raise ValueError(f"register does not factor through the given state (weight {w**2:.6f})")
     return QuantumState.pure(out / w, rest)

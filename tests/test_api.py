@@ -1,11 +1,16 @@
-"""The public surface: every exported name resolves, so no deletion leaves a dangling export."""
+"""The public surface: every exported name resolves, and non-finite input is rejected where it enters."""
 import importlib
 import pkgutil
 import types
 
+import numpy as np
 import pytest
 
 import measureonly
+from measureonly import qcore
+from measureonly.measure import SingleQubitBinary
+from measureonly.protocol import GateSpec, prepare_ancilla_one
+from measureonly.qcore import Projector, QuantumState
 
 MODULES = [importlib.import_module(f"measureonly.{m.name}") for m in pkgutil.iter_modules(measureonly.__path__)]
 
@@ -22,3 +27,30 @@ def test_package_exports_every_public_import():
     public = {name for name, value in vars(measureonly).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(measureonly.__all__)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _nan_projector_measurement(bad):
+    z = (Projector(np.diag([bad, 0.0]), (0,)), Projector(np.diag([0.0, 1.0]), (0,)))
+    return qcore.measure(qcore.zero_state((0,)), z, np.random.default_rng(0))
+
+
+BOUNDARIES = {
+    "QuantumState.pure": lambda bad: QuantumState.pure([bad, 0], (0,)),
+    "GateSpec.custom": lambda bad: GateSpec.custom([[bad, 0], [0, 1]]),
+    "prepare_ancilla_one": lambda bad: prepare_ancilla_one(np.full((2, 2), bad), "direct", np.random.default_rng(0)),
+    "SingleQubitBinary": lambda bad: SingleQubitBinary((bad, 0, 0)),
+    "measure": _nan_projector_measurement,
+    "factor_out": lambda bad: qcore.factor_out(qcore.zero_state((0, 1)), (0,), [bad, 0]),
+    "twisted_bell": lambda bad: qcore.twisted_bell([[bad, 0], [0, 1]], (0, 1)),
+}
+
+
+@pytest.mark.parametrize("bad", [NAN, INF], ids=["nan", "inf"])
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+def test_non_finite_input_is_rejected(boundary, bad):
+    # every tolerance check is written so that a NaN deviation fails it
+    with pytest.raises(ValueError):
+        BOUNDARIES[boundary](bad)

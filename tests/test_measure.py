@@ -14,6 +14,7 @@ from measureonly.measure import (
     MEAS_Z,
     BalancedBooleanFn,
     BinaryMeasurement,
+    CompleteMeasurement,
     PseudoseparateForm,
     SingleQubitBinary,
     cnot_measurement_set,
@@ -27,7 +28,7 @@ from measureonly.measure import (
     u_basis_binary_pair,
     u_basis_measurement,
 )
-from measureonly.qcore import Projector, embed
+from measureonly.qcore import Projector, embed, measure, zero_state
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -418,3 +419,32 @@ class TestPseudoseparateWitness:
         m = expand_f_separate(form)
         swapped = BinaryMeasurement(m.p1, m.p0)
         assert is_pseudoseparate_witness(swapped, form)
+
+
+KET0_PROJ = Projector(np.diag([1.0, 0.0]), (0,))
+INSTRUMENT_CALLERS = {
+    "measure": lambda p0, p1: measure(zero_state((0,)), (p0, p1), np.random.default_rng(0)),
+    "BinaryMeasurement": BinaryMeasurement,
+    "CompleteMeasurement": lambda p0, p1: CompleteMeasurement((p0, p1)),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(INSTRUMENT_CALLERS))
+@pytest.mark.parametrize(
+    "second", [KET0_PROJ, Projector(np.zeros((2, 2)), (0,))], ids=["repeated", "zero"]
+)
+def test_every_instrument_check_rejects_an_incomplete_pair(caller, second):
+    with pytest.raises(ValueError, match="incomplete instrument"):
+        INSTRUMENT_CALLERS[caller](KET0_PROJ, second)
+
+
+@pytest.mark.parametrize("caller", sorted(INSTRUMENT_CALLERS))
+def test_every_instrument_check_rejects_a_non_projector(caller):
+    with pytest.raises(ValueError, match="projector 0 is not idempotent"):
+        INSTRUMENT_CALLERS[caller](Projector(np.diag([0.5, 0.0]), (0,)), Projector(np.diag([0.5, 1.0]), (0,)))
+
+
+def test_binary_measurements_need_equal_ranks():
+    rank_one = Projector(np.diag([1.0, 0, 0, 0]), (0, 1))
+    with pytest.raises(ValueError, match="trace"):
+        BinaryMeasurement(rank_one, Projector(np.diag([0, 1.0, 1, 1]), (0, 1)))

@@ -313,6 +313,15 @@ def pair_ancilla(u, indices):
     return np.kron(np.eye(2**k), u @ paulis) @ epr.reshape(-1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_twisted_bell_closed_form_is_the_kron_reference(k, seed):
+    u = haar_unitary(np.random.default_rng(seed), 2**k)
+    state = qcore.twisted_bell(u, tuple(range(2 * k)))
+    assert state.labels == tuple(range(2 * k))
+    np.testing.assert_allclose(state.data, pair_ancilla(u, (0,) * k), rtol=0, atol=1e-14)
+
+
 def random_phased_pauli(gen):
     return (1, -1, 1j, -1j)[int(gen.integers(4))] * PAULIS[int(gen.integers(4))]
 
@@ -526,6 +535,11 @@ class TestFrameGraph:
         frames = [o for o in gc.get_objects() if isinstance(o, protocol._Frame)]
         assert sum(f.k == 1 for f in frames) <= 512 + sum(f.k == 2 for f in frames)
 
+    def test_signed_zeros_do_not_split_one_qubit_frames(self):
+        # GateSpec.named("Y") holds -0.0 real parts, the +Y phased Pauli +0.0
+        root = protocol._one_qubit_frame(GateSpec.named("Y").matrix.tobytes())
+        assert root.after(0, 2) is root
+
     def test_pair_frames_are_keyed_on_the_owed_gate(self):
         # however the phase falls between the halves, one owed two-qubit Pauli
         # has one frame
@@ -572,6 +586,19 @@ class TestPublicInputs:
         custom[0, 0] = 7
         assert spec.matrix[0, 0] != 7
         assert self.seeded_outputs() == before
+
+    @pytest.mark.parametrize(
+        "name, matrix, arity",
+        [("CNOT", np.eye(4)[[0, 2, 1, 3]], 2), ("CNOT", I2, 1), ("H", X, 1), ("T", T_GATE.conj(), 1)],
+        ids=["swap-as-CNOT", "one-qubit-CNOT", "X-as-H", "T-dagger-as-T"],
+    )
+    def test_catalogue_names_need_their_own_matrix(self, name, matrix, arity):
+        with pytest.raises(ValueError, match=f"named {name!r} must be that gate's"):
+            GateSpec(name, matrix, arity)
+
+    def test_other_names_take_any_unitary(self):
+        assert GateSpec("swap", np.eye(4)[[0, 2, 1, 3]], 2).arity == 2
+        assert np.array_equal(GateSpec("H", HADAMARD, 1).matrix, HADAMARD)
 
 
 @settings(max_examples=300, deadline=None)
@@ -842,6 +869,11 @@ class TestRunCircuit:
         rng = np.random.default_rng(25)
         with pytest.raises(ValueError, match="between 1 and 8"):
             run_circuit([], 9, self.CFG, rng)
+
+    @pytest.mark.parametrize("n", [2.5, True, np.int64(2)], ids=["float", "bool", "numpy"])
+    def test_register_size_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match="between 1 and 8"):
+            run_circuit([], n, self.CFG, np.random.default_rng(25))
 
 
 class TestStatistics:

@@ -21,6 +21,7 @@ from measureonly.qcore import (
     permute_to,
     relabel,
     tensor,
+    twisted_bell,
     zero_state,
 )
 
@@ -95,6 +96,14 @@ class TestBellStates:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError, match="Bell index"):
             bell_state(5)
+
+    def test_twisted_bell_needs_qubit_pairs_and_a_unitary_of_their_size(self):
+        with pytest.raises(ValueError, match="even number of qubits"):
+            twisted_bell(I2, (0, 1, 2))
+        with pytest.raises(ValueError, match=re.escape("expected a 4x4 gate matrix, got shape (2, 2)")):
+            twisted_bell(I2, (0, 1, 2, 3))
+        with pytest.raises(ValueError, match="not unitary"):
+            twisted_bell(np.diag([1.0, 0.0]), (0, 1))
 
 
 class TestEmbed:
@@ -171,6 +180,10 @@ class TestMeasure:
             measure(zero_state((0,)), bad, rng)
         with pytest.raises(ValueError, match="incomplete"):
             measure(zero_state((0,)), (z_instrument()[0],), rng)
+
+    def test_instrument_may_be_a_one_shot_iterable(self):
+        outcome, post, prob = measure(zero_state((0,)), iter(z_instrument()), np.random.default_rng(5))
+        assert (outcome, prob) == (0, 1.0)
 
     def test_repeating_a_measurement_is_stable(self):
         rng = np.random.default_rng(3)

@@ -9,6 +9,7 @@ prepares ancillas for the controlled-NOT.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
@@ -249,12 +250,17 @@ def parity_slots(form: PseudoseparateForm) -> tuple[Projector, Projector]:
     return Projector((_EYE4 + ab) / 2, form.targets), Projector((_EYE4 - ab) / 2, form.targets)
 
 
-def _bloch_of(m: np.ndarray) -> tuple[float, float, float]:
-    """Bloch axis of a traceless Hermitian unitary 2x2 matrix."""
-    bloch = (_XYZ_CONJ @ m.reshape(4)).real / 2
-    if not np.abs(m - (bloch @ _XYZ).reshape(2, 2)).max() <= STRUCT_TOL:
+def _bloch_of(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch axes of a traceless Hermitian unitary 2x2 matrix or a stack of them, and their fit.
+
+    Row k of the axes is the k-th matrix's; row k of the fit, bloch . sigma
+    flattened, is that matrix to STRUCT_TOL.
+    """
+    bloch = (ms.reshape(-1, 4) @ _XYZ_CONJ.T).real / 2
+    fit = bloch @ _XYZ
+    if not np.abs(ms - fit.reshape(ms.shape)).max() <= STRUCT_TOL:
         raise ValueError("matrix is not a unit combination of the traceless Paulis")
-    return tuple(bloch.tolist())
+    return bloch, fit
 
 
 # First parts of the pair-sum forms by axis 1..3 (entry 0 is unused padding);
@@ -279,8 +285,31 @@ def solve_two_qubit_parity_form(
         raise ValueError(f"axis index must be 1, 2 or 3, got {i!r}")
     u = _require_unitary(u, 2)
     conjugated = u @ SIGMA[i] @ u.conj().T
-    second = SingleQubitBinary(_bloch_of(GAMMA[i] * conjugated))
+    second = SingleQubitBinary(tuple(_bloch_of(GAMMA[i] * conjugated)[0][0].tolist()))
     return PseudoseparateForm(BalancedBooleanFn.parity(2), (_AXIS_PARTS[i], second), targets)
+
+
+# The x and z pair-sum forms of a one-qubit gate's ancilla preparation, stacked:
+# gamma_i sigma_i, and +/- the first part's observable by axis and slot.
+_XZ_SIGMA = np.stack([GAMMA[1] * SIGMA[1], GAMMA[3] * SIGMA[3]])
+_XZ_FIRST = np.array([[s * m.observable for s in (1, -1)] for m in (MEAS_X, MEAS_Z)])
+
+
+def _xz_parity_slots(u: np.ndarray) -> np.ndarray:
+    """Slots of the x then the z pair-sum form of a checked 2x2 unitary, as a (2, 2, 4, 4) array.
+
+    Entry [a, s] equals ``parity_slots(solve_two_qubit_parity_form(i, u))[s].matrix``
+    bit for bit, with i = (1, 3)[a]: one Bloch fit of both second axes
+    gamma_i u sigma_i u^dagger, each checked for its fit and its unit norm,
+    and no form objects.
+    """
+    bloch, second = _bloch_of(u @ _XZ_SIGMA @ u.conj().T)
+    for axis in bloch.tolist():
+        norm = math.hypot(*axis)
+        if not abs(norm - 1.0) <= STRUCT_TOL:
+            raise ValueError(f"Bloch vector norm {norm} is not 1")
+    ab = _XZ_FIRST[:, :, :, None, :, None] * second.reshape(2, 1, 1, 2, 1, 2)
+    return (_EYE4 + ab.reshape(2, 2, 4, 4)) / 2
 
 
 def u_basis_measurement(u: np.ndarray, labels: tuple[Label, Label] = (0, 1)) -> CompleteMeasurement:

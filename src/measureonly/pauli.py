@@ -131,13 +131,36 @@ def pauli_matrix(p: PhasedPauli) -> np.ndarray:
 
 
 @_lru_cache(maxsize=8)
-def _pauli_basis_stack(n: int) -> np.ndarray:
-    """All 4^n unphased Pauli strings on n qubits, stacked along axis 0."""
+def _pauli_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 4^n unphased Pauli strings on n qubits stacked along axis 0, and their coefficient rows.
+
+    Row k of the (4^n, 4^n) rows times a flattened matrix m is m's Pauli
+    expansion coefficient tr(P_k m) / 2^n on string k.
+    """
     stack = np.empty((4**n, 2**n, 2**n), dtype=complex)
     for row, idx in enumerate(_cartesian(range(4), repeat=n)):
         stack[row] = PhasedPauli(1, idx).matrix()
+    rows = stack.transpose(0, 2, 1).reshape(4**n, 4**n) / 2**n
     stack.setflags(write=False)
-    return stack
+    rows.setflags(write=False)
+    return stack, rows
+
+
+def _phased_pauli_row(matrix: np.ndarray, n: int, tol: float) -> Optional[tuple[complex, int]]:
+    """(phase, row) with ``matrix`` equal to phase * (Pauli string ``row``) to ``tol``, or None.
+
+    The arithmetic of :func:`nearest_phased_pauli` on a checked 2^n x 2^n matrix.
+    """
+    stack, rows = _pauli_basis(n)
+    coeffs = rows @ matrix.reshape(-1)
+    row = int(np.argmax(np.abs(coeffs)))
+    coeff = complex(coeffs[row])
+    for phase in PHASES:
+        if abs(coeff - phase) < tol:
+            if not np.abs(matrix - phase * stack[row]).max() < tol:
+                return None
+            return phase, row
+    return None
 
 
 def nearest_phased_pauli(matrix: np.ndarray, tol: float = 1e-10) -> Optional[PhasedPauli]:
@@ -154,15 +177,10 @@ def nearest_phased_pauli(matrix: np.ndarray, tol: float = 1e-10) -> Optional[Pha
     n = dim.bit_length() - 1
     if matrix.shape != (dim, dim) or 2**n != dim or n < 1:
         raise ValueError("expected a square matrix with power-of-two dimension >= 2")
-    stack = _pauli_basis_stack(n)
-    coeffs = np.einsum("kij,ji->k", stack, matrix) / dim
-    row = int(np.argmax(np.abs(coeffs)))
-    try:
-        phase = _snap_phase(complex(coeffs[row]), tol)
-    except ValueError:
+    found = _phased_pauli_row(matrix, n, tol)
+    if found is None:
         return None
-    if np.abs(matrix - phase * stack[row]).max() >= tol:
-        return None
+    phase, row = found
     digits = tuple((row >> (2 * (n - 1 - q))) & 3 for q in range(n))
     return PhasedPauli(phase, digits)
 

@@ -14,7 +14,10 @@ plan, its ancillas' Bell maps and its successor after each failure, so a
 trial costs lookups, the random draws and one product with the data block,
 kept in one layout for the whole gate.  A pair frame owes a product of two
 one-qubit gates, so its trials teleport the control and then the target,
-each through the one-qubit frame of its own factor.
+each through the one-qubit frame of its own factor.  A fresh one-qubit
+frame, which every trial of a custom gate meets, builds its two preparation
+measurements' slots from its 2x2 target in one batched pass, and its
+successor by snapping to a phased Pauli or by a closed-form polar step.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import measure as msr
 from . import qcore
-from .pauli import PhasedPauli, SIGMA, cnot_frame_update, kron2, nearest_phased_pauli, pauli_product
+from .pauli import PhasedPauli, SIGMA, _phased_pauli_row, cnot_frame_update, kron2, nearest_phased_pauli, pauli_product
 from .qcore import Label, QuantumState
 
 __all__ = [
@@ -190,19 +193,36 @@ class PendingGate:
 
 def _next_target(t: np.ndarray, prepared: int, measured: int) -> np.ndarray:
     nxt = t @ SIGMA[measured] @ SIGMA[prepared] @ t.conj().T
-    pauli = nearest_phased_pauli(nxt)
+    pauli = _phased_pauli_row(nxt, 1, 1e-10)
     if pauli is not None:
         # The catalogue gates close into phased Paulis after at most two
-        # trials; snapping keeps the chain exact from then on.
-        nxt = pauli.matrix()
+        # trials, and in floating point a custom gate's chain closes too:
+        # each failure doubles its axis's angle to the failure's Pauli axis.
+        # Snapping keeps the chain exact from then on.
+        phase, row = pauli
+        nxt = phase * SIGMA[row]
     else:
         # The update conjugates by the previous target, so floating-point
         # error would otherwise compound multiplicatively along the chain.
-        u, _, vh = np.linalg.svd(nxt)
-        nxt = u @ vh
+        nxt = _unitary_part(nxt)
     nxt = nxt + 0.0  # clears signed zeros, which would split equal frame keys
     nxt.setflags(write=False)
     return nxt
+
+
+def _unitary_part(m: np.ndarray) -> np.ndarray:
+    """The unitary polar factor of an invertible 2x2 matrix, in closed form.
+
+    For m = u p with p positive, Cayley-Hamilton gives p^2 + |det m| = tr(p) p,
+    so m + |det m| m^(-dagger) = tr(p) u, where |det m| m^(-dagger) is
+    (det m / |det m|) adj(m)^dagger and tr(p)^2 = |m|_F^2 + 2 |det m|.
+    """
+    (a, b), (c, d) = m.tolist()
+    det = a * d - b * c
+    w = det / abs(det)
+    scale = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2 + 2 * abs(det))
+    return np.array([[a + w * d.conjugate(), b - w * c.conjugate()],
+                     [c - w * b.conjugate(), d + w * a.conjugate()]]) / scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,8 +351,8 @@ class _Frame:
     def plan(self) -> Union[_BranchTable, tuple[_BranchTable, _BranchTable]]:
         if self._plan is None:
             if self.k == 1:
-                forms = (msr.solve_two_qubit_parity_form(i, self.target, targets=_PREP1) for i in (1, 3))
-                self._plan = _BranchTable(tuple(tuple(p.matrix for p in msr.parity_slots(f)) for f in forms), _ZERO1)
+                slots = msr._xz_parity_slots(qcore._require_unitary(self.target, 2))
+                self._plan = _BranchTable(tuple(slots), _ZERO1)
             elif self.halves:
                 self._plan = tuple(_one_qubit_frame(h).plan() for h in self.halves)
             else:
@@ -631,6 +651,8 @@ def simulate_cnot(
     reduce the pending gate to a tensor product of phased Paulis, so later
     trials teleport each factor on its own qubit, the control first.
     """
+    if len(qubits) != 2:
+        raise ValueError(f"controlled-NOT acts on exactly two qubits, got {len(qubits)} labels")
     if qubits[0] == qubits[1]:
         raise ValueError("controlled-NOT needs two distinct qubits")
     return _teleport(_two_qubit_frame(None), state, tuple(qubits), cfg, rng)
@@ -645,18 +667,22 @@ def run_circuit(
     """Execute a circuit on an all-zero register, measurement-only.
 
     The logical register keeps labels 0..n-1 throughout (each gate is
-    teleported in place).  Raises BudgetExceeded with
-    the partial traces if any gate exhausts its trial budget.
+    teleported in place).  Raises ValueError, before any gate runs, if a
+    gate's label count is not its arity, and BudgetExceeded with the partial
+    traces if any gate exhausts its trial budget.
     """
     if type(n_qubits) is not int or not 1 <= n_qubits <= 8:
         raise ValueError(f"the logical register holds between 1 and 8 qubits, got {n_qubits!r}")
+    for idx, (gate, labels) in enumerate(circuit):
+        if len(labels) != gate.arity:
+            raise ValueError(f"gate {idx} ({gate.name}) acts on {gate.arity} qubit(s), got {len(labels)} labels")
     state = qcore.zero_state(tuple(range(n_qubits)))
     traces: list[ProtocolTrace] = []
     for idx, (gate, labels) in enumerate(circuit):
         if gate.arity == 1:
             state, trace = simulate_one_qubit(gate, state, labels[0], cfg, rng)
         elif gate.name == "CNOT":
-            state, trace = simulate_cnot(state, (labels[0], labels[1]), cfg, rng)
+            state, trace = simulate_cnot(state, labels, cfg, rng)
         else:
             raise ProtocolError("two-qubit teleportation is implemented for the controlled-NOT only")
         traces.append(trace)

@@ -114,10 +114,6 @@ class Projector:
         if matrix.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {matrix.shape}")
 
-    @property
-    def rank(self) -> int:
-        return int(round(np.trace(self.matrix).real))
-
 
 def zero_state(labels: Sequence[Label]) -> QuantumState:
     """The all-|0> register on the given labels."""

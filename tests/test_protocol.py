@@ -554,6 +554,79 @@ class TestFrameGraph:
         assert len(set(owed)) == len(owed) <= 64
 
 
+class TestClosedFormFrames:
+    """A fresh one-qubit frame's slots and successors, built without form objects or an SVD."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        raw=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=6),
+    )
+    def test_slots_are_the_public_parity_slots(self, seed, raw):
+        # a Haar root, or the frame 1-6 failed trials leave
+        root = protocol._one_qubit_frame(GateSpec.custom(haar_unitary(np.random.default_rng(seed))).matrix.tobytes())
+        frame = _frame_walk(root, [(p, (p + 1 + d) % 4) for p, d in raw])
+        instruments = frame.plan().instruments
+        assert len(instruments) == 2
+        for slots, i in zip(instruments, (1, 3)):
+            public = parity_slots(solve_two_qubit_parity_form(i, frame.target, targets=protocol._PREP1))
+            assert len(slots) == 2
+            assert all(np.array_equal(mine, theirs.matrix) for mine, theirs in zip(slots, public))
+
+    @pytest.mark.parametrize("target", [1.1 * I2, np.full((2, 2), np.nan)], ids=["scaled", "nan"])
+    def test_plan_rejects_a_target_that_is_not_unitary(self, target):
+        with pytest.raises(ValueError, match="not unitary"):
+            protocol._Frame(1, None, target).plan()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1e-12, 1e-6, 0.1]))
+    def test_polar_step_is_the_svd_polar_factor(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        m = haar_unitary(rng) + scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        u, _, vh = np.linalg.svd(m)
+        np.testing.assert_allclose(protocol._unitary_part(m), u @ vh, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def walk(frame, rng, until_pauli):
+        """Failed trials from ``frame``: (last frame, steps, A_(n-1) ... A_0), where a
+        trial that prepared j and measured m applies A_k = t_k sigma_j sigma_m."""
+        applied, steps = I2, 0
+        while steps < 10**4 and not (until_pauli and frame.pauli is not None):
+            prepared, d = rng.integers(0, 4, size=2).tolist()
+            measured = (prepared + 1 + d % 3) % 4
+            applied = frame.target @ PAULIS[prepared] @ PAULIS[measured] @ applied
+            frame, steps = frame.after(prepared, measured), steps + 1
+        return frame, steps, applied
+
+    @staticmethod
+    def assert_owes_the_rest(u, frame, applied):
+        # t_n A_(n-1) ... A_0 = U up to phase
+        owed = frame.target @ applied
+        phase = np.trace(u.conj().T @ owed) / 2
+        assert abs(abs(phase) - 1) <= 1e-9
+        assert np.abs(owed - phase * u).max() <= 1e-9
+
+    def test_a_long_custom_chain_does_not_drift(self):
+        rng = np.random.default_rng(41)
+        u = GateSpec.custom(haar_unitary(rng)).matrix
+        frame, steps, applied = self.walk(protocol._one_qubit_frame(u.tobytes()), rng, until_pauli=False)
+        assert steps == 10**4
+        self.assert_owes_the_rest(u, frame, applied)
+
+    def test_re_unitarised_steps_do_not_drift(self):
+        # Each failure doubles the angle between the owed reflection's axis and
+        # the failure's Pauli axis, so in floating point a chain closes onto a
+        # phased Pauli within about a hundred steps; restarting from a fresh Haar
+        # root whenever it does keeps the 10^4 steps on re-unitarised targets.
+        rng = np.random.default_rng(42)
+        total = 0
+        while total < 10**4:
+            u = GateSpec.custom(haar_unitary(rng)).matrix
+            frame, steps, applied = self.walk(protocol._one_qubit_frame(u.tobytes()), rng, until_pauli=True)
+            self.assert_owes_the_rest(u, frame, applied)
+            total += steps
+
+
 class TestPublicInputs:
     @staticmethod
     def seeded_outputs():
@@ -793,6 +866,11 @@ class TestSimulateCnot:
         with pytest.raises(ValueError, match="distinct"):
             simulate_cnot(zero_state((0, 1)), (0, 0), self.CFG, rng)
 
+    @pytest.mark.parametrize("qubits", [(0,), (0, 1, 2)], ids=["one", "three"])
+    def test_needs_exactly_two_labels(self, qubits):
+        with pytest.raises(ValueError, match="exactly two qubits"):
+            simulate_cnot(zero_state((0, 1, 2)), qubits, self.CFG, np.random.default_rng(0))
+
 
 class TestRunCircuit:
     CFG = ProtocolConfig(epsilon=1e-9, prep_mode="measured")
@@ -874,6 +952,16 @@ class TestRunCircuit:
     def test_register_size_must_be_an_int(self, n):
         with pytest.raises(ValueError, match="between 1 and 8"):
             run_circuit([], n, self.CFG, np.random.default_rng(25))
+
+    @pytest.mark.parametrize("name, labels", [("H", (0, 1)), ("T", ()), ("CNOT", (0, 1, 2)), ("CNOT", (0,))])
+    def test_label_count_must_match_the_arity(self, name, labels):
+        gate = GateSpec.named(name)
+        circuit = [(GateSpec.named("X"), (0,)), (gate, labels)]
+        rng = np.random.default_rng(26)
+        with pytest.raises(ValueError, match=rf"gate 1 \({name}\) acts on {gate.arity} qubit"):
+            run_circuit(circuit, 3, self.CFG, rng)
+        # nothing ran: the stream is untouched
+        assert rng.random() == np.random.default_rng(26).random()
 
 
 class TestStatistics:

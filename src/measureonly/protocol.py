@@ -13,10 +13,10 @@ Pauli pair a failed controlled-NOT leaves.  A frame keeps its preparation
 plan, its ancillas' Bell maps and its successor after each failure, so a
 trial costs lookups, the random draws and one product with the data block,
 kept in one layout for the whole gate.  A pair frame owes a product of two
-one-qubit gates, so its trials teleport the control and then the target,
-each through the one-qubit frame of its own factor.  A fresh one-qubit
-frame, which every trial of a custom gate meets, builds its two preparation
-measurements' slots from its 2x2 target in one batched pass, and its
+one-qubit gates: its trials prepare each factor's ancilla through that
+factor's one-qubit frame and measure both pairs in one 16-outcome Bell step.
+A fresh one-qubit frame, which every trial of a custom gate meets, builds
+its preparation slots from its 2x2 target in one batched pass, and its
 successor by snapping to a phased Pauli or by a closed-form polar step.
 """
 from __future__ import annotations
@@ -313,7 +313,7 @@ class _BranchTable:
         return bits, maps
 
 
-# The Bell maps of one ancilla, or of a pair frame's two one-qubit ancillas.
+# The Bell maps of one ancilla, or the pair of a pair frame's two one-qubit ancillas' maps.
 _Maps = Union[np.ndarray, tuple[np.ndarray, np.ndarray]]
 
 
@@ -334,11 +334,11 @@ class _Frame:
     prepared index for direct mode (filled on first use), and its successor
     after each failed trial, at code prepared * 4^k + measured.  A pair
     frame's ``halves`` key the one-qubit frames of its two factors: its plan
-    and maps are pairs of theirs, held here so that they outlive the bounded
-    cache, and its successor pairs their one-qubit successors.  Halves and
-    one-qubit successors are keys into the bounded frame cache, so no link
-    keeps a one-qubit frame alive; the at most 65 two-qubit frames are never
-    dropped and link directly.
+    and maps are pairs of theirs, held here to outlive the bounded cache and
+    multiplied into joint maps per trial, and its successor pairs their
+    one-qubit successors.  Halves and one-qubit successors are keys into the
+    bounded frame cache, so no link keeps a one-qubit frame alive; the at
+    most 65 two-qubit frames are never dropped and link directly.
     """
 
     def __init__(self, k: int, key, target: np.ndarray):
@@ -385,22 +385,19 @@ class _Frame:
     def prepare(self, mode: str, rng: np.random.Generator) -> tuple[int, _Maps, Optional[tuple[int, ...]]]:
         """(prepared index code, Bell maps, preparation bits) of one fresh ancilla.
 
-        A pair frame prepares its control's half and then its target's, and
-        returns the pair of their maps.
+        A two-qubit frame draws the control's index and then the target's; a
+        pair frame returns the pair of its halves' maps.
         """
         if mode == "measured":
             if self.halves:
-                a, b = self.plan()
-                (bits_a, maps_a), (bits_b, maps_b) = a.prepare(rng), b.prepare(rng)
+                (bits_a, maps_a), (bits_b, maps_b) = (half.prepare(rng) for half in self.plan())
                 bits, maps = bits_a + bits_b, (maps_a, maps_b)
             else:
                 bits, maps = self.plan().prepare(rng)
             return _CODE[bits], maps, bits
-        if self.k == 1:
-            code = int(rng.integers(0, 4))
-        else:
-            j, k = (int(x) for x in rng.integers(0, 4, size=2))
-            code = 4 * j + k
+        code = int(rng.integers(0, 4))
+        if self.k == 2:
+            code = 4 * code + int(rng.integers(0, 4))
         return code, self.maps(code), None
 
     def after(self, prepared: int, measured: int) -> "_Frame":
@@ -531,28 +528,24 @@ def _bell_block(block: np.ndarray, maps: np.ndarray,
 
     Row r of the maps times the block is, flattened, the new block given outcome r (the
     ancilla's free half takes the data qubits' place); its squared norm is r's weight.
-    The pairs are drawn in order.  Returns (outcome index code, new block, bits).
+    The pairs are drawn in order, the second given the first.  Returns (outcome index code, new block, bits).
     """
     rows = (maps @ block).reshape(len(maps) // len(block), -1)
-    w = (np.abs(rows) ** 2).sum(axis=1)
-    if len(w) == 4:
-        r, bits = _draw_bell(w.tolist(), rng)
-    else:
-        r, bits = _draw_bell(w.reshape(4, -1).sum(axis=1).tolist(), rng)
-        r2, bits2 = _draw_bell(w[4 * r:4 * r + 4].tolist(), rng)
+    parts = rows.view(np.float64)
+    w = (parts * parts).sum(axis=1).tolist()
+    r, bits = _draw_bell(w if len(w) == 4 else [sum(w[:4]), sum(w[4:8]), sum(w[8:12]), sum(w[12:])], rng)
+    if len(w) == 16:
+        r2, bits2 = _draw_bell(w[4 * r:4 * r + 4], rng)
         r, bits = 4 * r + r2, bits + bits2
-    return _CODE[bits], (rows[r] / np.sqrt(w[r])).reshape(block.shape), bits
+    return _CODE[bits], (rows[r] / math.sqrt(w[r])).reshape(block.shape), bits
 
 
 def _pair_block(block: np.ndarray, maps: tuple[np.ndarray, np.ndarray],
                 rng: np.random.Generator) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """Bell-measure the control then the target heading a (4, 2^(n-2)) block, each against
-    its own one-qubit ancilla's maps.  Returns (outcome index code, new block, bits)."""
-    c, block, bits_c = _bell_block(block.reshape(2, -1), maps[0], rng)
-    # the target's step needs it in front; the control's new qubit goes back first after
-    swapped = block.reshape(2, 2, -1).transpose(1, 0, 2).reshape(2, -1)
-    t, swapped, bits_t = _bell_block(swapped, maps[1], rng)
-    return 4 * c + t, swapped.reshape(2, 2, -1).transpose(1, 0, 2).reshape(4, -1), bits_c + bits_t
+    """Bell-measure the control and the target heading a (4, 2^(n-2)) block in one 16-outcome
+    step over their ancillas' joint maps (rows r1 r2 f1 f2, columns d1 d2), returning as ``_bell_block``."""
+    joint = (maps[0].reshape(4, 1, 2, 1, 2, 1) * maps[1].reshape(1, 4, 1, 2, 1, 2)).reshape(64, 4)
+    return _bell_block(block, joint, rng)
 
 
 def _to_front(data: np.ndarray, axes: tuple[int, ...], k: int) -> np.ndarray:
@@ -649,7 +642,7 @@ def simulate_cnot(
     set and Bell-measures the control then the target against its first two
     qubits, whose partners take their places in the register.  Failed trials
     reduce the pending gate to a tensor product of phased Paulis, so later
-    trials teleport each factor on its own qubit, the control first.
+    trials prepare one ancilla pair per factor and measure both in one step.
     """
     if len(qubits) != 2:
         raise ValueError(f"controlled-NOT acts on exactly two qubits, got {len(qubits)} labels")

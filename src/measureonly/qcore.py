@@ -16,6 +16,7 @@ written so that NaN or inf fails it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Hashable, Sequence
 
@@ -149,12 +150,18 @@ def twisted_bell(op: np.ndarray, labels: Sequence[Label]) -> QuantumState:
     return QuantumState(op.T.reshape(-1) / np.sqrt(len(op)), labels)
 
 
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """The dim x dim identity that the structural checks compare against, read-only as it is shared."""
+    return np.frombuffer(np.eye(dim).tobytes()).reshape(dim, dim)
+
+
 def _require_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     """``u`` as a complex array; raises unless it is a dim x dim unitary."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} gate matrix, got shape {u.shape}")
-    if not np.abs(u @ u.conj().T - np.eye(dim)).max() <= STRUCT_TOL:
+    if not np.abs(u @ u.conj().T - _identity(dim)).max() <= STRUCT_TOL:
         raise ValueError("gate matrix is not unitary")
     return u
 
@@ -166,7 +173,7 @@ def _require_instrument(mats: Sequence[np.ndarray]) -> None:
             raise ValueError(f"projector {i} is not Hermitian")
         if not np.abs(m @ m - m).max() <= STRUCT_TOL:
             raise ValueError(f"projector {i} is not idempotent")
-    if not np.abs(sum(mats) - np.eye(len(mats[0]))).max() <= STRUCT_TOL:
+    if not np.abs(sum(mats) - _identity(len(mats[0]))).max() <= STRUCT_TOL:
         raise ValueError("incomplete instrument: projectors do not sum to the identity")
     for i, j in combinations(range(len(mats)), 2):
         overlap = np.abs(mats[i] @ mats[j]).max()

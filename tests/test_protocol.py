@@ -383,6 +383,47 @@ class TestTeleportStep:
         assert rng_step.random() == rng_ref.random()
 
 
+class TestBellOutcomeLaw:
+    """The exact law of every Bell step: whatever the data, each pair's outcome has weight 1/4
+    and each joint outcome of a two-qubit step 1/16, in the weights the draws receive.  Three
+    steps run in a row from one frame, so each later step also sees the block the last one left."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["haar", "pauli", "cnot", "pair"]),
+        n=st.integers(2, 4),
+        mode=st.sampled_from(["measured", "direct"]),
+        failures=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 15)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_weight_is_exact(self, kind, n, mode, failures, seed):
+        gen = np.random.default_rng(seed)
+        if kind in ("haar", "pauli"):
+            u = haar_unitary(gen) if kind == "haar" else random_phased_pauli(gen)
+            frame = protocol._one_qubit_frame((u + 0.0).tobytes())
+        else:
+            frame = protocol._two_qubit_frame(None)
+            # failed trials (measured != prepared) from the root reach random pair frames
+            for prepared, offset in failures if kind == "pair" else ():
+                frame = frame.after(prepared, (prepared + offset) % 16)
+            assert bool(frame.halves) == (kind == "pair")
+        block = haar_state(gen, n).reshape(2**frame.k, -1)
+        step = protocol._pair_block if frame.halves else protocol._bell_block
+        draw, seen = protocol._draw_bell, []
+
+        def recording_draw(w, rng, variant=(0, 0)):
+            seen.append(list(w))
+            return draw(w, rng, variant)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "_draw_bell", recording_draw)
+            for _ in range(3):
+                _, block, _ = step(block, frame.prepare(mode, gen)[1], gen)
+        assert len(seen) == 3 * frame.k
+        for i, w in enumerate(seen):
+            np.testing.assert_allclose(w, [1 / 4 if i % frame.k == 0 else 1 / 16] * 4, rtol=0, atol=1e-12)
+
+
 class TestBranchTables:
     """Replayed measured preparation against a fresh sequence of measurements."""
 

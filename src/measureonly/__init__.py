@@ -10,12 +10,9 @@ teleportation with classical Pauli-frame tracking.
 from .pauli import (
     PHASES,
     SIGMA,
-    ConjugationEntry,
     PhasedPauli,
     cnot_frame_update,
-    conjugate,
     nearest_phased_pauli,
-    pauli_matrix,
     pauli_product,
 )
 from .qcore import (
@@ -24,12 +21,8 @@ from .qcore import (
     apply_unitary,
     bell_state,
     embed,
-    epr_state,
-    factor_out,
     fidelity_up_to_phase,
     permute_to,
-    relabel,
-    tensor,
     twisted_bell,
     zero_state,
 )
@@ -57,7 +50,6 @@ from .measure import (
 from .protocol import (
     BudgetExceeded,
     GateSpec,
-    PendingGate,
     ProtocolConfig,
     ProtocolError,
     ProtocolTrace,
@@ -74,16 +66,15 @@ from .protocol import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PHASES", "SIGMA", "ConjugationEntry", "PhasedPauli", "cnot_frame_update", "conjugate",
-    "nearest_phased_pauli", "pauli_matrix", "pauli_product",
-    "Projector", "QuantumState", "apply_unitary", "bell_state", "embed", "epr_state", "factor_out",
-    "fidelity_up_to_phase", "permute_to", "relabel", "tensor", "twisted_bell", "zero_state",
+    "PHASES", "SIGMA", "PhasedPauli", "cnot_frame_update", "nearest_phased_pauli", "pauli_product",
+    "Projector", "QuantumState", "apply_unitary", "bell_state", "embed", "fidelity_up_to_phase",
+    "permute_to", "twisted_bell", "zero_state",
     "GAMMA", "MEAS_W", "MEAS_X", "MEAS_Y", "MEAS_Z", "BalancedBooleanFn", "BinaryMeasurement",
     "CompleteMeasurement", "PseudoseparateForm", "SingleQubitBinary", "cnot_measurement_set",
     "compose_binaries", "expand_f_separate", "is_pseudoseparate_witness", "match_projector_sets",
     "solve_two_qubit_parity_form", "two_qubit_u_basis_measurement", "u_basis_binary_pair",
     "u_basis_measurement",
-    "BudgetExceeded", "GateSpec", "PendingGate", "ProtocolConfig", "ProtocolError", "ProtocolTrace",
+    "BudgetExceeded", "GateSpec", "ProtocolConfig", "ProtocolError", "ProtocolTrace",
     "TrialRecord", "bell_measure", "direct_state", "prepare_ancilla_one", "run_circuit",
     "simulate_cnot", "simulate_one_qubit", "trials_needed",
 ]

@@ -2,9 +2,9 @@
 
 A phased Pauli is a tensor product of single-qubit Pauli operators together
 with a scalar phase restricted to the fourth roots of unity.  At this level
-products and conjugation-frame updates are exact; dense matrices are only
-materialised on demand, and dense operators can be canonicalised back to
-phased-Pauli form when they are one.
+products and controlled-NOT frame updates are exact; dense matrices are
+only materialised on demand, and dense operators can be canonicalised back
+to phased-Pauli form when they are one.
 """
 from __future__ import annotations
 
@@ -20,10 +20,7 @@ __all__ = [
     "SIGMA",
     "PhasedPauli",
     "kron2",
-    "ConjugationEntry",
     "pauli_product",
-    "pauli_matrix",
-    "conjugate",
     "cnot_frame_update",
     "nearest_phased_pauli",
 ]
@@ -103,6 +100,7 @@ class PhasedPauli:
         return len(self.indices)
 
     def matrix(self) -> np.ndarray:
+        """Dense realisation: the phase times the tensor product of the Pauli matrices."""
         out = self.phase * SIGMA[self.indices[0]]
         for i in self.indices[1:]:
             out = kron2(out, SIGMA[i])
@@ -123,11 +121,6 @@ class PhasedPauli:
 
     def __str__(self) -> str:
         return _PHASE_PREFIX[self.phase] + "".join(_LETTERS[i] for i in self.indices)
-
-
-def pauli_matrix(p: PhasedPauli) -> np.ndarray:
-    """Dense matrix realisation phase * (tensor product of Pauli matrices)."""
-    return p.matrix()
 
 
 @_lru_cache(maxsize=8)
@@ -183,34 +176,6 @@ def nearest_phased_pauli(matrix: np.ndarray, tol: float = 1e-10) -> Optional[Pha
     phase, row = found
     digits = tuple((row >> (2 * (n - 1 - q))) & 3 for q in range(n))
     return PhasedPauli(phase, digits)
-
-
-@dataclass(frozen=True, eq=False)
-class ConjugationEntry:
-    """Result of conjugating a phased Pauli by a unitary gate.
-
-    ``matrix`` always holds gate @ input @ gate^dagger; ``pauli`` holds the
-    canonical phased-Pauli form whenever the conjugate is one, else None.
-    """
-
-    gate: np.ndarray
-    input: PhasedPauli
-    matrix: np.ndarray
-    pauli: Optional[PhasedPauli]
-
-    @property
-    def is_pauli(self) -> bool:
-        return self.pauli is not None
-
-
-def conjugate(gate: np.ndarray, p: PhasedPauli, tol: float = 1e-10) -> ConjugationEntry:
-    """Conjugate ``p`` by ``gate``, canonicalising the result when possible."""
-    gate = np.asarray(gate, dtype=complex)
-    dim = 2**p.n
-    if gate.shape != (dim, dim):
-        raise ValueError(f"gate shape {gate.shape} does not match {p.n} qubit(s)")
-    out = gate @ p.matrix() @ gate.conj().T
-    return ConjugationEntry(gate=gate, input=p, matrix=out, pauli=nearest_phased_pauli(out, tol))
 
 
 # Conjugation of sigma_j (x) sigma_k by the controlled-NOT (first qubit is the

@@ -36,7 +36,6 @@ from .qcore import Label, QuantumState
 __all__ = [
     "BIT_DECODE",
     "GateSpec",
-    "PendingGate",
     "ProtocolConfig",
     "TrialRecord",
     "ProtocolTrace",
@@ -172,23 +171,6 @@ class ProtocolConfig:
         if self.max_trials is not None:
             return self.max_trials
         return trials_needed(self.epsilon, arity)
-
-
-@dataclass(frozen=True, eq=False)
-class PendingGate:
-    """The unitary still owed to the data qubit, one trial at a time.
-
-    After a trial that prepared index j but measured m, the next target is
-    target . sigma_m . sigma_j . target^dagger, which undoes the Pauli error
-    the failed trial left behind.
-    """
-
-    target: np.ndarray
-    history: tuple[tuple[int, int], ...] = ()
-
-    def advanced(self, prepared: int, measured: int) -> "PendingGate":
-        nxt = _next_target(np.ascontiguousarray(self.target), prepared, measured)
-        return PendingGate(nxt, self.history + ((prepared, measured),))
 
 
 def _next_target(t: np.ndarray, prepared: int, measured: int) -> np.ndarray:
@@ -501,27 +483,6 @@ def _draw_bell(w: list[float], rng: np.random.Generator,
     return 2 * x + (b ^ vz), (a, b)
 
 
-def _bell_measure_bits(
-    state: QuantumState,
-    pair: tuple[Label, Label],
-    rng: np.random.Generator,
-    variant: tuple[int, int] = (0, 0),
-) -> tuple[int, QuantumState, tuple[int, int]]:
-    """Bell-measure a pure register's pair by one local contraction.
-
-    Each Bell row times the (4, 2^(n-2)) block of the pair's axes is the rest
-    of the register given that Bell state; its squared norm is the outcome's
-    weight.
-    """
-    pos = (state.position(pair[0]), state.position(pair[1]))
-    axes = pos + tuple(p for p in range(state.n) if p not in pos)
-    rows = _BELL_ROWS @ state.data.reshape((2,) * state.n).transpose(axes).reshape(4, -1)
-    w = (np.abs(rows) ** 2).sum(axis=1).tolist()
-    r, bits = _draw_bell(w, rng, variant)
-    rest = tuple(q for q in state.labels if q not in pair)
-    return BIT_DECODE[bits], QuantumState._trusted(rows[r] / np.sqrt(w[r]), rest), bits
-
-
 def _bell_block(block: np.ndarray, maps: np.ndarray,
                 rng: np.random.Generator) -> tuple[int, np.ndarray, tuple[int, ...]]:
     """Bell-measure the k data qubits heading a (2^k, 2^(n-k)) block against an ancilla's maps.
@@ -577,10 +538,19 @@ def bell_measure(
     """
     if tuple(variant) not in BIT_DECODE:
         raise ValueError("variant must be a pair of bits")
+    if len(pair) != 2:
+        raise ValueError(f"Bell measurement acts on exactly two qubits, got {len(pair)} labels")
     if pair[0] == pair[1]:
         raise ValueError("Bell measurement needs two distinct qubits")
-    m, post, _bits = _bell_measure_bits(state, pair, rng, variant)
-    return m, post
+    # each Bell row times the block is the rest of the register given that
+    # Bell state; its squared norm is the outcome's weight
+    axes = (state.position(pair[0]), state.position(pair[1]))
+    axes += tuple(p for p in range(state.n) if p not in axes)
+    rows = _BELL_ROWS @ _to_front(state.data, axes, 2)
+    w = (np.abs(rows) ** 2).sum(axis=1).tolist()
+    r, bits = _draw_bell(w, rng, variant)
+    rest = tuple(state.labels[p] for p in axes[2:])
+    return BIT_DECODE[bits], QuantumState._trusted(rows[r] / np.sqrt(w[r]), rest)
 
 
 def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg: ProtocolConfig,
@@ -661,14 +631,17 @@ def run_circuit(
 
     The logical register keeps labels 0..n-1 throughout (each gate is
     teleported in place).  Raises ValueError, before any gate runs, if a
-    gate's label count is not its arity, and BudgetExceeded with the partial
-    traces if any gate exhausts its trial budget.
+    gate's label count is not its arity or its labels are not distinct
+    qubits of the register, and BudgetExceeded with the partial traces if
+    any gate exhausts its trial budget.
     """
     if type(n_qubits) is not int or not 1 <= n_qubits <= 8:
         raise ValueError(f"the logical register holds between 1 and 8 qubits, got {n_qubits!r}")
     for idx, (gate, labels) in enumerate(circuit):
         if len(labels) != gate.arity:
             raise ValueError(f"gate {idx} ({gate.name}) acts on {gate.arity} qubit(s), got {len(labels)} labels")
+        if any(q not in range(n_qubits) for q in labels) or len(set(labels)) != len(labels):
+            raise ValueError(f"gate {idx} ({gate.name}) needs distinct qubits in 0..{n_qubits - 1}, got {labels!r}")
     state = qcore.zero_state(tuple(range(n_qubits)))
     traces: list[ProtocolTrace] = []
     for idx, (gate, labels) in enumerate(circuit):

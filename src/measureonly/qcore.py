@@ -8,10 +8,12 @@ never mutate their inputs, so independent protocol runs can share nothing
 but code.
 
 The u-twisted Bell states, the resource of gate teleportation, are written
-down in closed form by :func:`twisted_bell`.  The two structural checks the
-other modules run at their public boundaries live here once:
-``_require_unitary`` and ``_require_instrument``.  Every tolerance check is
-written so that NaN or inf fails it.
+down in closed form by :func:`twisted_bell`.  :func:`measure` is the one
+generic projective measurement; the protocol replays its arithmetic
+(``_collapse``, ``_draw2``) from branch tables, and tests take it as their
+reference.  The two structural checks the other modules run at their public
+boundaries live here once: ``_require_unitary`` and ``_require_instrument``.
+Every tolerance check is written so that NaN or inf fails it.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ __all__ = [
     "QuantumState",
     "Projector",
     "zero_state",
-    "epr_state",
     "bell_state",
     "twisted_bell",
     "embed",
@@ -43,10 +44,7 @@ __all__ = [
     "apply_unitary",
     "measure",
     "fidelity_up_to_phase",
-    "tensor",
     "permute_to",
-    "relabel",
-    "factor_out",
 ]
 
 
@@ -120,13 +118,6 @@ def zero_state(labels: Sequence[Label]) -> QuantumState:
     """The all-|0> register on the given labels."""
     v = np.zeros(2 ** len(tuple(labels)), dtype=complex)
     v[0] = 1.0
-    return QuantumState.pure(v, labels)
-
-
-def epr_state(labels: Sequence[Label] = (0, 1)) -> QuantumState:
-    """The maximally entangled pair (|00> + |11>) / sqrt(2)."""
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1 / np.sqrt(2)
     return QuantumState.pure(v, labels)
 
 
@@ -326,16 +317,6 @@ def fidelity_up_to_phase(a: QuantumState, b: QuantumState) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
-    """Tensor product of two registers with disjoint labels."""
-    if set(a.labels) & set(b.labels):
-        raise ValueError("tensor factors must have disjoint labels")
-    labels = a.labels + b.labels
-    if len(labels) > 8:
-        raise ValueError("at most 8 qubits are supported")
-    return QuantumState._trusted(np.multiply.outer(a.data, b.data).reshape(-1), labels)
-
-
 def permute_to(state: QuantumState, new_labels: Sequence[Label]) -> QuantumState:
     """Reorder the qubit axes of a state to the given label order."""
     new = tuple(new_labels)
@@ -345,40 +326,3 @@ def permute_to(state: QuantumState, new_labels: Sequence[Label]) -> QuantumState
         raise ValueError(f"label mismatch: {new!r} is not a permutation of {state.labels!r}")
     perm = [state.labels.index(q) for q in new]
     return QuantumState._trusted(state.data.reshape((2,) * state.n).transpose(perm).reshape(-1), new)
-
-
-def relabel(state: QuantumState, mapping: dict[Label, Label]) -> QuantumState:
-    """Rename qubit labels in place (order and data unchanged)."""
-    new = tuple(mapping.get(q, q) for q in state.labels)
-    if len(set(new)) != len(new):
-        raise ValueError("duplicate qubit labels")
-    return QuantumState._trusted(state.data, new)
-
-
-def factor_out(
-    state: QuantumState,
-    on: Sequence[Label],
-    vec: np.ndarray,
-    *,
-    tol: float = 1e-8,
-) -> QuantumState:
-    """Remove the ``on`` qubits by contracting them against a fixed pure state.
-
-    The register must actually factor as ``vec`` on the ``on`` qubits times a
-    remainder (as it does right after a nondegenerate projective measurement);
-    otherwise a ValueError is raised.  ``vec`` is given in the order of
-    ``on``.  Factoring out every qubit leaves a zero-qubit state.
-    """
-    on = tuple(on)
-    k = len(on)
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if vec.shape != (2**k,):
-        raise ValueError(f"expected a vector of length {2 ** k}")
-    rest = tuple(q for q in state.labels if q not in on)
-    if len(rest) + k != state.n:
-        raise ValueError(f"labels {on!r} are not all present")
-    out = vec.conj() @ permute_to(state, on + rest).data.reshape(2**k, -1)
-    w = np.linalg.norm(out)
-    if not abs(w - 1.0) <= tol:
-        raise ValueError(f"register does not factor through the given state (weight {w**2:.6f})")
-    return QuantumState.pure(out / w, rest)

@@ -20,10 +20,8 @@ from measureonly.protocol import (
     BIT_DECODE,
     BudgetExceeded,
     GateSpec,
-    PendingGate,
     ProtocolConfig,
     ProtocolError,
-    _bell_measure_bits,
     bell_measure,
     direct_state,
     prepare_ancilla_one,
@@ -32,7 +30,7 @@ from measureonly.protocol import (
     simulate_one_qubit,
     trials_needed,
 )
-from measureonly.qcore import QuantumState, apply_unitary, fidelity_up_to_phase, tensor, zero_state
+from measureonly.qcore import QuantumState, apply_unitary, fidelity_up_to_phase, zero_state
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -47,6 +45,11 @@ EPR = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 def twisted_bell(u, j):
     return np.kron(I2, u @ PAULIS[j]) @ EPR
+
+
+def kron_states(a, b):
+    """The register a (x) b on a's labels then b's, by np.kron."""
+    return QuantumState.pure(np.kron(a.data, b.data), a.labels + b.labels)
 
 
 def haar_state(rng, n):
@@ -214,7 +217,7 @@ class TestBellMeasure:
     def test_product_with_spectator_leaves_it_untouched(self):
         rng = np.random.default_rng(3)
         v = haar_state(rng, 1)
-        state = tensor(qcore.epr_state((0, 1)), QuantumState.pure(v, (2,)))
+        state = kron_states(qcore.bell_state(0, (0, 1)), QuantumState.pure(v, (2,)))
         m, post = bell_measure(state, (0, 1), rng)
         assert m == 0
         assert post.labels == (2,)
@@ -225,7 +228,7 @@ class TestBellMeasure:
         # mixed: the pairs purify them
         counts = np.zeros(4)
         n_runs = 2000
-        state = tensor(qcore.epr_state((0, 2)), qcore.epr_state((1, 3)))
+        state = kron_states(qcore.bell_state(0, (0, 2)), qcore.bell_state(0, (1, 3)))
         for seed in range(n_runs):
             rng = np.random.default_rng(seed)
             m, post = bell_measure(state, (0, 1), rng)
@@ -248,18 +251,24 @@ class TestBellMeasure:
     def test_rejects_same_qubit_and_unknown_labels(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="distinct"):
-            bell_measure(qcore.epr_state((0, 1)), (0, 0), rng)
+            bell_measure(qcore.bell_state(0, (0, 1)), (0, 0), rng)
         with pytest.raises(ValueError, match="unknown"):
-            bell_measure(qcore.epr_state((0, 1)), (0, 9), rng)
+            bell_measure(qcore.bell_state(0, (0, 1)), (0, 9), rng)
+
+    @pytest.mark.parametrize("pair", [(0,), (0, 1, 2)])
+    def test_rejects_a_pair_that_is_not_two_labels(self, pair):
+        with pytest.raises(ValueError, match=f"exactly two qubits, got {len(pair)} labels"):
+            bell_measure(zero_state((0, 1, 2)), pair, np.random.default_rng(4))
 
     @pytest.mark.parametrize("variant", [(0,), (0, 1, 0), (2, 0), (0, -1)])
     def test_rejects_a_variant_that_is_not_a_pair_of_bits(self, variant):
         with pytest.raises(ValueError, match="pair of bits"):
-            bell_measure(qcore.epr_state((0, 1)), (0, 1), np.random.default_rng(4), variant=variant)
+            bell_measure(qcore.bell_state(0, (0, 1)), (0, 1), np.random.default_rng(4), variant=variant)
 
 
 def dense_bell_reference(state, pair, rng, variant):
-    """The Bell step the slow way: embedded (I +/- XX)/2 and (I +/- ZZ)/2, then factor_out."""
+    """The Bell step the slow way: embedded (I +/- XX)/2 and (I +/- ZZ)/2, then the pair's
+    Bell state contracted out of the register."""
     eye = np.eye(4, dtype=complex)
     bits = []
     for v, p in zip(variant, (X, Z)):
@@ -269,7 +278,11 @@ def dense_bell_reference(state, pair, rng, variant):
         bits.append(bit)
     a, b = bits
     bell = np.kron(I2, PAULIS[BIT_DECODE[(a ^ variant[0], b ^ variant[1])]]) @ EPR
-    return BIT_DECODE[(a, b)], qcore.factor_out(state, pair, bell), (a, b)
+    rest = tuple(q for q in state.labels if q not in pair)
+    out = np.einsum("p,pr->r", bell.conj(), qcore.permute_to(state, pair + rest).data.reshape(4, -1))
+    # the projections leave the pair in exactly that Bell state
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-8)
+    return BIT_DECODE[(a, b)], QuantumState.pure(out / np.linalg.norm(out), rest), (a, b)
 
 
 class TestBellKernel:
@@ -292,11 +305,11 @@ class TestBellKernel:
             # a definite Bell state on the pair makes some outcomes impossible
             rest = QuantumState.pure(haar_state(gen, n - 2), tuple(labels[2:])) if n > 2 else None
             state = qcore.bell_state(bell_on_pair, pair)
-            state = qcore.permute_to(tensor(state, rest) if rest else state, tuple(range(n)))
+            state = qcore.permute_to(kron_states(state, rest) if rest else state, tuple(range(n)))
         rng_kernel, rng_dense = np.random.default_rng(seed), np.random.default_rng(seed)
-        m, post, bits = _bell_measure_bits(state, pair, rng_kernel, variant)
-        m_ref, post_ref, bits_ref = dense_bell_reference(state, pair, rng_dense, variant)
-        assert (m, bits) == (m_ref, bits_ref)
+        m, post = bell_measure(state, pair, rng_kernel, variant)
+        m_ref, post_ref, _ = dense_bell_reference(state, pair, rng_dense, variant)
+        assert m == m_ref
         assert post.labels == post_ref.labels == tuple(q for q in range(n) if q not in pair)
         assert fidelity_up_to_phase(post, post_ref) >= 1 - 1e-12
         assert rng_kernel.random() == rng_dense.random()
@@ -334,12 +347,13 @@ class TestTeleportStep:
         # tensor the ancilla in, Bell-measure each pair, splice the free half back
         k = len(positions)
         anc = QuantumState.pure(ancilla, [f"a{i}" for i in range(k)] + [f"f{i}" for i in range(k)])
-        merged = tensor(state, anc)
+        merged = kron_states(state, anc)
         outcomes, bits = (), ()
         for i, p in enumerate(positions):
-            m, merged, b = _bell_measure_bits(merged, (state.labels[p], f"a{i}"), rng)
+            m, merged, b = dense_bell_reference(merged, (state.labels[p], f"a{i}"), rng, (0, 0))
             outcomes, bits = outcomes + (m,), bits + b
-        merged = qcore.relabel(merged, {f"f{i}": state.labels[p] for i, p in enumerate(positions)})
+        free = {f"f{i}": state.labels[p] for i, p in enumerate(positions)}
+        merged = QuantumState.pure(merged.data, tuple(free.get(q, q) for q in merged.labels))
         return outcomes, qcore.permute_to(merged, state.labels), bits
 
     @settings(max_examples=200, deadline=None)
@@ -464,21 +478,23 @@ class TestBranchTables:
 
 class TestPendingGateClosure:
     def test_hadamard_closes_after_one_failure(self):
+        root = protocol._one_qubit_frame(GateSpec.named("H").matrix.tobytes())
         for j in range(4):
             for m in range(4):
                 if m == j:
                     continue
-                nxt = PendingGate(HADAMARD).advanced(j, m)
+                nxt = root.after(j, m)
                 assert nearest_phased_pauli(nxt.target) is not None, (j, m)
                 oracle = HADAMARD @ PAULIS[m] @ PAULIS[j] @ HADAMARD.conj().T
                 np.testing.assert_allclose(nxt.target, oracle, atol=1e-12)
 
     def test_t_gate_closes_after_two_failures(self):
+        root = protocol._one_qubit_frame(GateSpec.named("T").matrix.tobytes())
         for j in range(4):
             for m in range(4):
                 if m == j:
                     continue
-                first = PendingGate(T_GATE).advanced(j, m)
+                first = root.after(j, m)
                 product_index = {frozenset((0, 1)): 1, frozenset((0, 2)): 2, frozenset((0, 3)): 3,
                                  frozenset((1, 2)): 3, frozenset((1, 3)): 2, frozenset((2, 3)): 1}
                 axis = product_index[frozenset((j, m))]
@@ -488,12 +504,8 @@ class TestPendingGateClosure:
                     for m2 in range(4):
                         if m2 == j2:
                             continue
-                        second = first.advanced(j2, m2)
+                        second = first.after(j2, m2)
                         assert nearest_phased_pauli(second.target) is not None, (j, m, j2, m2)
-
-    def test_history_is_recorded(self):
-        p = PendingGate(HADAMARD).advanced(0, 1).advanced(2, 3)
-        assert p.history == ((0, 1), (2, 3))
 
     def test_cnot_closes_after_one_failure(self):
         root = protocol._two_qubit_frame(None)
@@ -555,11 +567,11 @@ class TestFrameGraph:
         else:
             u = haar_unitary(np.random.default_rng(seed)) if gate == "haar" else GateSpec.named(gate).matrix
             root = protocol._one_qubit_frame(np.ascontiguousarray(u).tobytes())
-            pending = PendingGate(u)
-            for p, m in steps:
-                pending = pending.advanced(p, m)
+            oracle = u
+            for prepared, measured in steps:
+                oracle = oracle @ PAULIS[measured] @ PAULIS[prepared] @ oracle.conj().T
             frame = _frame_walk(root, steps)
-            assert np.array_equal(frame.target, pending.target)
+            np.testing.assert_allclose(frame.target, oracle, atol=1e-12)
         assert _frame_walk(root, steps) is frame
         assert not frame.target.flags.writeable
 
@@ -928,7 +940,7 @@ class TestRunCircuit:
         circuit = [(GateSpec.named("H"), (0,)), (GateSpec.named("CNOT"), (0, 1))]
         final, traces, _ = run_circuit(circuit, 2, self.CFG, rng)
         assert all(t.succeeded for t in traces)
-        assert fidelity_up_to_phase(final, qcore.epr_state((0, 1))) > 1 - 1e-9
+        assert fidelity_up_to_phase(final, qcore.bell_state(0, (0, 1))) > 1 - 1e-9
 
     def test_random_circuits_match_direct_simulation(self):
         for seed in (21, 22):
@@ -1003,6 +1015,16 @@ class TestRunCircuit:
             run_circuit(circuit, 3, self.CFG, rng)
         # nothing ran: the stream is untouched
         assert rng.random() == np.random.default_rng(26).random()
+
+    @pytest.mark.parametrize("name, labels", [("H", (5,)), ("H", (-1,)), ("CNOT", (1, 1)), ("CNOT", (0, 2))])
+    def test_labels_must_be_distinct_register_qubits(self, name, labels):
+        class NoDraws:
+            def __getattr__(self, attr):
+                raise AssertionError(f"a gate ran before the circuit was validated (rng.{attr})")
+
+        circuit = [(GateSpec.named("X"), (0,)), (GateSpec.named(name), labels)]
+        with pytest.raises(ValueError, match=rf"gate 1 \({name}\) needs distinct qubits in 0..1"):
+            run_circuit(circuit, 2, self.CFG, NoDraws())
 
 
 class TestStatistics:

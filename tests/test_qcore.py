@@ -14,13 +14,9 @@ from measureonly.qcore import (
     apply_unitary,
     bell_state,
     embed,
-    epr_state,
-    factor_out,
     fidelity_up_to_phase,
     measure,
     permute_to,
-    relabel,
-    tensor,
     twisted_bell,
     zero_state,
 )
@@ -75,16 +71,11 @@ class TestQuantumState:
 
 class TestBellStates:
     def test_epr_amplitudes(self):
-        np.testing.assert_allclose(epr_state().data, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-15)
-
-    def test_epr_norm_and_overlap_with_first_bell_state(self):
-        e = epr_state()
-        assert abs(np.linalg.norm(e.data) - 1) < 1e-12
-        assert abs(np.vdot(e.data, bell_state(0).data)) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(bell_state(0).data, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-15)
 
     def test_bell_three_amplitudes(self):
         # apply diag(1, -1) to the second qubit of the EPR pair by hand
-        expected = np.kron(I2, Z) @ epr_state().data
+        expected = np.kron(I2, Z) @ (np.array([1, 0, 0, 1]) / np.sqrt(2))
         np.testing.assert_allclose(bell_state(3).data, expected, atol=1e-15)
         np.testing.assert_allclose(expected, [1 / np.sqrt(2), 0, 0, -1 / np.sqrt(2)], atol=1e-15)
 
@@ -257,48 +248,16 @@ class TestFidelity:
 
 
 class TestRegisterPlumbing:
-    def test_tensor_and_permute(self):
-        a = QuantumState.pure(KET1, (0,))
-        b = QuantumState.pure(KET0, (1,))
-        ab = tensor(a, b)
-        np.testing.assert_allclose(ab.data, np.kron(KET1, KET0), atol=0)
+    def test_permute(self):
+        ab = QuantumState.pure(np.kron(KET1, KET0), (0, 1))
         swapped = permute_to(ab, (1, 0))
         np.testing.assert_allclose(swapped.data, np.kron(KET0, KET1), atol=0)
 
-    def test_tensor_rejects_label_clash(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            tensor(zero_state((0,)), zero_state((0,)))
-
-    def test_relabel(self):
-        s = relabel(zero_state((0, 1)), {1: "x"})
-        assert s.labels == (0, "x")
-
     def test_library_built_states_keep_the_register_invariants(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            relabel(zero_state((0, 1)), {1: 0})
-        with pytest.raises(ValueError, match="8"):
-            tensor(zero_state(tuple(range(5))), zero_state(tuple(range(5, 9))))
-        built = permute_to(tensor(epr_state(("a", "b")), zero_state((0,))), (0, "b", "a"))
+        start = QuantumState.pure(np.kron(bell_state(0).data, KET0), ("a", "b", 0))
+        built = permute_to(start, [0, "b", "a"])
         assert isinstance(built.labels, tuple)
         np.testing.assert_allclose(np.linalg.norm(built.data), 1.0, atol=1e-15)
-
-    def test_factor_out_pure_product(self):
-        rng = np.random.default_rng(8)
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        state = tensor(epr_state((0, 1)), QuantumState.pure(v, (2,)))
-        rest = factor_out(state, (0, 1), epr_state().data)
-        assert rest.labels == (2,)
-        assert abs(np.vdot(rest.data, v)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_factor_out_rejects_entangled_cut(self):
-        with pytest.raises(ValueError, match="factor"):
-            factor_out(epr_state((0, 1)), (0,), KET0)
-
-    def test_factor_out_everything_leaves_scalar(self):
-        rest = factor_out(epr_state((0, 1)), (0, 1), epr_state().data)
-        assert rest.labels == ()
-        np.testing.assert_allclose(rest.data, [1.0], atol=1e-12)
 
     def test_apply_unitary_matches_embedding(self):
         state = zero_state((0, 1))

@@ -632,8 +632,9 @@ def run_circuit(
     The logical register keeps labels 0..n-1 throughout (each gate is
     teleported in place).  Raises ValueError, before any gate runs, if a
     gate's label count is not its arity or its labels are not distinct
-    qubits of the register, and BudgetExceeded with the partial traces if
-    any gate exhausts its trial budget.
+    qubits of the register, ProtocolError, also before any gate runs, for a
+    two-qubit gate other than the controlled-NOT, and BudgetExceeded with the
+    partial traces if any gate exhausts its trial budget.
     """
     if type(n_qubits) is not int or not 1 <= n_qubits <= 8:
         raise ValueError(f"the logical register holds between 1 and 8 qubits, got {n_qubits!r}")
@@ -642,15 +643,15 @@ def run_circuit(
             raise ValueError(f"gate {idx} ({gate.name}) acts on {gate.arity} qubit(s), got {len(labels)} labels")
         if any(q not in range(n_qubits) for q in labels) or len(set(labels)) != len(labels):
             raise ValueError(f"gate {idx} ({gate.name}) needs distinct qubits in 0..{n_qubits - 1}, got {labels!r}")
+        if gate.arity == 2 and gate.name != "CNOT":
+            raise ProtocolError("two-qubit teleportation is implemented for the controlled-NOT only")
     state = qcore.zero_state(tuple(range(n_qubits)))
     traces: list[ProtocolTrace] = []
     for idx, (gate, labels) in enumerate(circuit):
         if gate.arity == 1:
             state, trace = simulate_one_qubit(gate, state, labels[0], cfg, rng)
-        elif gate.name == "CNOT":
-            state, trace = simulate_cnot(state, labels, cfg, rng)
         else:
-            raise ProtocolError("two-qubit teleportation is implemented for the controlled-NOT only")
+            state, trace = simulate_cnot(state, labels, cfg, rng)
         traces.append(trace)
         if not trace.succeeded:
             raise BudgetExceeded(f"gate {idx} ({gate.name}) exhausted its trial budget", traces, state, idx)

@@ -62,6 +62,7 @@ BOUNDARIES = {
     "SingleQubitBinary": lambda bad: SingleQubitBinary((bad, 0, 0)),
     "measure": _nan_projector_measurement,
     "twisted_bell": lambda bad: qcore.twisted_bell([[bad, 0], [0, 1]], (0, 1)),
+    "apply_unitary": lambda bad: qcore.apply_unitary(qcore.zero_state((0,)), [[bad, 0], [0, 1]], (0,)),
 }
 
 

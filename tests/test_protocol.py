@@ -996,6 +996,15 @@ class TestRunCircuit:
         with pytest.raises(ProtocolError, match="controlled-NOT"):
             run_circuit([(gate, (0, 1))], 2, self.CFG, rng)
 
+    def test_custom_two_qubit_gate_is_rejected_before_any_gate_runs(self):
+        class NoDraws:
+            def __getattr__(self, attr):
+                raise AssertionError(f"a gate ran before the circuit was validated (rng.{attr})")
+
+        circuit = [(GateSpec.named("H"), (0,)), (GateSpec.custom(np.kron(HADAMARD, HADAMARD)), (0, 1))]
+        with pytest.raises(ProtocolError, match="controlled-NOT"):
+            run_circuit(circuit, 2, self.CFG, NoDraws())
+
     def test_register_size_limits(self):
         rng = np.random.default_rng(25)
         with pytest.raises(ValueError, match="between 1 and 8"):

@@ -73,6 +73,14 @@ class TestBellStates:
     def test_epr_amplitudes(self):
         np.testing.assert_allclose(bell_state(0).data, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-15)
 
+    def test_epr_norm_and_overlap_with_first_bell_state(self):
+        # the EPR pair is bell_state(0) on any two labels
+        epr = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        e = bell_state(0, ("a", "b"))
+        assert e.labels == ("a", "b")
+        assert abs(np.linalg.norm(e.data) - 1) < 1e-12
+        assert abs(np.vdot(e.data, epr)) == pytest.approx(1.0, abs=1e-12)
+
     def test_bell_three_amplitudes(self):
         # apply diag(1, -1) to the second qubit of the EPR pair by hand
         expected = np.kron(I2, Z) @ (np.array([1, 0, 0, 1]) / np.sqrt(2))

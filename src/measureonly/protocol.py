@@ -7,30 +7,30 @@ On failure the residual Pauli error is tracked classically and folded into
 the gate attempted on the next trial, so a successful trial always leaves
 exactly the requested gate applied, up to a global phase.
 
-The gates still owed are interned frames (``_Frame``), one per one-qubit
-target in a bounded cache, one for the controlled-NOT and one per phased
-Pauli pair a failed controlled-NOT leaves.  A frame keeps its preparation
-plan, its ancillas' Bell maps and its successor after each failure, so a
-trial costs lookups, the random draws and one product with the data block,
-kept in one layout for the whole gate.  A pair frame owes a product of two
-one-qubit gates: its trials prepare each factor's ancilla through that
-factor's one-qubit frame and measure both pairs in one 16-outcome Bell step.
-A fresh one-qubit frame, which every trial of a custom gate meets, builds
-its preparation slots from its 2x2 target in one batched pass, and its
-successor by snapping to a phased Pauli or by a closed-form polar step.
+The gates still owed are frames (``_Frame``), interned exactly: one per
+catalogue gate and one per phased Pauli on one or two qubits, which with
+their successors make at most 24 one-qubit and 65 two-qubit frames; a custom
+gate gets fresh frames that die with its call.  A frame keeps its preparation plan, its ancillas'
+Bell maps and its successor frame after each failure, so a trial costs
+lookups, the random draws and one product with the data block, kept in one
+layout for the whole gate.  A pair frame owes a product of two one-qubit
+Paulis, prepared through their frames and measured in one 16-outcome Bell
+step.  A fresh one-qubit frame builds its preparation slots from its 2x2
+target in one batched pass, and its successor by snapping to a phased Pauli
+or by a closed-form polar step.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import measure as msr
 from . import qcore
-from .pauli import PhasedPauli, SIGMA, _phased_pauli_row, cnot_frame_update, kron2, nearest_phased_pauli, pauli_product
+from .pauli import PhasedPauli, SIGMA, _phased_pauli_row, cnot_frame_update, kron2
 from .qcore import Label, QuantumState
 
 __all__ = [
@@ -53,15 +53,13 @@ __all__ = [
 #: (x-type bit, z-type bit) -> basis index for the twisted-Bell bases.
 BIT_DECODE: dict[tuple[int, int], int] = {(0, 0): 0, (0, 1): 1, (1, 0): 3, (1, 1): 2}
 
-_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-
 _GATE_MATRICES: dict[str, np.ndarray] = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "T": np.diag([np.exp(-1j * np.pi / 8), np.exp(1j * np.pi / 8)]),
     "X": SIGMA[1],
     "Y": SIGMA[2],
     "Z": SIGMA[3],
-    "CNOT": _CNOT,
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
 }
 for _m in _GATE_MATRICES.values():
     _m.setflags(write=False)
@@ -98,9 +96,8 @@ class GateSpec:
     def __post_init__(self) -> None:
         if self.arity not in (1, 2):
             raise ValueError(f"arity must be 1 or 2, got {self.arity!r}")
-        # a read-only copy, shared by frames and trial records; + 0.0 clears
-        # signed zeros, so equal gates have equal frame keys
-        matrix = qcore._require_unitary(self.matrix, 2**self.arity) + 0.0
+        # a read-only copy, shared by frames and trial records
+        matrix = qcore._require_unitary(self.matrix, 2**self.arity).copy()
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         named = _GATE_MATRICES.get(self.name)
@@ -173,7 +170,7 @@ class ProtocolConfig:
         return trials_needed(self.epsilon, arity)
 
 
-def _next_target(t: np.ndarray, prepared: int, measured: int) -> np.ndarray:
+def _next_frame(t: np.ndarray, prepared: int, measured: int) -> "_Frame":
     nxt = t @ SIGMA[measured] @ SIGMA[prepared] @ t.conj().T
     pauli = _phased_pauli_row(nxt, 1, 1e-10)
     if pauli is not None:
@@ -182,14 +179,12 @@ def _next_target(t: np.ndarray, prepared: int, measured: int) -> np.ndarray:
         # each failure doubles its axis's angle to the failure's Pauli axis.
         # Snapping keeps the chain exact from then on.
         phase, row = pauli
-        nxt = phase * SIGMA[row]
-    else:
-        # The update conjugates by the previous target, so floating-point
-        # error would otherwise compound multiplicatively along the chain.
-        nxt = _unitary_part(nxt)
-    nxt = nxt + 0.0  # clears signed zeros, which would split equal frame keys
+        return _pauli_frame(PhasedPauli(phase, (row,)))
+    # The update conjugates by the previous target, so floating-point error
+    # would otherwise compound multiplicatively along the chain.
+    nxt = _unitary_part(nxt)
     nxt.setflags(write=False)
-    return nxt
+    return _Frame(None, nxt)
 
 
 def _unitary_part(m: np.ndarray) -> np.ndarray:
@@ -299,46 +294,42 @@ class _BranchTable:
 _Maps = Union[np.ndarray, tuple[np.ndarray, np.ndarray]]
 
 
-@lru_cache(maxsize=1)
-def _cnot_prep_table() -> _BranchTable:
-    binaries = msr.cnot_measurement_set(labels=_PREP2)
-    mats = tuple(tuple(qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()) for m in binaries)
-    return _BranchTable(mats, qcore.zero_state(_PREP2))
-
-
 class _Frame:
-    """The gate still owed to k data qubits, interned, with what a trial from it needs.
+    """The gate still owed to k data qubits, with what a trial from it needs.
 
-    One-qubit frames are keyed on their target, two-qubit frames on the
-    controlled-NOT (None) or on the phased-Pauli pair a failed trial of it
-    left, with the whole phase on the first half.  A frame holds its
-    read-only target, its measured-preparation plan and its Bell maps per
-    prepared index for direct mode (filled on first use), and its successor
-    after each failed trial, at code prepared * 4^k + measured.  A pair
-    frame's ``halves`` key the one-qubit frames of its two factors: its plan
-    and maps are pairs of theirs, held here to outlive the bounded cache and
-    multiplied into joint maps per trial, and its successor pairs their
-    one-qubit successors.  Halves and one-qubit successors are keys into the
-    bounded frame cache, so no link keeps a one-qubit frame alive; the at
-    most 65 two-qubit frames are never dropped and link directly.
+    ``key`` is the target as a phased Pauli on a frame interned on it, else
+    None.  A frame holds its read-only target, its measured-preparation
+    plan, its Bell maps per prepared index for direct mode (filled on first
+    use), and its successor frame after each failed trial, at code
+    prepared * 4^k + measured; codes (j, 0) and (0, j) owe one gate and
+    share one.  A pair
+    frame, one with a two-qubit key, owes a product of two one-qubit Paulis:
+    its ``halves`` are their frames, the first carrying the whole phase; it
+    prepares through their plans, and its maps and successors pair theirs.
+    Interned frames link only to interned frames and the 6 others T reaches,
+    so a custom gate's frames are garbage once its call returns.
     """
 
-    def __init__(self, k: int, key, target: np.ndarray):
-        self.k, self.key, self.target = k, key, target
-        self.halves = None if k == 1 or key is None else tuple(p.matrix().tobytes() for p in key)
-        self._plan: Union[_BranchTable, tuple[_BranchTable, _BranchTable], None] = None
-        self.direct: list[Optional[_Maps]] = [None] * 4**k
-        self.successors: list = [None] * 16**k
+    def __init__(self, key: Optional[PhasedPauli], target: np.ndarray):
+        self.key, self.target = key, target
+        self.k = 1 if len(target) == 2 else 2
+        self.halves = None
+        if self.k == 2 and key is not None:
+            (p, q), phase = key.indices, key.phase
+            self.halves = (_pauli_frame(PhasedPauli(phase, (p,))), _pauli_frame(PhasedPauli(1, (q,))))
+        self._plan: Optional[_BranchTable] = None
+        self.direct: list[Optional[_Maps]] = [None] * 4**self.k
+        self.successors: list[Optional[_Frame]] = [None] * 16**self.k
 
-    def plan(self) -> Union[_BranchTable, tuple[_BranchTable, _BranchTable]]:
+    def plan(self) -> _BranchTable:
         if self._plan is None:
             if self.k == 1:
                 slots = msr._xz_parity_slots(qcore._require_unitary(self.target, 2))
                 self._plan = _BranchTable(tuple(slots), _ZERO1)
-            elif self.halves:
-                self._plan = tuple(_one_qubit_frame(h).plan() for h in self.halves)
-            else:
-                self._plan = _cnot_prep_table()
+            else:  # the controlled-NOT's; a pair frame prepares through its halves
+                binaries = msr.cnot_measurement_set(labels=_PREP2)
+                mats = tuple(tuple(qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()) for m in binaries)
+                self._plan = _BranchTable(mats, qcore.zero_state(_PREP2))
         return self._plan
 
     def ancilla(self, code: int) -> np.ndarray:
@@ -348,20 +339,13 @@ class _Frame:
         j, k = divmod(code, 4)
         return qcore.twisted_bell(self.target @ kron2(SIGMA[j], SIGMA[k]), _PREP2).data
 
-    @cached_property
-    def pauli(self) -> Optional[PhasedPauli]:
-        """The target as a phased Pauli, or None when it is not one."""
-        return nearest_phased_pauli(self.target)
-
     def maps(self, code: int) -> _Maps:
         """The Bell maps of the ancilla prepared with index code ``code``."""
+        if self.halves:
+            return tuple(half.maps(i) for half, i in zip(self.halves, divmod(code, 4)))
         maps = self.direct[code]
         if maps is None:
-            if self.halves:
-                maps = tuple(_one_qubit_frame(h).maps(i) for h, i in zip(self.halves, divmod(code, 4)))
-            else:
-                maps = _bell_maps(self.ancilla(code))
-            self.direct[code] = maps
+            maps = self.direct[code] = _bell_maps(self.ancilla(code))
         return maps
 
     def prepare(self, mode: str, rng: np.random.Generator) -> tuple[int, _Maps, Optional[tuple[int, ...]]]:
@@ -372,7 +356,7 @@ class _Frame:
         """
         if mode == "measured":
             if self.halves:
-                (bits_a, maps_a), (bits_b, maps_b) = (half.prepare(rng) for half in self.plan())
+                (bits_a, maps_a), (bits_b, maps_b) = (half.plan().prepare(rng) for half in self.halves)
                 bits, maps = bits_a + bits_b, (maps_a, maps_b)
             else:
                 bits, maps = self.plan().prepare(rng)
@@ -387,33 +371,38 @@ class _Frame:
         code = prepared * 4**self.k + measured
         nxt = self.successors[code]
         if nxt is None:
-            if self.k == 1:
-                nxt = _next_target(self.target, prepared, measured).tobytes()
+            if self.k == 1 and prepared and not measured:
+                # sigma_0 sigma_j = sigma_j sigma_0, so codes (j, 0) and (0, j) owe one gate
+                nxt = self.after(0, prepared)
+            elif self.k == 1:
+                nxt = _next_frame(self.target, prepared, measured)
             else:
                 (j, k), (m, n) = divmod(prepared, 4), divmod(measured, 4)
                 if self.key is None:
-                    alpha, p = pauli_product(m, j)
-                    beta, q = pauli_product(n, k)
-                    gamma, p, q = cnot_frame_update(p, q)
-                    a, b = PhasedPauli(alpha * beta * gamma, (p,)), PhasedPauli(1, (q,))
+                    owed = PhasedPauli(1, (m, n)) * PhasedPauli(1, (j, k))
+                    gamma, p, q = cnot_frame_update(*owed.indices)
+                    nxt = _pauli_frame(PhasedPauli(gamma * owed.phase, (p, q)))
                 else:
-                    a, b = (_one_qubit_frame(h).after(i, o).pauli for h, i, o in zip(self.halves, (j, k), (m, n)))
-                nxt = _two_qubit_frame((PhasedPauli(a.phase * b.phase, a.indices), PhasedPauli(1, b.indices)))
+                    a, b = (half.after(i, o).key for half, i, o in zip(self.halves, (j, k), (m, n)))
+                    nxt = _pauli_frame(PhasedPauli(a.phase * b.phase, a.indices + b.indices))
             self.successors[code] = nxt
-        return _one_qubit_frame(nxt) if self.k == 1 else nxt
+        return nxt
 
 
-@lru_cache(maxsize=512)
-def _one_qubit_frame(target_bytes: bytes) -> _Frame:
-    return _Frame(1, target_bytes, np.frombuffer(target_bytes, dtype=complex).reshape(2, 2))
-
-
-# At most 65 keys: the controlled-NOT or a two-qubit Pauli with its phase on the first half.
+# At most 16 one-qubit and 64 two-qubit keys.
 @lru_cache(maxsize=None)
-def _two_qubit_frame(pair: Optional[tuple[PhasedPauli, PhasedPauli]]) -> _Frame:
-    target = _CNOT if pair is None else kron2(pair[0].matrix(), pair[1].matrix())
+def _pauli_frame(p: PhasedPauli) -> _Frame:
+    target = p.matrix()
     target.setflags(write=False)
-    return _Frame(2, pair, target)
+    return _Frame(p, target)
+
+
+# At most 6 keys: the catalogue's gates.
+@lru_cache(maxsize=None)
+def _named_frame(name: str) -> _Frame:
+    if name in ("X", "Y", "Z"):
+        return _pauli_frame(PhasedPauli(1, ("IXYZ".index(name),)))
+    return _Frame(None, _GATE_MATRICES[name])
 
 
 def prepare_ancilla_one(
@@ -430,7 +419,7 @@ def prepare_ancilla_one(
     ``"direct"`` mode the index is drawn uniformly and the state is written
     down directly.  Returns (state, index).
     """
-    frame = _one_qubit_frame((qcore._require_unitary(u, 2) + 0.0).tobytes())
+    frame = _Frame(None, qcore._require_unitary(u, 2))
     if mode == "measured":
         bits, ancilla = frame.plan().replay(rng)
         j = BIT_DECODE[bits]
@@ -439,8 +428,7 @@ def prepare_ancilla_one(
         ancilla = frame.ancilla(j)
     else:
         raise ValueError(f"unknown preparation mode {mode!r}")
-    # the vector is shared with the preparation plan
-    return QuantumState.pure(ancilla.copy(), labels), j
+    return QuantumState.pure(ancilla, labels), j
 
 
 #: The conjugated Bell states <B_i| in bit order: row 2x + z is the Bell state
@@ -577,7 +565,7 @@ def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg
     state = QuantumState._trusted(_from_front(block, axes), state.labels)
     if trials[-1].success:
         return state, ProtocolTrace(tuple(trials), True)
-    return state, ProtocolTrace(tuple(trials), False, frame.target, frame.pauli)
+    return state, ProtocolTrace(tuple(trials), False, frame.target, frame.key)
 
 
 def simulate_one_qubit(
@@ -597,7 +585,8 @@ def simulate_one_qubit(
     """
     if gate.arity != 1:
         raise ValueError("expected a one-qubit gate")
-    return _teleport(_one_qubit_frame(gate.matrix.tobytes()), state, (qubit,), cfg, rng)
+    frame = _named_frame(gate.name) if gate.name in _GATE_MATRICES else _Frame(None, gate.matrix)
+    return _teleport(frame, state, (qubit,), cfg, rng)
 
 
 def simulate_cnot(
@@ -618,7 +607,7 @@ def simulate_cnot(
         raise ValueError(f"controlled-NOT acts on exactly two qubits, got {len(qubits)} labels")
     if qubits[0] == qubits[1]:
         raise ValueError("controlled-NOT needs two distinct qubits")
-    return _teleport(_two_qubit_frame(None), state, tuple(qubits), cfg, rng)
+    return _teleport(_named_frame("CNOT"), state, tuple(qubits), cfg, rng)
 
 
 def run_circuit(

@@ -211,6 +211,7 @@ def embed(op: np.ndarray, on: Sequence[Label], system: Sequence[Label]) -> np.nd
 
 def apply_unitary(state: QuantumState, op: np.ndarray, on: Sequence[Label]) -> QuantumState:
     """Apply a unitary to the given qubits of a state."""
+    op = _require_unitary(op, 2 ** len(on))
     return QuantumState.pure(embed(op, on, state.labels) @ state.data, state.labels)
 
 

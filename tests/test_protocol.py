@@ -414,9 +414,9 @@ class TestBellOutcomeLaw:
         gen = np.random.default_rng(seed)
         if kind in ("haar", "pauli"):
             u = haar_unitary(gen) if kind == "haar" else random_phased_pauli(gen)
-            frame = protocol._one_qubit_frame((u + 0.0).tobytes())
+            frame = protocol._Frame(None, u)
         else:
-            frame = protocol._two_qubit_frame(None)
+            frame = protocol._named_frame("CNOT")
             # failed trials (measured != prepared) from the root reach random pair frames
             for prepared, offset in failures if kind == "pair" else ():
                 frame = frame.after(prepared, (prepared + offset) % 16)
@@ -458,7 +458,8 @@ class TestBranchTables:
     def test_one_qubit_frames(self, which):
         named = {"H": HADAMARD, "T": T_GATE, "I": I2, "X": X, "Y": Y, "Z": Z}
         u = named[which] if which in named else haar_unitary(np.random.default_rng([which, 29]))
-        table = protocol._one_qubit_frame(np.ascontiguousarray(u).tobytes()).plan()
+        frame = protocol._named_frame(which) if which in protocol._GATE_MATRICES else protocol._Frame(None, u)
+        table = frame.plan()
         labels = protocol._PREP1
         instruments = [parity_slots(solve_two_qubit_parity_form(i, u, targets=labels)) for i in (1, 3)]
         self.replay_matches_fresh(table, instruments, labels, range(40))
@@ -466,19 +467,24 @@ class TestBranchTables:
     def test_cnot_set(self):
         labels = protocol._PREP2
         instruments = [m.slots() for m in cnot_measurement_set(labels=labels)]
-        self.replay_matches_fresh(protocol._cnot_prep_table(), instruments, labels, range(80))
+        self.replay_matches_fresh(protocol._named_frame("CNOT").plan(), instruments, labels, range(80))
 
     def test_fresh_custom_gates_keep_the_cache_bounded(self):
+        # With the catalogue's whole graph interned first, the bound is tight:
+        # the 16 phased Paulis and the 8 other frames H and T reach.
+        for name in protocol._GATE_MATRICES:
+            _reachable(protocol._named_frame(name))
         cfg = ProtocolConfig(max_trials=1, prep_mode="measured")
         rng = np.random.default_rng(30)
         for _ in range(2000):
             simulate_one_qubit(GateSpec.custom(haar_unitary(rng)), zero_state((0,)), 0, cfg, rng)
-        assert protocol._one_qubit_frame.cache_info().currsize <= 512
+        gc.collect()
+        assert sum(isinstance(o, protocol._Frame) and o.k == 1 for o in gc.get_objects()) <= 24
 
 
 class TestPendingGateClosure:
     def test_hadamard_closes_after_one_failure(self):
-        root = protocol._one_qubit_frame(GateSpec.named("H").matrix.tobytes())
+        root = protocol._named_frame("H")
         for j in range(4):
             for m in range(4):
                 if m == j:
@@ -489,7 +495,7 @@ class TestPendingGateClosure:
                 np.testing.assert_allclose(nxt.target, oracle, atol=1e-12)
 
     def test_t_gate_closes_after_two_failures(self):
-        root = protocol._one_qubit_frame(GateSpec.named("T").matrix.tobytes())
+        root = protocol._named_frame("T")
         for j in range(4):
             for m in range(4):
                 if m == j:
@@ -508,7 +514,7 @@ class TestPendingGateClosure:
                         assert nearest_phased_pauli(second.target) is not None, (j, m, j2, m2)
 
     def test_cnot_closes_after_one_failure(self):
-        root = protocol._two_qubit_frame(None)
+        root = protocol._named_frame("CNOT")
         for jk in range(16):
             for mn in range(16):
                 if jk == mn:
@@ -522,7 +528,7 @@ class TestPendingGateClosure:
 
     def test_cnot_second_failure_stays_in_pauli_pairs(self):
         rng = np.random.default_rng(5)
-        frame = protocol._two_qubit_frame(None).after(4 * 1 + 2, 4 * 3 + 0)
+        frame = protocol._named_frame("CNOT").after(4 * 1 + 2, 4 * 3 + 0)
         for _ in range(50):
             j, k, m, n = (int(x) for x in rng.integers(0, 4, size=4))
             before = frame.target
@@ -539,6 +545,19 @@ def _frame_walk(root, steps):
     return frame
 
 
+def _reachable(root):
+    """Every frame a chain of failed trials reaches from ``root``, ``root`` included."""
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        frame = todo.pop()
+        codes = range(4**frame.k)
+        for nxt in (frame.after(p, m) for p in codes for m in codes if p != m):
+            if id(nxt) not in seen:
+                seen[id(nxt)] = nxt
+                todo.append(nxt)
+    return list(seen.values())
+
+
 class TestFrameGraph:
     """Interned frames against the pending-gate arithmetic they cache."""
 
@@ -553,20 +572,21 @@ class TestFrameGraph:
         # prepared != measured: a failed trial
         steps = [(p % codes, (p % codes + 1 + d % (codes - 1)) % codes) for p, d in raw]
         if gate == "CNOT":
-            root = protocol._two_qubit_frame(None)
+            root = protocol._named_frame("CNOT")
             oracle = CNOT
             for prepared, measured in steps:
                 (j, k), (m, n) = divmod(prepared, 4), divmod(measured, 4)
                 oracle = oracle @ np.kron(PAULIS[m] @ PAULIS[j], PAULIS[n] @ PAULIS[k]) @ oracle.conj().T
             frame = _frame_walk(root, steps)
             np.testing.assert_allclose(frame.target, oracle, atol=1e-12)
-            # the key is the owed gate, with its whole phase on the first half
-            a, b = frame.key
-            assert b.phase == 1
-            assert np.array_equal(frame.target, np.kron(a.matrix(), b.matrix()))
+            # the key is the owed gate
+            assert np.array_equal(frame.target, frame.key.matrix())
         else:
-            u = haar_unitary(np.random.default_rng(seed)) if gate == "haar" else GateSpec.named(gate).matrix
-            root = protocol._one_qubit_frame(np.ascontiguousarray(u).tobytes())
+            if gate == "haar":
+                u = haar_unitary(np.random.default_rng(seed))
+                root = protocol._Frame(None, u)
+            else:
+                u, root = GateSpec.named(gate).matrix, protocol._named_frame(gate)
             oracle = u
             for prepared, measured in steps:
                 oracle = oracle @ PAULIS[measured] @ PAULIS[prepared] @ oracle.conj().T
@@ -589,9 +609,17 @@ class TestFrameGraph:
         assert sum(f.k == 1 for f in frames) <= 512 + sum(f.k == 2 for f in frames)
 
     def test_signed_zeros_do_not_split_one_qubit_frames(self):
-        # GateSpec.named("Y") holds -0.0 real parts, the +Y phased Pauli +0.0
-        root = protocol._one_qubit_frame(GateSpec.named("Y").matrix.tobytes())
+        # GateSpec.named("Y") holds -0.0 real parts, the +Y phased Pauli's
+        # matrix +0.0; the named frame and the snapped successor are one
+        root = protocol._named_frame("Y")
         assert root.after(0, 2) is root
+
+    def test_twin_codes_share_a_successor(self):
+        # sigma_0 sigma_j = sigma_j sigma_0, so preparing j and measuring 0
+        # owes the gate that preparing 0 and measuring j owes
+        for root in (protocol._named_frame("T"), protocol._Frame(None, haar_unitary(np.random.default_rng(43)))):
+            for j in (1, 2, 3):
+                assert root.after(j, 0) is root.after(0, j)
 
     def test_pair_frames_are_keyed_on_the_owed_gate(self):
         # however the phase falls between the halves, one owed two-qubit Pauli
@@ -606,6 +634,23 @@ class TestFrameGraph:
         assert len(pairs) > 16
         assert len(set(owed)) == len(owed) <= 64
 
+    def test_one_frame_per_owed_gate(self):
+        # a pair frame's halves, a named Pauli and a snapped successor owing
+        # one phased Pauli are one frame, keyed on it
+        for prep in ("measured", "direct"):
+            cfg = ProtocolConfig(max_trials=8, prep_mode=prep)
+            for seed in range(300):
+                rng = np.random.default_rng(seed)
+                simulate_cnot(zero_state((0, 1)), (0, 1), cfg, rng)
+                simulate_one_qubit(GateSpec.named("T"), zero_state((0,)), 0, cfg, rng)
+        gc.collect()
+        frames = [o for o in gc.get_objects() if isinstance(o, protocol._Frame)]
+        keys = [f.key for f in frames if f.key is not None]
+        assert len(set(keys)) == len(keys) > 16
+        for f in frames:
+            pauli = nearest_phased_pauli(f.target)
+            assert pauli is None or f.key == pauli, (f.key, pauli)
+
 
 class TestClosedFormFrames:
     """A fresh one-qubit frame's slots and successors, built without form objects or an SVD."""
@@ -617,7 +662,7 @@ class TestClosedFormFrames:
     )
     def test_slots_are_the_public_parity_slots(self, seed, raw):
         # a Haar root, or the frame 1-6 failed trials leave
-        root = protocol._one_qubit_frame(GateSpec.custom(haar_unitary(np.random.default_rng(seed))).matrix.tobytes())
+        root = protocol._Frame(None, GateSpec.custom(haar_unitary(np.random.default_rng(seed))).matrix)
         frame = _frame_walk(root, [(p, (p + 1 + d) % 4) for p, d in raw])
         instruments = frame.plan().instruments
         assert len(instruments) == 2
@@ -629,7 +674,7 @@ class TestClosedFormFrames:
     @pytest.mark.parametrize("target", [1.1 * I2, np.full((2, 2), np.nan)], ids=["scaled", "nan"])
     def test_plan_rejects_a_target_that_is_not_unitary(self, target):
         with pytest.raises(ValueError, match="not unitary"):
-            protocol._Frame(1, None, target).plan()
+            protocol._Frame(None, target).plan()
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1e-12, 1e-6, 0.1]))
@@ -644,7 +689,7 @@ class TestClosedFormFrames:
         """Failed trials from ``frame``: (last frame, steps, A_(n-1) ... A_0), where a
         trial that prepared j and measured m applies A_k = t_k sigma_j sigma_m."""
         applied, steps = I2, 0
-        while steps < 10**4 and not (until_pauli and frame.pauli is not None):
+        while steps < 10**4 and not (until_pauli and frame.key is not None):
             prepared, d = rng.integers(0, 4, size=2).tolist()
             measured = (prepared + 1 + d % 3) % 4
             applied = frame.target @ PAULIS[prepared] @ PAULIS[measured] @ applied
@@ -662,7 +707,7 @@ class TestClosedFormFrames:
     def test_a_long_custom_chain_does_not_drift(self):
         rng = np.random.default_rng(41)
         u = GateSpec.custom(haar_unitary(rng)).matrix
-        frame, steps, applied = self.walk(protocol._one_qubit_frame(u.tobytes()), rng, until_pauli=False)
+        frame, steps, applied = self.walk(protocol._Frame(None, u), rng, until_pauli=False)
         assert steps == 10**4
         self.assert_owes_the_rest(u, frame, applied)
 
@@ -675,7 +720,7 @@ class TestClosedFormFrames:
         total = 0
         while total < 10**4:
             u = GateSpec.custom(haar_unitary(rng)).matrix
-            frame, steps, applied = self.walk(protocol._one_qubit_frame(u.tobytes()), rng, until_pauli=True)
+            frame, steps, applied = self.walk(protocol._Frame(None, u), rng, until_pauli=True)
             self.assert_owes_the_rest(u, frame, applied)
             total += steps
 

@@ -271,3 +271,8 @@ class TestRegisterPlumbing:
         state = zero_state((0, 1))
         out = apply_unitary(state, X, (1,))
         np.testing.assert_allclose(out.data, np.kron(KET0, KET1), atol=1e-15)
+
+    def test_apply_unitary_rejects_a_non_unitary_operator(self):
+        # diag(1, 2) leaves |0> normalised, so only the operator check can catch it
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_unitary(zero_state((0, 1)), np.diag([1, 2]), [0])

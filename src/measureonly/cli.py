@@ -193,7 +193,8 @@ def parse_circuit_file(text: str) -> list[tuple[GateSpec, tuple[int, ...]]]:
     """Parse a circuit file: one gate per line, '#' comments, blank lines allowed.
 
     Grammar: ``H q`` | ``T q`` | ``X q`` | ``Y q`` | ``Z q`` | ``CNOT qc qt``
-    with qubit indices in 0..7 and distinct controlled-NOT operands.
+    with qubit indices written in ASCII decimal digits, below ``qcore.MAX_QUBITS``,
+    and distinct controlled-NOT operands.
     """
     ops: list[tuple[GateSpec, tuple[int, ...]]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -210,12 +211,11 @@ def parse_circuit_file(text: str) -> list[tuple[GateSpec, tuple[int, ...]]]:
             raise CircuitParseError(line_no, f"unknown gate {parts[0]!r}")
         if len(parts) != expected + 1:
             raise CircuitParseError(line_no, f"{name} takes {expected} qubit operand(s)")
-        try:
-            qubits = tuple(int(p) for p in parts[1:])
-        except ValueError:
-            raise CircuitParseError(line_no, f"qubit operands must be integers: {line!r}") from None
-        if any(not 0 <= q <= 7 for q in qubits):
-            raise CircuitParseError(line_no, "qubit indices must lie in 0..7")
+        if not all(p.isascii() and p.isdigit() for p in parts[1:]):
+            raise CircuitParseError(line_no, f"qubit operands must be integers: {line!r}")
+        qubits = tuple(int(p) for p in parts[1:])
+        if any(q >= qcore.MAX_QUBITS for q in qubits):
+            raise CircuitParseError(line_no, f"qubit indices must lie in 0..{qcore.MAX_QUBITS - 1}")
         if name == "CNOT" and qubits[0] == qubits[1]:
             raise CircuitParseError(line_no, "controlled-NOT operands must be distinct")
         ops.append((GateSpec.named(name), qubits))

@@ -68,7 +68,6 @@ for _m in _GATE_MATRICES.values():
 # a trial uses only their vectors, in this qubit order.
 _PREP1 = ("prep0", "prep1")
 _PREP2 = ("prep0", "prep1", "prep2", "prep3")
-_ZERO1 = qcore.zero_state(_PREP1)
 
 
 class ProtocolError(Exception):
@@ -258,28 +257,29 @@ class _BranchTable:
     """Measured preparation of one frame, replayed from its outcome branches.
 
     The table maps the bits drawn so far to the next measurement's outcome
-    probabilities and post-measurement states on the all-|0> register, and
-    the bits of a whole preparation (a leaf) to its ancilla's Bell maps.
-    Each entry is filled on its first visit, branches by ``qcore.measure``'s
+    probabilities and post-measurement vectors, starting from the all-|0>
+    vector ``start``, and the bits of a whole preparation (a leaf) to its
+    ancilla's Bell maps.  ``instruments`` act on the whole ancilla.  Each
+    entry is filled on its first visit, branches by ``qcore.measure``'s
     arithmetic, so a replay draws the same bits and reaches the same state
     as running the measurements afresh on the same random stream.
     """
 
-    def __init__(self, instruments: tuple[tuple[np.ndarray, np.ndarray], ...], start: QuantumState):
+    def __init__(self, instruments: tuple[tuple[np.ndarray, np.ndarray], ...]):
         self.instruments = instruments
-        self.start = start
+        self.start = np.eye(1, len(instruments[0][0]), dtype=complex)[0]
         self.branches: dict[tuple[int, ...], object] = {}
 
     def replay(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:
-        state, bits = self.start, ()
+        vector, bits = self.start, ()
         for mats in self.instruments:
             branch = self.branches.get(bits)
             if branch is None:
-                branch = self.branches[bits] = qcore._collapse(state, mats)
+                branch = self.branches[bits] = qcore._collapse(vector, mats)
             probs, posts = branch
             b = qcore._draw2(probs[0], probs[1], rng)
-            state, bits = posts[b], bits + (b,)
-        return bits, state.data
+            vector, bits = posts[b], bits + (b,)
+        return bits, vector
 
     def prepare(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:
         """The bits of one replayed preparation and the Bell maps of its ancilla."""
@@ -325,11 +325,11 @@ class _Frame:
         if self._plan is None:
             if self.k == 1:
                 slots = msr._xz_parity_slots(qcore._require_unitary(self.target, 2))
-                self._plan = _BranchTable(tuple(slots), _ZERO1)
+                self._plan = _BranchTable(tuple(slots))
             else:  # the controlled-NOT's; a pair frame prepares through its halves
                 binaries = msr.cnot_measurement_set(labels=_PREP2)
                 mats = tuple(tuple(qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()) for m in binaries)
-                self._plan = _BranchTable(mats, qcore.zero_state(_PREP2))
+                self._plan = _BranchTable(mats)
         return self._plan
 
     def ancilla(self, code: int) -> np.ndarray:
@@ -497,18 +497,6 @@ def _pair_block(block: np.ndarray, maps: tuple[np.ndarray, np.ndarray],
     return _bell_block(block, joint, rng)
 
 
-def _to_front(data: np.ndarray, axes: tuple[int, ...], k: int) -> np.ndarray:
-    """The (2^k, 2^(n-k)) block of an n-qubit vector with qubits ``axes[:k]`` at the front."""
-    return data.reshape((2,) * len(axes)).transpose(axes).reshape(2**k, -1)
-
-
-def _from_front(block: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """The n-qubit vector of a block from ``_to_front``, its qubits back in place."""
-    out = np.empty(block.size, dtype=complex)
-    out.reshape((2,) * len(axes)).transpose(axes)[...] = block.reshape((2,) * len(axes))
-    return out
-
-
 def bell_measure(
     state: QuantumState,
     pair: tuple[Label, Label],
@@ -528,13 +516,10 @@ def bell_measure(
         raise ValueError("variant must be a pair of bits")
     if len(pair) != 2:
         raise ValueError(f"Bell measurement acts on exactly two qubits, got {len(pair)} labels")
-    if pair[0] == pair[1]:
-        raise ValueError("Bell measurement needs two distinct qubits")
     # each Bell row times the block is the rest of the register given that
     # Bell state; its squared norm is the outcome's weight
-    axes = (state.position(pair[0]), state.position(pair[1]))
-    axes += tuple(p for p in range(state.n) if p not in axes)
-    rows = _BELL_ROWS @ _to_front(state.data, axes, 2)
+    axes = qcore._axes(state.labels, pair)
+    rows = _BELL_ROWS @ qcore._to_front(state.data, axes, 2)
     w = (np.abs(rows) ** 2).sum(axis=1).tolist()
     r, bits = _draw_bell(w, rng, variant)
     rest = tuple(state.labels[p] for p in axes[2:])
@@ -550,9 +535,8 @@ def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg
     layout until the gate is done.
     """
     k, index = frame.k, (range(4) if frame.k == 1 else [divmod(c, 4) for c in range(16)])
-    axes = tuple(state.position(q) for q in qubits)
-    axes += tuple(p for p in range(state.n) if p not in axes)
-    block = _to_front(state.data, axes, k)
+    axes = qcore._axes(state.labels, qubits)
+    block = qcore._to_front(state.data, axes, k)
     trials: list[TrialRecord] = []
     for r in range(1, cfg.budget(k) + 1):
         prepared, maps, prep_bits = frame.prepare(cfg.prep_mode, rng)
@@ -562,7 +546,7 @@ def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg
         if success:
             break
         frame = frame.after(prepared, measured)
-    state = QuantumState._trusted(_from_front(block, axes), state.labels)
+    state = QuantumState._trusted(qcore._from_front(block, axes), state.labels)
     if trials[-1].success:
         return state, ProtocolTrace(tuple(trials), True)
     return state, ProtocolTrace(tuple(trials), False, frame.target, frame.key)
@@ -605,8 +589,6 @@ def simulate_cnot(
     """
     if len(qubits) != 2:
         raise ValueError(f"controlled-NOT acts on exactly two qubits, got {len(qubits)} labels")
-    if qubits[0] == qubits[1]:
-        raise ValueError("controlled-NOT needs two distinct qubits")
     return _teleport(_named_frame("CNOT"), state, tuple(qubits), cfg, rng)
 
 
@@ -625,8 +607,8 @@ def run_circuit(
     two-qubit gate other than the controlled-NOT, and BudgetExceeded with the
     partial traces if any gate exhausts its trial budget.
     """
-    if type(n_qubits) is not int or not 1 <= n_qubits <= 8:
-        raise ValueError(f"the logical register holds between 1 and 8 qubits, got {n_qubits!r}")
+    if type(n_qubits) is not int or not 1 <= n_qubits <= qcore.MAX_QUBITS:
+        raise ValueError(f"the logical register holds between 1 and {qcore.MAX_QUBITS} qubits, got {n_qubits!r}")
     for idx, (gate, labels) in enumerate(circuit):
         if len(labels) != gate.arity:
             raise ValueError(f"gate {idx} ({gate.name}) acts on {gate.arity} qubit(s), got {len(labels)} labels")

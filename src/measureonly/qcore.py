@@ -2,10 +2,16 @@
 
 Every state is a pure state vector: the protocol measures a memory prepared
 in |0...0>, so no density matrix ever arises.  States carry an ordered tuple
-of distinct qubit labels; the first label is the most significant bit of the
-basis index.  Everything here is a value: operations return new states and
-never mutate their inputs, so independent protocol runs can share nothing
-but code.
+of at most ``MAX_QUBITS`` distinct qubit labels; the first label is the most
+significant bit of the basis index.  Everything here is a value: operations
+return new states and never mutate their inputs, so independent protocol
+runs can share nothing but code.
+
+This module owns the register layout: ``_axes`` turns labels into tensor
+axes, and an operation on k qubits acts on the (2^k, 2^(n-k)) block that
+``_to_front`` lays out with those qubits first, so no state operation builds
+an operator larger than 2^k x 2^k.  :func:`embed` builds the full-register
+operator only for the small catalogue constructions and tests.
 
 The u-twisted Bell states, the resource of gate teleportation, are written
 down in closed form by :func:`twisted_bell`.  :func:`measure` is the one
@@ -31,9 +37,13 @@ Label = Hashable
 #: Tolerance for structural checks (normalisation, projector algebra).
 STRUCT_TOL = 1e-10
 
+#: The most qubits a state may hold; a state vector of that many is 16 MiB.
+MAX_QUBITS = 20
+
 __all__ = [
     "Label",
     "STRUCT_TOL",
+    "MAX_QUBITS",
     "QuantumState",
     "Projector",
     "zero_state",
@@ -50,7 +60,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Pure state vector on up to eight labelled qubits."""
+    """Pure state vector on up to ``MAX_QUBITS`` labelled qubits."""
 
     data: np.ndarray
     labels: tuple[Label, ...]
@@ -60,8 +70,8 @@ class QuantumState:
         object.__setattr__(self, "labels", labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate qubit labels")
-        if len(labels) > 8:
-            raise ValueError("at most 8 qubits are supported")
+        if len(labels) > MAX_QUBITS:
+            raise ValueError(f"at most {MAX_QUBITS} qubits are supported")
         dim = 2 ** len(labels)
         data = np.asarray(self.data, dtype=complex)
         object.__setattr__(self, "data", data)
@@ -90,12 +100,6 @@ class QuantumState:
     def dim(self) -> int:
         return 2**self.n
 
-    def position(self, label: Label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown qubit label {label!r}") from None
-
 
 @dataclass(frozen=True, eq=False)
 class Projector:
@@ -116,7 +120,10 @@ class Projector:
 
 def zero_state(labels: Sequence[Label]) -> QuantumState:
     """The all-|0> register on the given labels."""
-    v = np.zeros(2 ** len(tuple(labels)), dtype=complex)
+    labels = tuple(labels)
+    if len(labels) > MAX_QUBITS:
+        raise ValueError(f"at most {MAX_QUBITS} qubits are supported")
+    v = np.zeros(2 ** len(labels), dtype=complex)
     v[0] = 1.0
     return QuantumState.pure(v, labels)
 
@@ -174,6 +181,30 @@ def _require_instrument(mats: Sequence[np.ndarray]) -> None:
             )
 
 
+def _axes(labels: tuple[Label, ...], on: Sequence[Label]) -> tuple[int, ...]:
+    """The axes of the ``on`` labels in a register on ``labels``, followed by the other axes in order."""
+    on = tuple(on)
+    if len(set(on)) != len(on):
+        raise ValueError(f"duplicate label in {on!r}: the qubits must be distinct")
+    try:
+        axes = tuple(map(labels.index, on))
+    except ValueError:
+        raise ValueError(f"unknown qubit label(s) {[q for q in on if q not in labels]!r}") from None
+    return axes + tuple(p for p in range(len(labels)) if p not in axes)
+
+
+def _to_front(data: np.ndarray, axes: tuple[int, ...], k: int) -> np.ndarray:
+    """The (2^k, 2^(n-k)) block of an n-qubit vector with qubits ``axes[:k]`` at the front."""
+    return data.reshape((2,) * len(axes)).transpose(axes).reshape(2**k, -1)
+
+
+def _from_front(block: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The n-qubit vector of a block from ``_to_front``, its qubits back in place."""
+    out = np.empty(block.size, dtype=complex)
+    out.reshape((2,) * len(axes)).transpose(axes)[...] = block.reshape((2,) * len(axes))
+    return out
+
+
 def embed_at(op: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
     """Embed ``op`` so it acts on the given axis positions of an n-qubit register."""
     positions = tuple(positions)
@@ -181,13 +212,10 @@ def embed_at(op: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.shape != (2**k, 2**k):
         raise ValueError(f"operator shape {op.shape} does not match {k} position(s)")
-    if len(set(positions)) != k or any(not 0 <= p < n for p in positions):
-        raise ValueError(f"invalid positions {positions!r} for {n} qubits")
     full = kron2(op, np.eye(2 ** (n - k), dtype=complex))
-    # Tensor axes of `full` are ordered (positions..., rest...); route each to
+    # Tensor axes of `full` are ordered as `_axes` lists them; route each to
     # its place in the register.
-    src = list(positions) + [p for p in range(n) if p not in positions]
-    perm = np.argsort(src)
+    perm = np.argsort(_axes(tuple(range(n)), positions))
     t = full.reshape((2,) * (2 * n))
     t = t.transpose(tuple(perm) + tuple(perm + n))
     return t.reshape(2**n, 2**n)
@@ -199,33 +227,16 @@ def embed(op: np.ndarray, on: Sequence[Label], system: Sequence[Label]) -> np.nd
     Embedding respects label order and commutes with composition: embedding
     A then B on disjoint labels equals embedding A (x) B on the union.
     """
-    system = tuple(system)
     on = tuple(on)
-    if len(set(on)) != len(on):
-        raise ValueError(f"duplicate label in {on!r}")
-    missing = [q for q in on if q not in system]
-    if missing:
-        raise ValueError(f"unknown qubit label(s) {missing!r}")
-    return embed_at(op, tuple(system.index(q) for q in on), len(system))
+    system = tuple(system)
+    return embed_at(op, _axes(system, on)[:len(on)], len(system))
 
 
 def apply_unitary(state: QuantumState, op: np.ndarray, on: Sequence[Label]) -> QuantumState:
-    """Apply a unitary to the given qubits of a state."""
+    """Apply a unitary to the given qubits of a state, at O(4^k 2^n) cost for k qubits."""
     op = _require_unitary(op, 2 ** len(on))
-    return QuantumState.pure(embed(op, on, state.labels) @ state.data, state.labels)
-
-
-def _instrument_matrices(state: QuantumState, instrument: Sequence[Projector]) -> list[np.ndarray]:
-    projs = list(instrument)
-    if not projs:
-        raise ValueError("empty instrument")
-    base = projs[0].labels
-    for p in projs:
-        if p.labels != base:
-            raise ValueError("instrument projectors must share one label tuple")
-    if base == state.labels:
-        return [p.matrix for p in projs]
-    return [embed(p.matrix, base, state.labels) for p in projs]
+    axes = _axes(state.labels, on)
+    return QuantumState.pure(_from_front(op @ _to_front(state.data, axes, len(on)), axes), state.labels)
 
 
 def measure(
@@ -243,8 +254,8 @@ def measure(
         The register to measure.
     instrument:
         Mutually annihilating projectors summing to the identity, all on the
-        same label tuple (a subset of the state's labels; they are embedded
-        automatically).
+        same label tuple (a subset of the state's labels); each acts on the
+        block of those qubits.
     rng:
         Explicit random stream; outcome ``i`` is drawn with probability
         <psi|P_i|psi>.
@@ -258,25 +269,31 @@ def measure(
         The sampled outcome index, the collapsed state P_i|psi> / sqrt(p_i),
         and p_i.
     """
-    instrument = tuple(instrument)
-    mats = _instrument_matrices(state, instrument)
+    projs = tuple(instrument)
+    if not projs:
+        raise ValueError("empty instrument")
+    on = projs[0].labels
+    if any(p.labels != on for p in projs):
+        raise ValueError("instrument projectors must share one label tuple")
+    axes = _axes(state.labels, on)
+    mats = [p.matrix for p in projs]
     if check:
-        _require_instrument([p.matrix for p in instrument])
-    probs, posts = _collapse(state, mats)
+        _require_instrument(mats)
+    probs, posts = _collapse(_to_front(state.data, axes, len(on)), mats)
     outcome = _draw(probs, rng)
-    return outcome, posts[outcome], probs[outcome]
+    return outcome, QuantumState._trusted(_from_front(posts[outcome], axes), state.labels), probs[outcome]
 
 
-def _collapse(state: QuantumState, mats: Sequence[np.ndarray]) -> tuple[list[float], list]:
-    """Every outcome's probability <psi|P_i|psi> and collapsed pure state (None unless p_i > 0).
+def _collapse(block: np.ndarray, mats: Sequence[np.ndarray]) -> tuple[list[float], list]:
+    """Every outcome's probability <psi|P_i|psi> and collapsed block (None unless p_i > 0).
 
-    ``mats`` are full-register projector matrices.  This is the arithmetic
+    ``block`` is a state vector, or its block from ``_to_front``, whose
+    leading index the projectors ``mats`` act on.  This is the arithmetic
     of :func:`measure`, which draws one outcome from it.
     """
-    shots = [m @ state.data for m in mats]
+    shots = [m @ block for m in mats]
     probs = [float(np.vdot(v, v).real) for v in shots]
-    posts = [QuantumState._trusted(v / np.sqrt(p), state.labels) if p > 0 else None
-             for v, p in zip(shots, probs)]
+    posts = [v / np.sqrt(p) if p > 0 else None for v, p in zip(shots, probs)]
     return probs, posts
 
 
@@ -325,5 +342,4 @@ def permute_to(state: QuantumState, new_labels: Sequence[Label]) -> QuantumState
         return state
     if set(new) != set(state.labels) or len(new) != state.n:
         raise ValueError(f"label mismatch: {new!r} is not a permutation of {state.labels!r}")
-    perm = [state.labels.index(q) for q in new]
-    return QuantumState._trusted(state.data.reshape((2,) * state.n).transpose(perm).reshape(-1), new)
+    return QuantumState._trusted(_to_front(state.data, _axes(state.labels, new), state.n).reshape(-1), new)

@@ -9,6 +9,7 @@ import pytest
 
 import measureonly.identities as identities
 from measureonly.cli import main, parse_circuit_file
+from measureonly.qcore import MAX_QUBITS
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "report.schema.json").read_text())
 
@@ -165,10 +166,24 @@ class TestRun:
 
     def test_out_of_range_index_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
-        path.write_text("H 8\n")
+        path.write_text(f"H {MAX_QUBITS}\n")
         status, _ = run_cli(["run", str(path)])
         assert status == 2
-        assert "line 1" in capsys.readouterr().err
+        assert f"line 1: qubit indices must lie in 0..{MAX_QUBITS - 1}" in capsys.readouterr().err
+
+    def test_widest_register_runs(self, tmp_path):
+        path = tmp_path / "widest.txt"
+        path.write_text(f"H {MAX_QUBITS - 1}\n")
+        status, report = run_json(["run", str(path), "--seed", "3", "--json"])
+        assert status == 0
+        assert report["n_qubits"] == MAX_QUBITS
+        assert report["fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_schema_maxima_follow_the_qubit_cap(self):
+        run = next(branch["then"]["properties"] for branch in SCHEMA["allOf"]
+                   if branch["if"]["properties"]["command"]["const"] == "run")
+        assert run["n_qubits"]["maximum"] == MAX_QUBITS
+        assert run["gates"]["items"]["properties"]["qubits"]["items"]["maximum"] == MAX_QUBITS - 1
 
     def test_highest_index_runs(self, tmp_path):
         path = tmp_path / "wide.txt"
@@ -232,6 +247,11 @@ class TestParseCircuitFile:
     def test_wrong_operand_count(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_circuit_file("CNOT 0\n")
+
+    @pytest.mark.parametrize("operand", ["+1", "-1", "\u0663", "\uff10", "1_0", "\u00b2", "1.0", "0x1"])
+    def test_operands_are_ascii_decimal_digits(self, operand):
+        with pytest.raises(ValueError, match="line 1: qubit operands must be integers"):
+            parse_circuit_file(f"H {operand}\n")
 
 
 class TestDeterminism:

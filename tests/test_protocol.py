@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import sparse, stats
 
 import measureonly.qcore as qcore
 from measureonly import identities, protocol
@@ -388,8 +388,8 @@ class TestTeleportStep:
         state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
         axes = positions + tuple(p for p in range(n) if p not in positions)
         rng_step, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        code, block, bits = step(protocol._to_front(state.data, axes, k), maps, rng_step)
-        data = protocol._from_front(block, axes)
+        code, block, bits = step(qcore._to_front(state.data, axes, k), maps, rng_step)
+        data = qcore._from_front(block, axes)
         outcomes_ref, post_ref, bits_ref = self.merged_reference(state, positions, ancilla, rng_ref)
         assert (code, bits) == (protocol._CODE[bits_ref], bits_ref)
         assert tuple(BIT_DECODE[bits[i:i + 2]] for i in range(0, 2 * k, 2)) == outcomes_ref
@@ -1052,12 +1052,12 @@ class TestRunCircuit:
 
     def test_register_size_limits(self):
         rng = np.random.default_rng(25)
-        with pytest.raises(ValueError, match="between 1 and 8"):
-            run_circuit([], 9, self.CFG, rng)
+        with pytest.raises(ValueError, match=f"between 1 and {qcore.MAX_QUBITS}"):
+            run_circuit([], qcore.MAX_QUBITS + 1, self.CFG, rng)
 
     @pytest.mark.parametrize("n", [2.5, True, np.int64(2)], ids=["float", "bool", "numpy"])
     def test_register_size_must_be_an_int(self, n):
-        with pytest.raises(ValueError, match="between 1 and 8"):
+        with pytest.raises(ValueError, match=f"between 1 and {qcore.MAX_QUBITS}"):
             run_circuit([], n, self.CFG, np.random.default_rng(25))
 
     @pytest.mark.parametrize("name, labels", [("H", (0, 1)), ("T", ()), ("CNOT", (0, 1, 2)), ("CNOT", (0,))])
@@ -1079,6 +1079,81 @@ class TestRunCircuit:
         circuit = [(GateSpec.named("X"), (0,)), (GateSpec.named(name), labels)]
         with pytest.raises(ValueError, match=rf"gate 1 \({name}\) needs distinct qubits in 0..1"):
             run_circuit(circuit, 2, self.CFG, NoDraws())
+
+
+def kron_reference(circuit, n):
+    """A named-gate circuit's final state from |0...0>, by sparse Kronecker products of the
+    textbook matrices: nothing is shared with the library's register layout."""
+    p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+    textbook = {"H": HADAMARD, "T": T_GATE, "X": X, "Y": Y, "Z": Z}
+
+    def kron_all(factors):
+        out = sparse.identity(1, dtype=complex, format="csr")
+        for f in factors:
+            out = sparse.kron(out, f, format="csr")
+        return out
+
+    psi = np.zeros(2**n, dtype=complex)
+    psi[0] = 1.0
+    for gate, qubits in circuit:
+        if gate.name == "CNOT":
+            c, t = qubits
+            op = (kron_all([p0 if q == c else I2 for q in range(n)])
+                  + kron_all([p1 if q == c else X if q == t else I2 for q in range(n)]))
+        else:
+            op = kron_all([textbook[gate.name] if q == qubits[0] else I2 for q in range(n)])
+        psi = op @ psi
+    return psi
+
+
+class TestWideRegisters:
+    """Registers of 10 to ``MAX_QUBITS`` qubits: every state path acts on the qubits it touches."""
+
+    @staticmethod
+    def random_circuit(rng, n, length):
+        names = ("H", "T", "X", "Y", "Z", "CNOT")
+        circuit = []
+        for _ in range(length):
+            name = names[rng.integers(len(names))]
+            qubits = tuple(int(q) for q in rng.choice(n, size=2 if name == "CNOT" else 1, replace=False))
+            circuit.append((GateSpec.named(name), qubits))
+        return circuit
+
+    @pytest.mark.parametrize("prep", ["measured", "direct"])
+    def test_twelve_qubits_match_a_kron_reference(self, prep):
+        rng = np.random.default_rng(41)
+        circuit = self.random_circuit(rng, 12, 24)
+        final, traces, _ = run_circuit(circuit, 12, ProtocolConfig(epsilon=1e-9, prep_mode=prep), rng)
+        assert all(t.succeeded for t in traces)
+        assert abs(np.vdot(kron_reference(circuit, 12), final.data)) ** 2 >= 1 - 1e-9
+
+    def test_ghz_on_the_widest_register(self):
+        n = qcore.MAX_QUBITS
+        circuit = [(GateSpec.named("H"), (0,))] + [(GateSpec.named("CNOT"), (q, q + 1)) for q in range(n - 1)]
+        state = direct_state(circuit, n)
+        expected = np.zeros(2**n, dtype=complex)
+        expected[[0, -1]] = 1 / np.sqrt(2)
+        np.testing.assert_allclose(state.data, expected, rtol=0, atol=1e-12)
+
+    def test_state_paths_build_no_full_register_operator(self, monkeypatch):
+        # The controlled-NOT's preparation plan is a catalogue construction on
+        # its 4-qubit ancilla, built once per process: build it before the patch.
+        protocol._named_frame("CNOT").plan()
+
+        def full_register_embedding(*args):
+            raise AssertionError("a state path built a full-register operator")
+
+        monkeypatch.setattr(qcore, "embed_at", full_register_embedding)
+        n, gen = 10, np.random.default_rng(42)
+        state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
+        assert apply_unitary(state, CNOT, (7, 2)).labels == state.labels
+        z = (qcore.Projector(np.diag([1, 0]), (4,)), qcore.Projector(np.diag([0, 1]), (4,)))
+        assert qcore.measure(state, z, gen)[1].labels == state.labels
+        circuit = self.random_circuit(gen, n, 6)
+        reference = direct_state(circuit, n)
+        for prep in ("measured", "direct"):
+            final, traces, _ = run_circuit(circuit, n, ProtocolConfig(epsilon=1e-9, prep_mode=prep), gen)
+            assert fidelity_up_to_phase(final, reference) >= 1 - 1e-9
 
 
 class TestStatistics:

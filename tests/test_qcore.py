@@ -7,8 +7,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import measureonly.qcore as qcore
 from measureonly.qcore import (
+    MAX_QUBITS,
     Projector,
     QuantumState,
     apply_unitary,
@@ -54,9 +58,20 @@ class TestQuantumState:
         with pytest.raises(ValueError, match="duplicate"):
             QuantumState.pure([1, 0, 0, 0], (0, 0))
 
-    def test_rejects_more_than_eight_qubits(self):
-        with pytest.raises(ValueError, match="8"):
-            zero_state(tuple(range(9)))
+    def test_rejects_more_than_max_qubits(self):
+        too_many = tuple(range(MAX_QUBITS + 1))
+        with pytest.raises(ValueError, match=f"at most {MAX_QUBITS} qubits"):
+            QuantumState([1.0], too_many)
+        with pytest.raises(ValueError, match=f"at most {MAX_QUBITS} qubits"):
+            zero_state(too_many)
+
+    def test_zero_state_reads_its_labels_once_and_checks_the_cap_first(self):
+        state = zero_state(q for q in range(2))
+        assert state.labels == (0, 1)
+        np.testing.assert_array_equal(state.data, [1, 0, 0, 0])
+        # 2^40 amplitudes would take 16 TiB, so the cap must come before the allocation
+        with pytest.raises(ValueError, match=f"at most {MAX_QUBITS} qubits"):
+            zero_state(tuple(range(40)))
 
     def test_density_matrices_are_rejected(self):
         for labels in ((0,), (0, 1)):
@@ -276,3 +291,47 @@ class TestRegisterPlumbing:
         # diag(1, 2) leaves |0> normalised, so only the operator check can catch it
         with pytest.raises(ValueError, match="not unitary"):
             apply_unitary(zero_state((0, 1)), np.diag([1, 2]), [0])
+
+
+def haar_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestLocalKernels:
+    """``apply_unitary`` and ``measure`` act on the block of the qubits they touch; the
+    full-register ``embed`` of the same operator is the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        extra=st.integers(0, 5),
+        order=st.randoms(use_true_random=False),
+        outcomes=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_the_embedded_reference(self, k, extra, order, outcomes, seed):
+        n = k + extra
+        labels = list(range(n))
+        order.shuffle(labels)
+        labels, on = tuple(labels), tuple(order.sample(labels, k))
+        gen = np.random.default_rng(seed)
+        v = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+        state = QuantumState.pure(v / np.linalg.norm(v), labels)
+
+        u = haar_unitary(gen, 2**k)
+        out = apply_unitary(state, u, on)
+        assert out.labels == labels
+        np.testing.assert_allclose(out.data, embed(u, on, labels) @ state.data, rtol=0, atol=1e-12)
+
+        # an instrument of up to four projectors, onto groups of a random orthonormal basis
+        basis = haar_unitary(gen, 2**k)
+        cuts = [0] + sorted(gen.choice(np.arange(1, 2**k), size=min(outcomes, 2**k) - 1, replace=False)) + [2**k]
+        inst = [Projector(basis[:, a:b] @ basis[:, a:b].conj().T, on) for a, b in zip(cuts, cuts[1:])]
+        shots = [embed(p.matrix, on, labels) @ state.data for p in inst]
+        probs = [float(np.vdot(w, w).real) for w in shots]
+        outcome, post, prob = measure(state, inst, np.random.default_rng(seed))
+        assert outcome == qcore._draw(probs, np.random.default_rng(seed))
+        assert prob == pytest.approx(probs[outcome], abs=1e-12)
+        assert post.labels == labels
+        np.testing.assert_allclose(post.data, shots[outcome] / np.sqrt(probs[outcome]), rtol=0, atol=1e-12)

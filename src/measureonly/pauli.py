@@ -4,7 +4,8 @@ A phased Pauli is a tensor product of single-qubit Pauli operators together
 with a scalar phase restricted to the fourth roots of unity.  At this level
 products and controlled-NOT frame updates are exact; dense matrices are
 only materialised on demand, and dense operators can be canonicalised back
-to phased-Pauli form when they are one.
+to phased-Pauli form when they are one, as the protocol's frames are.  The
+protocol no longer reads the paper's controlled-NOT table; ``verify`` checks it.
 """
 from __future__ import annotations
 
@@ -207,6 +208,7 @@ def cnot_frame_update(j: int, k: int) -> tuple[complex, int, int]:
     Returns (phase, j', k') with phase in {+1, -1}; the controlled-NOT
     normalises two-qubit Pauli products, so a failed teleportation trial of it
     always leaves a plain tensor product of phased Paulis to simulate next.
+    The protocol no longer reads this table; ``verify`` checks every row.
     """
     sign, jj, kk = _CNOT_FRAME[(_check_index(j), _check_index(k))]
     return complex(sign), jj, kk

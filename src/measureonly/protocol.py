@@ -10,14 +10,15 @@ exactly the requested gate applied, up to a global phase.
 The gates still owed are frames (``_Frame``), interned exactly: one per
 catalogue gate and one per phased Pauli on one or two qubits, which with
 their successors make at most 24 one-qubit and 65 two-qubit frames; a custom
-gate gets fresh frames that die with its call.  A frame keeps its preparation plan, its ancillas'
-Bell maps and its successor frame after each failure, so a trial costs
-lookups, the random draws and one product with the data block, kept in one
-layout for the whole gate.  A pair frame owes a product of two one-qubit
-Paulis, prepared through their frames and measured in one 16-outcome Bell
-step.  A fresh one-qubit frame builds its preparation slots from its 2x2
-target in one batched pass, and its successor by snapping to a phased Pauli
-or by a closed-form polar step.
+gate gets fresh frames that die with its call.  A frame keeps its preparation
+plan, its ancillas' Bell maps and its successor frame after each failure, so
+a trial costs lookups, the random draws and one product with the data block
+in one kernel, ``_bell_block``, which ``bell_measure`` runs too.  A pair
+frame owes a product of two one-qubit Paulis and joins their frames' maps.
+Every successor follows one rule, ``_next_frame``: a failed trial from
+target t that prepared sigma_p and measured sigma_m owes t sigma_m sigma_p
+t^dagger, snapped to a phased Pauli when it is one (always on two qubits),
+else re-unitarised by a closed-form polar step.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import measure as msr
 from . import qcore
-from .pauli import PhasedPauli, SIGMA, _phased_pauli_row, cnot_frame_update, kron2
+from .pauli import PhasedPauli, SIGMA, kron2, nearest_phased_pauli
 from .qcore import Label, QuantumState
 
 __all__ = [
@@ -169,18 +170,22 @@ class ProtocolConfig:
         return trials_needed(self.epsilon, arity)
 
 
-def _next_frame(t: np.ndarray, prepared: int, measured: int) -> "_Frame":
-    nxt = t @ SIGMA[measured] @ SIGMA[prepared] @ t.conj().T
-    pauli = _phased_pauli_row(nxt, 1, 1e-10)
+#: The Paulis that index codes name on k qubits: sigma_c on one, sigma_j (x) sigma_k at code 4j + k on two.
+_PAULIS = {1: np.stack(SIGMA), 2: np.stack([kron2(a, b) for a in SIGMA for b in SIGMA])}
+
+
+def _next_frame(t: np.ndarray, k: int, prepared: int, measured: int) -> "_Frame":
+    """The frame owed after a failed trial from target t: t sigma_measured sigma_prepared t^dagger."""
+    nxt = t @ _PAULIS[k][measured] @ _PAULIS[k][prepared] @ t.conj().T
+    pauli = nearest_phased_pauli(nxt)
     if pauli is not None:
-        # The catalogue gates close into phased Paulis after at most two
-        # trials, and in floating point a custom gate's chain closes too:
-        # each failure doubles its axis's angle to the failure's Pauli axis.
-        # Snapping keeps the chain exact from then on.
-        phase, row = pauli
-        return _pauli_frame(PhasedPauli(phase, (row,)))
-    # The update conjugates by the previous target, so floating-point error
-    # would otherwise compound multiplicatively along the chain.
+        # The controlled-NOT normalises the Paulis, and the one-qubit catalogue
+        # gates close into phased Paulis after at most two trials; in floating
+        # point a custom gate's chain closes too, as each failure doubles its
+        # axis's angle to the failure's Pauli axis.  Snapping keeps it exact.
+        return _pauli_frame(pauli)
+    # One qubit: the update conjugates by the previous target, so floating-point
+    # error would otherwise compound multiplicatively along the chain.
     nxt = _unitary_part(nxt)
     nxt.setflags(write=False)
     return _Frame(None, nxt)
@@ -259,15 +264,16 @@ class _BranchTable:
     The table maps the bits drawn so far to the next measurement's outcome
     probabilities and post-measurement vectors, starting from the all-|0>
     vector ``start``, and the bits of a whole preparation (a leaf) to its
-    ancilla's Bell maps.  ``instruments`` act on the whole ancilla.  Each
+    ancilla's Bell maps.  ``instruments`` is one (measurements, 2, d, d)
+    array of projector pairs on the whole ancilla.  Each
     entry is filled on its first visit, branches by ``qcore.measure``'s
     arithmetic, so a replay draws the same bits and reaches the same state
     as running the measurements afresh on the same random stream.
     """
 
-    def __init__(self, instruments: tuple[tuple[np.ndarray, np.ndarray], ...]):
+    def __init__(self, instruments: np.ndarray):
         self.instruments = instruments
-        self.start = np.eye(1, len(instruments[0][0]), dtype=complex)[0]
+        self.start = np.eye(1, instruments.shape[-1], dtype=complex)[0]
         self.branches: dict[tuple[int, ...], object] = {}
 
     def replay(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:
@@ -290,10 +296,6 @@ class _BranchTable:
         return bits, maps
 
 
-# The Bell maps of one ancilla, or the pair of a pair frame's two one-qubit ancillas' maps.
-_Maps = Union[np.ndarray, tuple[np.ndarray, np.ndarray]]
-
-
 class _Frame:
     """The gate still owed to k data qubits, with what a trial from it needs.
 
@@ -301,13 +303,13 @@ class _Frame:
     None.  A frame holds its read-only target, its measured-preparation
     plan, its Bell maps per prepared index for direct mode (filled on first
     use), and its successor frame after each failed trial, at code
-    prepared * 4^k + measured; codes (j, 0) and (0, j) owe one gate and
-    share one.  A pair
-    frame, one with a two-qubit key, owes a product of two one-qubit Paulis:
-    its ``halves`` are their frames, the first carrying the whole phase; it
-    prepares through their plans, and its maps and successors pair theirs.
-    Interned frames link only to interned frames and the 6 others T reaches,
-    so a custom gate's frames are garbage once its call returns.
+    prepared * 4^k + measured, filled by ``_next_frame``; codes (j, 0) and
+    (0, j) owe one gate and share one.  A pair frame, one with a two-qubit
+    key, owes a product of two one-qubit Paulis: its ``halves`` are their
+    frames, the first carrying the whole phase, and it prepares through
+    them, multiplying their maps into one joint map.  Interned frames link
+    only to interned frames and the 6 others T reaches, so a custom gate's
+    frames are garbage once its call returns.
     """
 
     def __init__(self, key: Optional[PhasedPauli], target: np.ndarray):
@@ -318,46 +320,42 @@ class _Frame:
             (p, q), phase = key.indices, key.phase
             self.halves = (_pauli_frame(PhasedPauli(phase, (p,))), _pauli_frame(PhasedPauli(1, (q,))))
         self._plan: Optional[_BranchTable] = None
-        self.direct: list[Optional[_Maps]] = [None] * 4**self.k
+        self.direct: list[Optional[np.ndarray]] = [None] * 4**self.k
         self.successors: list[Optional[_Frame]] = [None] * 16**self.k
 
     def plan(self) -> _BranchTable:
         if self._plan is None:
             if self.k == 1:
-                slots = msr._xz_parity_slots(qcore._require_unitary(self.target, 2))
-                self._plan = _BranchTable(tuple(slots))
+                self._plan = _BranchTable(msr._xz_parity_slots(qcore._require_unitary(self.target, 2)))
             else:  # the controlled-NOT's; a pair frame prepares through its halves
                 binaries = msr.cnot_measurement_set(labels=_PREP2)
-                mats = tuple(tuple(qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()) for m in binaries)
-                self._plan = _BranchTable(mats)
+                self._plan = _BranchTable(np.array([[qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()]
+                                                    for m in binaries]))
         return self._plan
 
     def ancilla(self, code: int) -> np.ndarray:
         """The 2k-qubit ancilla vector (order ``_PREP1``/``_PREP2``) prepared with index code ``code``."""
-        if self.k == 1:
-            return qcore.twisted_bell(self.target @ SIGMA[code], _PREP1).data
-        j, k = divmod(code, 4)
-        return qcore.twisted_bell(self.target @ kron2(SIGMA[j], SIGMA[k]), _PREP2).data
+        return qcore.twisted_bell(self.target @ _PAULIS[self.k][code], _PREP1 if self.k == 1 else _PREP2).data
 
-    def maps(self, code: int) -> _Maps:
-        """The Bell maps of the ancilla prepared with index code ``code``."""
+    def maps(self, code: int) -> np.ndarray:
+        """The Bell maps of the ancilla prepared with index code ``code``, as ``_bell_block`` takes them."""
         if self.halves:
-            return tuple(half.maps(i) for half, i in zip(self.halves, divmod(code, 4)))
+            return _joint_maps(*(half.maps(i) for half, i in zip(self.halves, divmod(code, 4))))
         maps = self.direct[code]
         if maps is None:
             maps = self.direct[code] = _bell_maps(self.ancilla(code))
         return maps
 
-    def prepare(self, mode: str, rng: np.random.Generator) -> tuple[int, _Maps, Optional[tuple[int, ...]]]:
+    def prepare(self, mode: str, rng: np.random.Generator) -> tuple[int, np.ndarray, Optional[tuple[int, ...]]]:
         """(prepared index code, Bell maps, preparation bits) of one fresh ancilla.
 
         A two-qubit frame draws the control's index and then the target's; a
-        pair frame returns the pair of its halves' maps.
+        pair frame joins its halves' maps.
         """
         if mode == "measured":
             if self.halves:
                 (bits_a, maps_a), (bits_b, maps_b) = (half.plan().prepare(rng) for half in self.halves)
-                bits, maps = bits_a + bits_b, (maps_a, maps_b)
+                bits, maps = bits_a + bits_b, _joint_maps(maps_a, maps_b)
             else:
                 bits, maps = self.plan().prepare(rng)
             return _CODE[bits], maps, bits
@@ -368,24 +366,13 @@ class _Frame:
 
     def after(self, prepared: int, measured: int) -> "_Frame":
         """The frame left by a failed trial, from the index codes it prepared and measured."""
+        if prepared and not measured:
+            # sigma_0 sigma_j = sigma_j sigma_0, so codes (j, 0) and (0, j) owe one gate
+            prepared, measured = 0, prepared
         code = prepared * 4**self.k + measured
         nxt = self.successors[code]
         if nxt is None:
-            if self.k == 1 and prepared and not measured:
-                # sigma_0 sigma_j = sigma_j sigma_0, so codes (j, 0) and (0, j) owe one gate
-                nxt = self.after(0, prepared)
-            elif self.k == 1:
-                nxt = _next_frame(self.target, prepared, measured)
-            else:
-                (j, k), (m, n) = divmod(prepared, 4), divmod(measured, 4)
-                if self.key is None:
-                    owed = PhasedPauli(1, (m, n)) * PhasedPauli(1, (j, k))
-                    gamma, p, q = cnot_frame_update(*owed.indices)
-                    nxt = _pauli_frame(PhasedPauli(gamma * owed.phase, (p, q)))
-                else:
-                    a, b = (half.after(i, o).key for half, i, o in zip(self.halves, (j, k), (m, n)))
-                    nxt = _pauli_frame(PhasedPauli(a.phase * b.phase, a.indices + b.indices))
-            self.successors[code] = nxt
+            nxt = self.successors[code] = _next_frame(self.target, self.k, prepared, measured)
         return nxt
 
 
@@ -437,8 +424,8 @@ _BELL_ROWS = np.array([qcore.bell_state(BIT_DECODE[divmod(r, 2)]).data.conj() fo
 
 # Bell rows of k pairs (data d_i, ancilla a_i) on a 2k-qubit ancilla
 # (a_1..a_k, f_1..f_k): their product with the ancilla vector lists the 4^k
-# maps, row (r_1..r_k, f_1..f_k), column (d_1..d_k), from the data qubits to
-# the ancilla's free half f.
+# maps, outcome (r_1..r_k), row (f_1..f_k), column (d_1..d_k), from the data
+# qubits to the ancilla's free half f.
 _B, _I2 = _BELL_ROWS.reshape(4, 2, 2), np.eye(2)
 _BELL_MAPS = {
     1: np.einsum("rda,fg->rfdag", _B, _I2).reshape(16, 4),
@@ -451,9 +438,14 @@ _CODE = {**BIT_DECODE, **{a + b: 4 * BIT_DECODE[a] + BIT_DECODE[b] for a in BIT_
 
 
 def _bell_maps(ancilla: np.ndarray) -> np.ndarray:
-    """The Bell maps of a 2k-qubit ancilla vector, one row per (outcome, free-half) pair."""
+    """The Bell maps of a 2k-qubit ancilla vector, of shape (outcomes, free half, data) = (4^k, 2^k, 2^k)."""
     k = 1 if ancilla.size == 4 else 2
-    return (_BELL_MAPS[k] @ ancilla).reshape(-1, 2**k)
+    return (_BELL_MAPS[k] @ ancilla).reshape(4**k, 2**k, 2**k)
+
+
+def _joint_maps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Bell maps of two one-qubit ancillas side by side: outcome (r1 r2), row (f1 f2), column (d1 d2)."""
+    return (a.reshape(4, 1, 2, 1, 2, 1) * b.reshape(1, 4, 1, 2, 1, 2)).reshape(16, 4, 4)
 
 
 def _draw_bell(w: list[float], rng: np.random.Generator,
@@ -471,30 +463,23 @@ def _draw_bell(w: list[float], rng: np.random.Generator,
     return 2 * x + (b ^ vz), (a, b)
 
 
-def _bell_block(block: np.ndarray, maps: np.ndarray,
-                rng: np.random.Generator) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """Bell-measure the k data qubits heading a (2^k, 2^(n-k)) block against an ancilla's maps.
+def _bell_block(block: np.ndarray, maps: np.ndarray, rng: np.random.Generator,
+                variant: tuple[int, int] = (0, 0)) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """Bell-measure the qubits heading a ``qcore._to_front`` block through (outcomes, free, data) maps.
 
-    Row r of the maps times the block is, flattened, the new block given outcome r (the
-    ancilla's free half takes the data qubits' place); its squared norm is r's weight.
-    The pairs are drawn in order, the second given the first.  Returns (outcome index code, new block, bits).
+    Map r times the block is the new block given outcome r, its ``free`` rows (an ancilla's free
+    half, or ``bell_measure``'s none) in the data qubits' place; its squared norm is r's weight.
+    One Bell pair or two are drawn in order, the second given the first, ``variant`` going to the
+    first draw.  Returns (outcome index code, new block, bits).
     """
-    rows = (maps @ block).reshape(len(maps) // len(block), -1)
+    rows = (maps.reshape(-1, len(block)) @ block).reshape(len(maps), -1)
     parts = rows.view(np.float64)
     w = (parts * parts).sum(axis=1).tolist()
-    r, bits = _draw_bell(w if len(w) == 4 else [sum(w[:4]), sum(w[4:8]), sum(w[8:12]), sum(w[12:])], rng)
+    r, bits = _draw_bell(w if len(w) == 4 else [sum(w[:4]), sum(w[4:8]), sum(w[8:12]), sum(w[12:])], rng, variant)
     if len(w) == 16:
         r2, bits2 = _draw_bell(w[4 * r:4 * r + 4], rng)
         r, bits = 4 * r + r2, bits + bits2
-    return _CODE[bits], (rows[r] / math.sqrt(w[r])).reshape(block.shape), bits
-
-
-def _pair_block(block: np.ndarray, maps: tuple[np.ndarray, np.ndarray],
-                rng: np.random.Generator) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """Bell-measure the control and the target heading a (4, 2^(n-2)) block in one 16-outcome
-    step over their ancillas' joint maps (rows r1 r2 f1 f2, columns d1 d2), returning as ``_bell_block``."""
-    joint = (maps[0].reshape(4, 1, 2, 1, 2, 1) * maps[1].reshape(1, 4, 1, 2, 1, 2)).reshape(64, 4)
-    return _bell_block(block, joint, rng)
+    return _CODE[bits], (rows[r] / math.sqrt(w[r])).reshape(maps.shape[1], -1), bits
 
 
 def bell_measure(
@@ -510,20 +495,16 @@ def bell_measure(
     of either binary, which relabels the outcomes of the same four Bell
     projectors: with variant (0, 0) outcome m projects onto Bell state m,
     and the negated variants report the prepared index of the corresponding
-    Pauli-gate ancilla instead.  Returns (outcome, remaining state).
+    Pauli-gate ancilla instead.  It runs the teleportation loop's kernel,
+    ``_bell_block``.  Returns (outcome, remaining state).
     """
     if tuple(variant) not in BIT_DECODE:
         raise ValueError("variant must be a pair of bits")
     if len(pair) != 2:
         raise ValueError(f"Bell measurement acts on exactly two qubits, got {len(pair)} labels")
-    # each Bell row times the block is the rest of the register given that
-    # Bell state; its squared norm is the outcome's weight
     axes = qcore._axes(state.labels, pair)
-    rows = _BELL_ROWS @ qcore._to_front(state.data, axes, 2)
-    w = (np.abs(rows) ** 2).sum(axis=1).tolist()
-    r, bits = _draw_bell(w, rng, variant)
-    rest = tuple(state.labels[p] for p in axes[2:])
-    return BIT_DECODE[bits], QuantumState._trusted(rows[r] / np.sqrt(w[r]), rest)
+    m, rest, _ = _bell_block(qcore._to_front(state.data, axes, 2), _BELL_ROWS.reshape(4, 1, 4), rng, variant)
+    return m, QuantumState._trusted(rest.reshape(-1), tuple(state.labels[p] for p in axes[2:]))
 
 
 def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg: ProtocolConfig,
@@ -540,7 +521,7 @@ def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg
     trials: list[TrialRecord] = []
     for r in range(1, cfg.budget(k) + 1):
         prepared, maps, prep_bits = frame.prepare(cfg.prep_mode, rng)
-        measured, block, bell_bits = (_pair_block if frame.halves else _bell_block)(block, maps, rng)
+        measured, block, bell_bits = _bell_block(block, maps, rng)
         success = measured == prepared
         trials.append(TrialRecord(r, index[prepared], index[measured], prep_bits, bell_bits, success, frame.target))
         if success:

@@ -276,7 +276,7 @@ def measure(
     if any(p.labels != on for p in projs):
         raise ValueError("instrument projectors must share one label tuple")
     axes = _axes(state.labels, on)
-    mats = [p.matrix for p in projs]
+    mats = np.stack([p.matrix for p in projs])
     if check:
         _require_instrument(mats)
     probs, posts = _collapse(_to_front(state.data, axes, len(on)), mats)
@@ -284,14 +284,15 @@ def measure(
     return outcome, QuantumState._trusted(_from_front(posts[outcome], axes), state.labels), probs[outcome]
 
 
-def _collapse(block: np.ndarray, mats: Sequence[np.ndarray]) -> tuple[list[float], list]:
+def _collapse(block: np.ndarray, mats: np.ndarray) -> tuple[list[float], list]:
     """Every outcome's probability <psi|P_i|psi> and collapsed block (None unless p_i > 0).
 
     ``block`` is a state vector, or its block from ``_to_front``, whose
-    leading index the projectors ``mats`` act on.  This is the arithmetic
-    of :func:`measure`, which draws one outcome from it.
+    leading index the (m, d, d) stack of projectors ``mats`` acts on; one
+    stacked product forms every outcome.  This is the arithmetic of
+    :func:`measure`, which draws one outcome from it.
     """
-    shots = [m @ block for m in mats]
+    shots = mats @ block
     probs = [float(np.vdot(v, v).real) for v in shots]
     posts = [v / np.sqrt(p) if p > 0 else None for v, p in zip(shots, probs)]
     return probs, posts

@@ -15,7 +15,7 @@ from scipy import sparse, stats
 import measureonly.qcore as qcore
 from measureonly import identities, protocol
 from measureonly.measure import cnot_measurement_set, parity_slots, solve_two_qubit_parity_form
-from measureonly.pauli import nearest_phased_pauli
+from measureonly.pauli import PhasedPauli, cnot_frame_update, nearest_phased_pauli
 from measureonly.protocol import (
     BIT_DECODE,
     BudgetExceeded,
@@ -373,22 +373,23 @@ class TestTeleportStep:
         indices = tuple(int(j) for j in gen.integers(4, size=k))
         if kind == "pauli" and k == 2:
             # a phased Pauli pair, the frame left after a failed controlled-NOT
-            # trial: two one-qubit ancillas, the control's measured first
+            # trial: two one-qubit ancillas, whose maps the pair frame joins
             halves = [random_phased_pauli(gen) for _ in range(2)]
             ancilla = pair_ancilla(np.kron(*halves), indices)
-            step = protocol._pair_block
-            maps = tuple(protocol._bell_maps(pair_ancilla(u, (j,))) for u, j in zip(halves, indices))
+            frame = protocol._pauli_frame(nearest_phased_pauli(np.kron(*halves)))
+            assert frame.halves
+            maps = frame.maps(4 * indices[0] + indices[1])
         else:
             if kind == "haar":
                 u = haar_unitary(gen, 2**k)
             else:
                 u = CNOT if k == 2 else random_phased_pauli(gen)
             ancilla = pair_ancilla(u, indices)
-            step, maps = protocol._bell_block, protocol._bell_maps(ancilla)
+            maps = protocol._bell_maps(ancilla)
         state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
         axes = positions + tuple(p for p in range(n) if p not in positions)
         rng_step, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        code, block, bits = step(qcore._to_front(state.data, axes, k), maps, rng_step)
+        code, block, bits = protocol._bell_block(qcore._to_front(state.data, axes, k), maps, rng_step)
         data = qcore._from_front(block, axes)
         outcomes_ref, post_ref, bits_ref = self.merged_reference(state, positions, ancilla, rng_ref)
         assert (code, bits) == (protocol._CODE[bits_ref], bits_ref)
@@ -422,7 +423,6 @@ class TestBellOutcomeLaw:
                 frame = frame.after(prepared, (prepared + offset) % 16)
             assert bool(frame.halves) == (kind == "pair")
         block = haar_state(gen, n).reshape(2**frame.k, -1)
-        step = protocol._pair_block if frame.halves else protocol._bell_block
         draw, seen = protocol._draw_bell, []
 
         def recording_draw(w, rng, variant=(0, 0)):
@@ -432,7 +432,7 @@ class TestBellOutcomeLaw:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocol, "_draw_bell", recording_draw)
             for _ in range(3):
-                _, block, _ = step(block, frame.prepare(mode, gen)[1], gen)
+                _, block, _ = protocol._bell_block(block, frame.prepare(mode, gen)[1], gen)
         assert len(seen) == 3 * frame.k
         for i, w in enumerate(seen):
             np.testing.assert_allclose(w, [1 / 4 if i % frame.k == 0 else 1 / 16] * 4, rtol=0, atol=1e-12)
@@ -480,6 +480,38 @@ class TestBranchTables:
             simulate_one_qubit(GateSpec.custom(haar_unitary(rng)), zero_state((0,)), 0, cfg, rng)
         gc.collect()
         assert sum(isinstance(o, protocol._Frame) and o.k == 1 for o in gc.get_objects()) <= 24
+
+
+class TestStackedCollapse:
+    """One stacked product forms every outcome's branch exactly as one product per projector did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["haar", "cnot"]),
+        columns=st.sampled_from([None, 1, 2, 4, 8]),
+        start=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_projector_products(self, kind, columns, start, seed):
+        gen = np.random.default_rng(seed)
+        frame = protocol._Frame(None, haar_unitary(gen)) if kind == "haar" else protocol._named_frame("CNOT")
+        plan = frame.plan()
+        d = plan.instruments.shape[-1]
+        for mats in plan.instruments:
+            if start:
+                # the all-|0> start leaves some outcomes impossible
+                block = np.kron(plan.start, np.eye(1, columns or 1, dtype=complex)[0])
+            else:
+                block = haar_state(gen, (d * (columns or 1)).bit_length() - 1)
+            block = block.reshape(d, columns) if columns else block
+            probs, posts = qcore._collapse(block, mats)
+            shots = [m @ block for m in mats]
+            assert probs == [float(np.vdot(v, v).real) for v in shots]
+            for post, v, p in zip(posts, shots, probs):
+                if p > 0:
+                    assert np.array_equal(post, v / np.sqrt(p))
+                else:
+                    assert post is None
 
 
 class TestPendingGateClosure:
@@ -650,6 +682,37 @@ class TestFrameGraph:
         for f in frames:
             pauli = nearest_phased_pauli(f.target)
             assert pauli is None or f.key == pauli, (f.key, pauli)
+
+
+class TestWalkedFrameGraph:
+    """The frame graph that every failure code reaches from each catalogue root, pinned."""
+
+    @pytest.mark.parametrize("name, frames, not_pauli",
+                             [("H", 13, 1), ("T", 19, 7), ("X", 12, 0), ("Y", 12, 0), ("Z", 12, 0)])
+    def test_one_qubit_frame_counts(self, name, frames, not_pauli):
+        reached = _reachable(protocol._named_frame(name))
+        assert all(f.k == 1 for f in reached)
+        assert len(reached) == frames
+        assert sum(nearest_phased_pauli(f.target) is None for f in reached) == not_pauli
+
+    def test_two_qubit_successors_are_exact_pauli_algebra(self):
+        # from the root, the owed sigma_(mn) sigma_(jk) conjugated by the
+        # controlled-NOT table; from a pair frame, its halves' successors side by side
+        root = protocol._named_frame("CNOT")
+        reached = _reachable(root)
+        assert len(reached) == 61 and all(f.k == 2 for f in reached)
+        for frame in reached:
+            for prepared in range(16):
+                for measured in set(range(16)) - {prepared}:
+                    (j, k), (m, n) = divmod(prepared, 4), divmod(measured, 4)
+                    if frame is root:
+                        owed = PhasedPauli(1, (m, n)) * PhasedPauli(1, (j, k))
+                        gamma, p, q = cnot_frame_update(*owed.indices)
+                        expected = PhasedPauli(gamma * owed.phase, (p, q))
+                    else:
+                        a, b = (half.after(i, o).key for half, i, o in zip(frame.halves, (j, k), (m, n)))
+                        expected = PhasedPauli(a.phase * b.phase, a.indices + b.indices)
+                    assert frame.after(prepared, measured).key == expected, (frame.key, prepared, measured)
 
 
 class TestClosedFormFrames:

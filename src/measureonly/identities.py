@@ -11,6 +11,7 @@ gates, and the commutation plus composition of the four-measurement set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import measure as msr
 from . import qcore
 from .measure import GAMMA
-from .pauli import SIGMA, pauli_product, cnot_frame_update
+from .pauli import _PAULIS, SIGMA, cnot_frame_update, kron2, pauli_product
 from .protocol import _GATE_MATRICES
 
 __all__ = ["CheckResult", "identity_checks", "EXACT_TOL", "EQUIV_TOL"]
@@ -69,10 +70,6 @@ class CheckResult:
         return self.deviation <= self.tolerance
 
 
-def _dev(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
-
-
 def identity_checks(
     tolerance: Optional[float] = None,
     gamma: Optional[Sequence[float]] = None,
@@ -89,59 +86,61 @@ def identity_checks(
     def add(name: str, deviation: float, tol: float) -> None:
         checks.append(CheckResult(name, float(deviation), tolerance if tolerance is not None else tol))
 
+    def add_all(names: list[str], got, expected, tol: float) -> None:
+        """One check per name, on the matching matrices of two stacks."""
+        n = len(names)
+        devs = np.abs(np.reshape(got, (n, -1)) - np.reshape(expected, (n, -1))).max(axis=1)
+        for name, dev in zip(names, devs.tolist()):
+            add(name, dev, tol)
+
+    codes = list(product(range(4), repeat=2))
+
     # Single-qubit Pauli products.
-    for i in range(4):
-        for j in range(4):
-            phase, k = pauli_product(i, j)
-            add(f"pauli product ({i},{j})", _dev(SIGMA[i] @ SIGMA[j], phase * SIGMA[k]), EXACT_TOL)
+    expected = [phase * SIGMA[k] for phase, k in (pauli_product(i, j) for i, j in codes)]
+    add_all([f"pauli product ({i},{j})" for i, j in codes], _PAULIS[1][:, None] @ _PAULIS[1], expected, EXACT_TOL)
 
     # Bell projector expansions in the two-qubit Pauli basis.
-    pair = [np.kron(SIGMA[a], SIGMA[a]) for a in (1, 2, 3)]
+    pair = _PAULIS[2][[5, 10, 15]]  # sigma_a (x) sigma_a for a = 1, 2, 3
     eye4 = np.eye(4, dtype=complex)
-    bell_projs = []
-    for j in range(4):
-        v = qcore.bell_state(j).data
-        bell_projs.append(np.outer(v, v.conj()))
-        s1, s2, s3 = _BELL_EXPANSION_SIGNS[j]
-        expected = (eye4 + s1 * pair[0] + s2 * pair[1] + s3 * pair[2]) / 4
-        add(f"bell projector expansion (B{j})", _dev(bell_projs[j], expected), EXACT_TOL)
+    vs = np.array([qcore.bell_state(j).data for j in range(4)])
+    bell_projs = vs[:, :, None] * vs[:, None, :].conj()
+    s1, s2, s3 = np.array(list(_BELL_EXPANSION_SIGNS.values())).T[:, :, None, None]
+    expected = (eye4 + s1 * pair[0] + s2 * pair[1] + s3 * pair[2]) / 4
+    add_all([f"bell projector expansion (B{j})" for j in _BELL_EXPANSION_SIGNS], bell_projs, expected, EXACT_TOL)
 
     # Pair sums: projector 0 plus projector i is a half-rank parity projector.
-    for i in (1, 2, 3):
-        expected = (eye4 + gamma[i] * pair[i - 1]) / 2
-        add(f"bell pair sum (i={i})", _dev(bell_projs[0] + bell_projs[i], expected), EXACT_TOL)
+    expected = (eye4 + np.array([gamma[i] for i in (1, 2, 3)])[:, None, None] * pair) / 2
+    add_all([f"bell pair sum (i={i})" for i in (1, 2, 3)], bell_projs[0] + bell_projs[1:], expected, EXACT_TOL)
 
     # Hadamard conjugation table.
     h = _GATE_MATRICES["H"]
-    for j, (sign, out) in _HADAMARD_TABLE.items():
-        add(f"hadamard conjugation (sigma_{j})", _dev(h @ SIGMA[j] @ h.conj().T, sign * SIGMA[out]), EXACT_TOL)
+    add_all([f"hadamard conjugation (sigma_{j})" for j in _HADAMARD_TABLE], h @ _PAULIS[1][1:] @ h.conj().T,
+            [sign * SIGMA[out] for sign, out in _HADAMARD_TABLE.values()], EXACT_TOL)
 
     # pi/8-gate conjugation table, first and second level.
     t = _GATE_MATRICES["T"]
-    for j, expected in _T_TABLE.items():
-        add(f"t conjugation (sigma_{j})", _dev(t @ SIGMA[j] @ t.conj().T, expected), EXACT_TOL)
-    for (a, k), (sign, out) in _T_CHAIN_TABLE.items():
-        ta = _T_TABLE[a]
-        add(f"t chain ({a},{k})", _dev(ta @ SIGMA[k] @ ta.conj().T, sign * SIGMA[out]), EXACT_TOL)
+    add_all([f"t conjugation (sigma_{j})" for j in _T_TABLE], t @ _PAULIS[1][1:] @ t.conj().T,
+            list(_T_TABLE.values()), EXACT_TOL)
+    ta = np.array([_T_TABLE[a] for a, _ in _T_CHAIN_TABLE])
+    add_all([f"t chain ({a},{k})" for a, k in _T_CHAIN_TABLE],
+            ta @ _PAULIS[1][[k for _, k in _T_CHAIN_TABLE]] @ ta.conj().transpose(0, 2, 1),
+            [sign * SIGMA[out] for sign, out in _T_CHAIN_TABLE.values()], EXACT_TOL)
 
     # Controlled-NOT conjugation table, all sixteen rows.
     cnot = _GATE_MATRICES["CNOT"]
-    for j in range(4):
-        for k in range(4):
-            phase, jj, kk = cnot_frame_update(j, k)
-            lhs = cnot @ np.kron(SIGMA[j], SIGMA[k]) @ cnot
-            add(f"cnot conjugation ({j},{k})", _dev(lhs, phase * np.kron(SIGMA[jj], SIGMA[kk])), EXACT_TOL)
+    expected = [phase * _PAULIS[2][4 * jj + kk] for phase, jj, kk in (cnot_frame_update(j, k) for j, k in codes)]
+    add_all([f"cnot conjugation ({j},{k})" for j, k in codes], cnot @ _PAULIS[2] @ cnot, expected, EXACT_TOL)
 
     # Controlled-NOT preparation: the two three-qubit parity forms, built by
     # summing the corresponding rank-one basis projectors.
     labels = (1, 2, 3, 4)
     basis16 = msr.two_qubit_u_basis_measurement(cnot, labels)
     sum_j01 = sum(basis16.projectors[4 * j + k].matrix for j in (0, 1) for k in range(4))
-    xxx = (np.eye(8, dtype=complex) + np.kron(np.kron(SIGMA[1], SIGMA[1]), SIGMA[1])) / 2
-    add("cnot prep x-parity (1,3,4)", _dev(sum_j01, qcore.embed(xxx, (1, 3, 4), labels)), EXACT_TOL)
     sum_k03 = sum(basis16.projectors[4 * j + k].matrix for j in range(4) for k in (0, 3))
-    zzz = (np.eye(8, dtype=complex) + np.kron(np.kron(SIGMA[3], SIGMA[3]), SIGMA[3])) / 2
-    add("cnot prep z-parity (2,3,4)", _dev(sum_k03, qcore.embed(zzz, (2, 3, 4), labels)), EXACT_TOL)
+    xxx = (np.eye(8, dtype=complex) + kron2(kron2(SIGMA[1], SIGMA[1]), SIGMA[1])) / 2
+    zzz = (np.eye(8, dtype=complex) + kron2(kron2(SIGMA[3], SIGMA[3]), SIGMA[3])) / 2
+    add_all(["cnot prep x-parity (1,3,4)", "cnot prep z-parity (2,3,4)"], [sum_j01, sum_k03],
+            [qcore.embed(xxx, (1, 3, 4), labels), qcore.embed(zzz, (2, 3, 4), labels)], EXACT_TOL)
 
     # x/z pair equivalence for the catalogue gates: the joint projectors of
     # the two parity-form binaries equal the rank-one basis projectors.
@@ -156,11 +155,11 @@ def identity_checks(
     # The four-measurement set: pairwise commutation and composition into
     # the 16-outcome basis measurement.
     binaries = msr.cnot_measurement_set(labels)
-    embedded = [qcore.embed(m.p0.matrix, m.labels, labels) for m in binaries]
-    for a in range(4):
-        for b in range(a + 1, 4):
-            comm = np.abs(embedded[a] @ embedded[b] - embedded[b] @ embedded[a]).max()
-            add(f"cnot binaries commute ({a},{b})", comm, EQUIV_TOL)
+    embedded = np.array([qcore.embed(m.p0.matrix, m.labels, labels) for m in binaries])
+    products = embedded[:, None] @ embedded
+    rows, cols = zip(*combinations(range(4), 2))
+    add_all([f"cnot binaries commute ({a},{b})" for a, b in zip(rows, cols)],
+            products[rows, cols], products[cols, rows], EQUIV_TOL)
     joint16 = msr.compose_binaries(binaries, system=labels)
     _, dev = msr.match_projector_sets(joint16.projectors, basis16.projectors)
     add("cnot binaries compose to 16-outcome basis", dev, EQUIV_TOL)

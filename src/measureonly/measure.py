@@ -6,19 +6,24 @@ single-qubit measurements whose classical bits are combined by a balanced
 Boolean function; this module builds those forms, the rank-one basis
 measurements they compose into, and the specific four-measurement set that
 prepares ancillas for the controlled-NOT.
+
+Each construction is a few stacked numpy operations, not a loop of 2x2 to
+16x16 products: one broadcast Kronecker product per part of a form, one
+batched product per composed binary, one outer product over a basis's
+twisted Bell states and one table of every pairwise distance for matching.
+Every measurement still passes ``qcore._require_instrument`` when built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _cartesian
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import qcore
-from .pauli import SIGMA, kron2
+from .pauli import _PAULIS, SIGMA, kron2
 from .qcore import Label, Projector, STRUCT_TOL, _require_instrument, _require_unitary
 
 __all__ = [
@@ -54,6 +59,7 @@ GAMMA: tuple[int, int, int, int] = (0, 1, -1, 1)
 _XYZ = np.stack(SIGMA[1:]).reshape(3, 4)
 _XYZ_CONJ = _XYZ.conj()
 _EYE4 = np.eye(4, dtype=complex)
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -175,11 +181,12 @@ class BinaryMeasurement:
     def __post_init__(self) -> None:
         if self.p0.labels != self.p1.labels:
             raise ValueError("both projectors must live on the same labels")
-        _require_instrument((self.p0.matrix, self.p1.matrix))
-        half = len(self.p0.matrix) // 2
-        for m in (self.p0.matrix, self.p1.matrix):
-            if not abs(np.trace(m).real - half) <= STRUCT_TOL:
-                raise ValueError(f"projector trace {np.trace(m).real} is not {half}")
+        mats = np.array((self.p0.matrix, self.p1.matrix))
+        _require_instrument(mats)
+        half = len(mats[0]) // 2
+        for trace in np.trace(mats, axis1=1, axis2=2).real.tolist():
+            if not abs(trace - half) <= STRUCT_TOL:
+                raise ValueError(f"projector trace {trace} is not {half}")
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -222,19 +229,19 @@ def expand_f_separate(form: PseudoseparateForm) -> BinaryMeasurement:
     """Expand a combined-single-qubit form into its explicit projector pair.
 
     Slot i is the sum, over all single-qubit outcome strings that f maps to
-    i, of the tensor products of the corresponding single-qubit projectors.
+    i, of the tensor products of the corresponding single-qubit projectors:
+    one broadcast Kronecker product per part forms every string's term.
     """
-    n = form.f.arity
-    dim = 2**n
-    sums = [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
-    for bits in _cartesian((0, 1), repeat=n):
-        term = np.array([[1.0 + 0j]])
-        for part, bit in zip(form.parts, bits):
-            term = kron2(term, part.projector(bit))
-        sums[form.f(bits)] += term
+    # one (2, 2, 2) stack per part: its projector(0) and projector(1)
+    observables = (np.array([part.bloch for part in form.parts]) @ _XYZ).reshape(-1, 1, 2, 2)
+    terms, *rest = (SIGMA[0] + _SIGNS * observables) / 2
+    for slots in rest:
+        r, d, _ = terms.shape
+        terms = (terms[:, None, :, None, :, None] * slots[None, :, None, :, None, :]).reshape(2 * r, 2 * d, 2 * d)
+    ones = np.array(form.f.table, dtype=bool)
     return BinaryMeasurement(
-        Projector(sums[0], form.targets),
-        Projector(sums[1], form.targets),
+        Projector(terms[~ones].sum(axis=0), form.targets),
+        Projector(terms[ones].sum(axis=0), form.targets),
         pseudoseparate=form,
     )
 
@@ -317,9 +324,7 @@ def u_basis_measurement(u: np.ndarray, labels: tuple[Label, Label] = (0, 1)) -> 
 
     Outcome j projects onto (I (x) u sigma_j) applied to the EPR pair.
     """
-    u = _require_unitary(u, 2)
-    vs = (qcore.twisted_bell(u @ SIGMA[j], labels).data for j in range(4))
-    return CompleteMeasurement(tuple(Projector(np.outer(v, v.conj()), labels) for v in vs))
+    return _twisted_basis(_require_unitary(u, 2) @ _PAULIS[1], labels)
 
 
 def two_qubit_u_basis_measurement(
@@ -332,9 +337,13 @@ def two_qubit_u_basis_measurement(
     (first with third qubit, second with fourth) by applying
     u (sigma_j (x) sigma_k) to the last two qubits.
     """
-    u = _require_unitary(u, 4)
-    vs = (qcore.twisted_bell(u @ kron2(SIGMA[j], SIGMA[k]), labels).data for j in range(4) for k in range(4))
-    return CompleteMeasurement(tuple(Projector(np.outer(v, v.conj()), labels) for v in vs))
+    return _twisted_basis(_require_unitary(u, 4) @ _PAULIS[2], labels)
+
+
+def _twisted_basis(ops: np.ndarray, labels: tuple[Label, ...]) -> CompleteMeasurement:
+    """Projectors onto the twisted Bell states of a stack of unitaries, one outcome each."""
+    vs = qcore._bell_amplitudes(ops)
+    return CompleteMeasurement(tuple(Projector(p, labels) for p in vs[:, :, None] * vs[:, None, :].conj()))
 
 
 def u_basis_binary_pair(
@@ -391,35 +400,18 @@ def compose_binaries(
     ms = list(ms)
     if not ms:
         raise ValueError("need at least one binary measurement")
-    if system is None:
-        seen: list[Label] = []
-        for m in ms:
-            for q in m.labels:
-                if q not in seen:
-                    seen.append(q)
-        system = tuple(seen)
-    else:
-        system = tuple(system)
-    embedded = [
-        (qcore.embed(m.p0.matrix, m.labels, system), qcore.embed(m.p1.matrix, m.labels, system))
-        for m in ms
-    ]
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            a, b = embedded[i][0], embedded[j][0]
-            norm = np.abs(a @ b - b @ a).max()
-            if not norm <= STRUCT_TOL:
-                raise ValueError(
-                    f"binary measurements {i} and {j} do not commute (commutator norm {norm:.3e})"
-                )
-    dim = 2 ** len(system)
-    projs = []
-    for bits in _cartesian((0, 1), repeat=len(ms)):
-        joint = np.eye(dim, dtype=complex)
-        for (slot0, slot1), bit in zip(embedded, bits):
-            joint = joint @ (slot1 if bit else slot0)
-        projs.append(Projector(joint, system))
-    return CompleteMeasurement(tuple(projs))
+    # by default every label the binaries touch, in order of first appearance
+    system = tuple(dict.fromkeys(q for m in ms for q in m.labels) if system is None else system)
+    embedded = np.array([[qcore.embed(p.matrix, m.labels, system) for p in m.slots()] for m in ms])
+    products = embedded[:, None, 0] @ embedded[None, :, 0]  # slot 0 of binary i times slot 0 of binary j
+    norms = np.abs(products - products.swapaxes(0, 1)).max(axis=(2, 3))
+    if not norms.max() <= STRUCT_TOL:  # norms is symmetric: find the first failing pair i < j
+        for i, j in np.argwhere(np.triu(~(norms <= STRUCT_TOL), 1))[:1]:
+            raise ValueError(f"binary measurements {i} and {j} do not commute (commutator norm {norms[i, j]:.3e})")
+    joint = embedded[0]
+    for slots in embedded[1:]:
+        joint = (joint[:, None] @ slots[None]).reshape(-1, *joint.shape[1:])
+    return CompleteMeasurement(tuple(Projector(p, system) for p in joint))
 
 
 def is_pseudoseparate_witness(m: BinaryMeasurement, form: PseudoseparateForm) -> bool:
@@ -443,28 +435,25 @@ def match_projector_sets(
     Returns (mapping, deviation) where mapping[i] is the index in ``b``
     assigned to a[i] and deviation is the largest max-entry distance over
     the matched pairs.  Distinct projectors sit an O(1) distance apart, so
-    greedy nearest-neighbour matching is exact whenever the families agree.
+    greedy nearest-neighbour matching is exact whenever the families agree;
+    ties go to the lowest index.  Raises ValueError unless both families
+    hold finite matrices of one square shape.
     """
-
-    def mat(x) -> np.ndarray:
-        return x.matrix if isinstance(x, Projector) else np.asarray(x)
-
-    mats_a = [mat(x) for x in a]
-    mats_b = [mat(x) for x in b]
+    mats_a, mats_b = ([np.asarray(x.matrix if isinstance(x, Projector) else x) for x in fam] for fam in (a, b))
     if len(mats_a) != len(mats_b):
         raise ValueError("projector families must have equal size")
-    used: set[int] = set()
-    mapping: list[int] = []
-    worst = 0.0
-    for ma in mats_a:
-        best_j, best_dev = -1, np.inf
-        for j, mb in enumerate(mats_b):
-            if j in used:
-                continue
-            dev = float(np.abs(ma - mb).max())
-            if dev < best_dev:
-                best_j, best_dev = j, dev
-        used.add(best_j)
-        mapping.append(best_j)
-        worst = max(worst, best_dev)
-    return mapping, worst
+    shapes = {m.shape for m in mats_a + mats_b}
+    if len(shapes) > 1 or any(len(s) != 2 or s[0] != s[1] for s in shapes):
+        raise ValueError(f"projector families must share one square shape, got shapes {sorted(shapes)}")
+    if not mats_a:
+        return [], 0.0
+    mats_a, mats_b = np.array(mats_a), np.array(mats_b)
+    if not (np.isfinite(mats_a).all() and np.isfinite(mats_b).all()):
+        raise ValueError("projector entries must be finite")
+    devs = np.abs(mats_a[:, None] - mats_b[None]).max(axis=(2, 3)).tolist()
+    free = list(range(len(devs)))
+    mapping = []
+    for row in devs:
+        mapping.append(min(free, key=row.__getitem__))  # the first of equal minima
+        free.remove(mapping[-1])
+    return mapping, max([0.0] + [row[j] for row, j in zip(devs, mapping)])

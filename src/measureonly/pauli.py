@@ -56,6 +56,10 @@ def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
+#: The Paulis that index codes name on k qubits: sigma_c on one, sigma_j (x) sigma_k at code 4j + k on two.
+_PAULIS = {1: np.stack(SIGMA), 2: np.stack([kron2(a, b) for a in SIGMA for b in SIGMA])}
+
+
 def _check_index(i: int) -> int:
     if i not in (0, 1, 2, 3):
         raise ValueError(f"Pauli index must be one of 0, 1, 2, 3, got {i!r}")

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import measure as msr
 from . import qcore
-from .pauli import PhasedPauli, SIGMA, kron2, nearest_phased_pauli
+from .pauli import _PAULIS, PhasedPauli, SIGMA, nearest_phased_pauli
 from .qcore import Label, QuantumState
 
 __all__ = [
@@ -168,10 +168,6 @@ class ProtocolConfig:
         if self.max_trials is not None:
             return self.max_trials
         return trials_needed(self.epsilon, arity)
-
-
-#: The Paulis that index codes name on k qubits: sigma_c on one, sigma_j (x) sigma_k at code 4j + k on two.
-_PAULIS = {1: np.stack(SIGMA), 2: np.stack([kron2(a, b) for a in SIGMA for b in SIGMA])}
 
 
 def _next_frame(t: np.ndarray, k: int, prepared: int, measured: int) -> "_Frame":

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -111,6 +110,8 @@ class Projector:
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
+        if len(set(labels)) != len(labels):
+            raise ValueError("duplicate qubit labels")
         matrix = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", matrix)
         dim = 2 ** len(labels)
@@ -144,8 +145,12 @@ def twisted_bell(op: np.ndarray, labels: Sequence[Label]) -> QuantumState:
     labels = tuple(labels)
     if len(labels) % 2:
         raise ValueError(f"a twisted Bell state needs an even number of qubits, got {len(labels)}")
-    op = _require_unitary(op, 2 ** (len(labels) // 2))
-    return QuantumState(op.T.reshape(-1) / np.sqrt(len(op)), labels)
+    return QuantumState(_bell_amplitudes(_require_unitary(op, 2 ** (len(labels) // 2))), labels)
+
+
+def _bell_amplitudes(ops: np.ndarray) -> np.ndarray:
+    """The amplitudes of :func:`twisted_bell` for a checked unitary, or row by row for a stack of them."""
+    return ops.swapaxes(-1, -2).reshape(*ops.shape[:-2], -1) / np.sqrt(ops.shape[-1])
 
 
 @lru_cache(maxsize=None)
@@ -165,19 +170,30 @@ def _require_unitary(u: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _require_instrument(mats: Sequence[np.ndarray]) -> None:
-    """Raise unless ``mats`` are Hermitian idempotents that annihilate pairwise and sum to the identity."""
-    for i, m in enumerate(mats):
-        if not np.abs(m - m.conj().T).max() <= STRUCT_TOL:
-            raise ValueError(f"projector {i} is not Hermitian")
-        if not np.abs(m @ m - m).max() <= STRUCT_TOL:
-            raise ValueError(f"projector {i} is not idempotent")
-    if not np.abs(sum(mats) - _identity(len(mats[0]))).max() <= STRUCT_TOL:
+    """Raise unless ``mats`` are Hermitian idempotents that annihilate pairwise and sum to the identity.
+
+    One block product of the stacked projectors forms every P_i P_j: its
+    diagonal blocks give idempotency, the others the pairs.  The first
+    failure raises: per projector Hermiticity then idempotency, then
+    completeness, then the pairs i < j in lexicographic order.
+    """
+    mats = np.asarray(mats)
+    m, d = len(mats), len(mats[0])
+    products = (mats.reshape(m * d, d) @ mats.transpose(1, 0, 2).reshape(d, m * d)).reshape(m, d, m, d)
+    devs = np.abs([mats - mats.conj().transpose(0, 2, 1), np.einsum("iaib->iab", products) - mats])
+    if not devs.max() <= STRUCT_TOL:
+        bad = ~(devs.reshape(2, m, -1).max(axis=2) <= STRUCT_TOL)
+        i = np.flatnonzero(bad.any(axis=0))[0]
+        raise ValueError(f"projector {i} is not {'Hermitian' if bad[0, i] else 'idempotent'}")
+    if not np.abs(mats.sum(axis=0) - _identity(d)).max() <= STRUCT_TOL:
         raise ValueError("incomplete instrument: projectors do not sum to the identity")
-    for i, j in combinations(range(len(mats)), 2):
-        overlap = np.abs(mats[i] @ mats[j]).max()
-        if not overlap <= STRUCT_TOL:
+    overlaps = np.abs(products)
+    np.einsum("iaib->iab", overlaps)[...] = 0.0  # P_i P_i, checked above
+    if not overlaps.max() <= STRUCT_TOL:  # every pair, both orders: report the first failing i < j
+        overlaps = overlaps.max(axis=(1, 3))
+        for i, j in np.argwhere(np.triu(~(overlaps <= STRUCT_TOL), 1))[:1]:
             raise ValueError(
-                f"projectors {i} and {j} are not mutually annihilating (max overlap {overlap:.3e})"
+                f"projectors {i} and {j} are not mutually annihilating (max overlap {overlaps[i, j]:.3e})"
             )
 
 
@@ -212,13 +228,14 @@ def embed_at(op: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.shape != (2**k, 2**k):
         raise ValueError(f"operator shape {op.shape} does not match {k} position(s)")
+    if positions == tuple(range(n)):
+        return op.copy()
     full = kron2(op, np.eye(2 ** (n - k), dtype=complex))
     # Tensor axes of `full` are ordered as `_axes` lists them; route each to
     # its place in the register.
-    perm = np.argsort(_axes(tuple(range(n)), positions))
-    t = full.reshape((2,) * (2 * n))
-    t = t.transpose(tuple(perm) + tuple(perm + n))
-    return t.reshape(2**n, 2**n)
+    order = _axes(tuple(range(n)), positions)
+    perm = sorted(range(n), key=order.__getitem__)
+    return full.reshape((2,) * (2 * n)).transpose(perm + [p + n for p in perm]).reshape(2**n, 2**n)
 
 
 def embed(op: np.ndarray, on: Sequence[Label], system: Sequence[Label]) -> np.ndarray:

@@ -1,11 +1,21 @@
 """Measurement catalogue: combined forms, basis equivalences, the CNOT set.
 
 Oracles are built in-test from first principles: explicit Bell vectors,
-brute-force projector sums, dense kron products and grid searches.
+brute-force projector sums, dense kron products and grid searches.  The
+stacked kernels (the instrument check, the expansion, composition and
+matching) are also checked bit for bit against per-matrix loop references.
 """
+from itertools import combinations
+from itertools import product as cartesian
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import measureonly.measure as msr
+import measureonly.qcore as qcore
+from measureonly.identities import identity_checks
 from measureonly.measure import (
     GAMMA,
     MEAS_W,
@@ -28,7 +38,7 @@ from measureonly.measure import (
     u_basis_binary_pair,
     u_basis_measurement,
 )
-from measureonly.qcore import Projector, embed, measure, zero_state
+from measureonly.qcore import STRUCT_TOL, Projector, embed, measure, zero_state
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -448,3 +458,283 @@ def test_binary_measurements_need_equal_ranks():
     rank_one = Projector(np.diag([1.0, 0, 0, 0]), (0, 1))
     with pytest.raises(ValueError, match="trace"):
         BinaryMeasurement(rank_one, Projector(np.diag([0, 1.0, 1, 1]), (0, 1)))
+
+
+def test_basis_measurements_reject_duplicate_labels():
+    with pytest.raises(ValueError, match="duplicate"):
+        u_basis_measurement(HADAMARD, (0, 0))
+    with pytest.raises(ValueError, match="duplicate"):
+        two_qubit_u_basis_measurement(CNOT, (1, 2, 3, 3))
+
+
+# Loop references for the stacked kernels: one matrix product at a time, in
+# the order the checks are specified.
+
+
+def loop_require_instrument(mats):
+    for i, m in enumerate(mats):
+        if not np.abs(m - m.conj().T).max() <= STRUCT_TOL:
+            raise ValueError(f"projector {i} is not Hermitian")
+        if not np.abs(m @ m - m).max() <= STRUCT_TOL:
+            raise ValueError(f"projector {i} is not idempotent")
+    if not np.abs(sum(mats) - np.eye(len(mats[0]))).max() <= STRUCT_TOL:
+        raise ValueError("incomplete instrument: projectors do not sum to the identity")
+    for i, j in combinations(range(len(mats)), 2):
+        overlap = np.abs(mats[i] @ mats[j]).max()
+        if not overlap <= STRUCT_TOL:
+            raise ValueError(
+                f"projectors {i} and {j} are not mutually annihilating (max overlap {overlap:.3e})"
+            )
+
+
+def loop_expand_f_separate(form):
+    dim = 2**form.f.arity
+    sums = [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
+    for bits in cartesian((0, 1), repeat=form.f.arity):
+        term = np.array([[1.0 + 0j]])
+        for part, bit in zip(form.parts, bits):
+            term = np.kron(term, part.projector(bit))
+        sums[form.f(bits)] += term
+    return sums
+
+
+def loop_compose_binaries(ms, system):
+    embedded = [(embed(m.p0.matrix, m.labels, system), embed(m.p1.matrix, m.labels, system)) for m in ms]
+    for i, j in combinations(range(len(ms)), 2):
+        a, b = embedded[i][0], embedded[j][0]
+        norm = np.abs(a @ b - b @ a).max()
+        if not norm <= STRUCT_TOL:
+            raise ValueError(f"binary measurements {i} and {j} do not commute (commutator norm {norm:.3e})")
+    joints = []
+    for bits in cartesian((0, 1), repeat=len(ms)):
+        joint = np.eye(2 ** len(system), dtype=complex)
+        for (slot0, slot1), bit in zip(embedded, bits):
+            joint = joint @ (slot1 if bit else slot0)
+        joints.append(joint)
+    return joints
+
+
+def loop_match_projector_sets(mats_a, mats_b):
+    used, mapping, worst = set(), [], 0.0
+    for ma in mats_a:
+        best_j, best_dev = -1, np.inf
+        for j, mb in enumerate(mats_b):
+            if j in used:
+                continue
+            dev = float(np.abs(ma - mb).max())
+            if dev < best_dev:
+                best_j, best_dev = j, dev
+        used.add(best_j)
+        mapping.append(best_j)
+        worst = max(worst, best_dev)
+    return mapping, worst
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "returned", fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def balanced_table(n, order):
+    ones = order.sample(range(2**n), 2 ** (n - 1))
+    return tuple(int(i in ones) for i in range(2**n))
+
+
+class TestStackedKernelsMatchTheLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), order=st.randoms(use_true_random=False), seed=st.integers(0, 2**32 - 1))
+    def test_expansion_is_bit_for_bit_the_loop(self, n, order, seed):
+        rng = np.random.default_rng(seed)
+        catalogue = [MEAS_X, MEAS_Y, MEAS_Z, MEAS_W, MEAS_Y.swapped()]
+        parts = tuple(
+            catalogue[rng.integers(len(catalogue))] if rng.random() < 0.3 else SingleQubitBinary(random_bloch(rng))
+            for _ in range(n)
+        )
+        form = PseudoseparateForm(BalancedBooleanFn(n, balanced_table(n, order)), parts, tuple(range(n)))
+        m = expand_f_separate(form)
+        for got, want in zip((m.p0.matrix, m.p1.matrix), loop_expand_f_separate(form)):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        k=st.integers(1, 4),
+        order=st.randoms(use_true_random=False),
+        seed=st.integers(0, 2**32 - 1),
+        explicit_system=st.booleans(),
+    )
+    def test_composition_is_bit_for_bit_the_loop(self, n, k, order, seed, explicit_system):
+        # binaries on random ordered subsets whose parts share one axis per
+        # qubit, so every pair commutes
+        rng = np.random.default_rng(seed)
+        axes = [SingleQubitBinary(random_bloch(rng)) for _ in range(n)]
+        ms = []
+        for _ in range(k):
+            targets = tuple(order.sample(range(n), order.randint(1, min(3, n))))
+            f = BalancedBooleanFn(len(targets), balanced_table(len(targets), order))
+            ms.append(expand_f_separate(PseudoseparateForm(f, tuple(axes[q] for q in targets), targets)))
+        system = tuple(order.sample(range(n), n)) if explicit_system else None
+        joint = compose_binaries(ms, system)
+        if system is None:  # every label the binaries touch, in order of first appearance
+            seen = []
+            for m in ms:
+                seen += [q for q in m.labels if q not in seen]
+            system = tuple(seen)
+        assert joint.labels == system
+        want = loop_compose_binaries(ms, system)
+        assert len(joint) == len(want) == 2**k
+        for got, expected in zip(joint.projectors, want):
+            assert np.array_equal(got.matrix, expected)
+
+    def test_non_commuting_sets_report_the_first_pair_as_the_loop_does(self):
+        mz = expand_f_separate(PseudoseparateForm(BalancedBooleanFn.parity(1), (MEAS_Z,), (0,)))
+        mx = expand_f_separate(PseudoseparateForm(BalancedBooleanFn.parity(1), (MEAS_X,), (0,)))
+        for ms in ([mz, mz, mx], [mz, mx, mx], [mx, mz, mz, mx]):
+            got = outcome(compose_binaries, ms, (0,))
+            assert got == outcome(loop_compose_binaries, ms, (0,))
+            assert got[0] is ValueError
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        d=st.sampled_from([1, 2, 4]),
+        coarse=st.booleans(),
+        order=st.randoms(use_true_random=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matching_is_the_greedy_loop(self, m, d, coarse, order, seed):
+        # coarse entries from {-1, 0, 1} make equal deviations, and so ties, common
+        rng = np.random.default_rng(seed)
+        if coarse:
+            a = rng.integers(-1, 2, size=(m, d, d)) + 0j
+            b = rng.integers(-1, 2, size=(m, d, d)) + 0j
+        else:
+            a = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+            b = a[order.sample(range(m), m)] + 1e-3 * rng.normal(size=(m, d, d))
+        for first, second in ((a, b), (a, a[order.sample(range(m), m)]), (a, a)):
+            got = match_projector_sets(list(first), list(second))
+            assert got == loop_match_projector_sets(list(first), list(second))
+
+    def test_ties_go_to_the_lowest_index(self):
+        family = [I2, I2, X, X]
+        assert match_projector_sets(family, family) == ([0, 1, 2, 3], 0.0)
+        assert match_projector_sets([X, I2], [I2, I2]) == ([0, 1], 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.sampled_from([2, 4, 16]),
+        d=st.sampled_from([2, 4, 8, 16]),
+        corruption=st.sampled_from(["none", "not Hermitian", "not idempotent", "incomplete", "overlapping pair"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_instrument_check_fails_first_where_the_loop_does(self, m, d, corruption, seed):
+        # outcome i projects onto the columns of a random unitary assigned to
+        # it; with more outcomes than dimensions some projectors are zero
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(rng, d)
+        owner = rng.permutation(np.arange(d) % m)
+        mats = np.array([u[:, owner == i] @ u[:, owner == i].conj().T for i in range(m)])
+        nonzero = np.flatnonzero(np.bincount(owner, minlength=m))
+        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        k = int(rng.integers(m))
+        if corruption == "not Hermitian":
+            mats[k] += 1e-3 * (noise - noise.conj().T)
+        elif corruption == "not idempotent":
+            mats[k] += 1e-3 * (noise + noise.conj().T)
+        elif corruption == "incomplete":
+            mats[rng.choice(nonzero)] = 0.0
+        elif corruption == "overlapping pair":
+            j = int(rng.choice(nonzero))
+            mats[(j + 1 + int(rng.integers(m - 1))) % m] = mats[j]
+        want = outcome(loop_require_instrument, list(mats))
+        assert outcome(qcore._require_instrument, mats) == want
+        assert (want == ("returned", None)) == (corruption == "none")
+
+    def test_pair_check_reports_the_first_overlapping_pair(self):
+        # Two rank-one projectors tilted off orthogonal until their overlap
+        # just exceeds STRUCT_TOL: in max-entry norm the overlap can run about
+        # 10% above the idempotency and completeness deviations, so only the
+        # pair check fails.  Two copies on the halves of four dimensions make
+        # pairs (0, 2) and (1, 3) fail, and (0, 2) is reported.
+        def tilted(q, tilt, eps):
+            v = q + eps * tilt
+            v = v / np.linalg.norm(v, axis=0)
+            return [np.outer(c, c.conj()) for c in v.T]
+
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            q = haar_unitary(rng)
+            tilt = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            p0, p1 = tilted(q, tilt, 1e-6)
+            p0, p1 = tilted(q, tilt, 1e-6 * 1.04e-10 / np.abs(p0 @ p1).max())
+            if str(outcome(loop_require_instrument, [p0, p1])[1]).startswith("projectors 0 and 1"):
+                break
+        else:
+            pytest.fail("no tilt fails the pair check alone")
+        zero = np.zeros((2, 2))
+        top, bottom = (lambda p: np.block([[p, zero], [zero, zero]])), (lambda p: np.block([[zero, zero], [zero, p]]))
+        mats = [top(p1), bottom(p0), top(p0), bottom(p1)]
+        want = outcome(loop_require_instrument, mats)
+        assert want[1].startswith("projectors 0 and 2 are not mutually annihilating")
+        assert outcome(qcore._require_instrument, np.array(mats)) == want
+
+    def test_per_projector_checks_run_in_order(self):
+        z0, z1 = np.diag([1.0, 0.0]) + 0j, np.diag([0.0, 1.0]) + 0j
+        skew = np.array([[0, 1], [0, 0]], dtype=complex)
+        cases = {
+            "projector 0 is not Hermitian": [z0 + skew, 0.5 * z1],
+            "projector 0 is not idempotent": [0.5 * z0, z1 + skew],
+            "projector 1 is not Hermitian": [z0, z1 + skew],
+        }
+        for message, mats in cases.items():
+            assert outcome(qcore._require_instrument, np.array(mats)) == (ValueError, message)
+            assert outcome(loop_require_instrument, mats) == (ValueError, message)
+
+
+def test_matching_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        match_projector_sets([np.full((2, 2), np.nan), I2], [I2, np.zeros((2, 2))])
+    with pytest.raises(ValueError, match="finite"):
+        match_projector_sets([I2], [np.diag([np.inf, 0.0])])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([np.ones((1, 4))], [np.eye(4)]),
+        ([np.ones((1, 4))], [np.ones((1, 4))]),
+        ([I2, np.eye(4)], [I2, I2]),
+        ([np.ones(4)], [np.ones(4)]),
+    ],
+    ids=["row-vs-square", "not-square", "mixed-sizes", "vectors"],
+)
+def test_matching_rejects_families_without_one_square_shape(a, b):
+    with pytest.raises(ValueError, match="one square shape"):
+        match_projector_sets(a, b)
+
+
+def test_matching_empty_families():
+    assert match_projector_sets([], []) == ([], 0.0)
+
+
+def test_identity_checks_validate_every_instrument_on_every_call(monkeypatch):
+    # one instrument check per measurement verify builds: 16 binary
+    # measurements and 14 complete ones; a cached or skipped construction
+    # would show as fewer
+    real, calls = qcore._require_instrument, []
+
+    def counting(mats):
+        calls.append(len(mats))
+        return real(mats)
+
+    monkeypatch.setattr(qcore, "_require_instrument", counting)
+    monkeypatch.setattr(msr, "_require_instrument", counting)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert all(c.passed for c in identity_checks())
+        counts.append(len(calls))
+    assert counts == [30, 30]

@@ -10,7 +10,8 @@ prepares ancillas for the controlled-NOT.
 Each construction is a few stacked numpy operations, not a loop of 2x2 to
 16x16 products: one broadcast Kronecker product per part of a form, one
 batched product per composed binary, one outer product over a basis's
-twisted Bell states and one table of every pairwise distance for matching.
+twisted Bell states and a table of every pairwise distance, one row per
+projector, for matching.
 Every measurement still passes ``qcore._require_instrument`` when built.
 """
 from __future__ import annotations
@@ -450,7 +451,7 @@ def match_projector_sets(
     mats_a, mats_b = np.array(mats_a), np.array(mats_b)
     if not (np.isfinite(mats_a).all() and np.isfinite(mats_b).all()):
         raise ValueError("projector entries must be finite")
-    devs = np.abs(mats_a[:, None] - mats_b[None]).max(axis=(2, 3)).tolist()
+    devs = [np.abs(mats_b - ma).max(axis=(1, 2)).tolist() for ma in mats_a]
     free = list(range(len(devs)))
     mapping = []
     for row in devs:

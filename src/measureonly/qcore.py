@@ -172,28 +172,30 @@ def _require_unitary(u: np.ndarray, dim: int) -> np.ndarray:
 def _require_instrument(mats: Sequence[np.ndarray]) -> None:
     """Raise unless ``mats`` are Hermitian idempotents that annihilate pairwise and sum to the identity.
 
-    One block product of the stacked projectors forms every P_i P_j: its
-    diagonal blocks give idempotency, the others the pairs.  The first
-    failure raises: per projector Hermiticity then idempotency, then
+    The checks run on the stacked projectors: one batched product gives
+    every P_i P_i, and one per projector gives its products with the
+    projectors after it, so no temporary holds more than m matrices.  The
+    first failure raises: per projector Hermiticity then idempotency, then
     completeness, then the pairs i < j in lexicographic order.
     """
     mats = np.asarray(mats)
     m, d = len(mats), len(mats[0])
-    products = (mats.reshape(m * d, d) @ mats.transpose(1, 0, 2).reshape(d, m * d)).reshape(m, d, m, d)
-    devs = np.abs([mats - mats.conj().transpose(0, 2, 1), np.einsum("iaib->iab", products) - mats])
+    devs = np.stack([
+        np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
+        np.abs(mats @ mats - mats).max(axis=(1, 2)),
+    ])
     if not devs.max() <= STRUCT_TOL:
-        bad = ~(devs.reshape(2, m, -1).max(axis=2) <= STRUCT_TOL)
+        bad = ~(devs <= STRUCT_TOL)
         i = np.flatnonzero(bad.any(axis=0))[0]
         raise ValueError(f"projector {i} is not {'Hermitian' if bad[0, i] else 'idempotent'}")
     if not np.abs(mats.sum(axis=0) - _identity(d)).max() <= STRUCT_TOL:
         raise ValueError("incomplete instrument: projectors do not sum to the identity")
-    overlaps = np.abs(products)
-    np.einsum("iaib->iab", overlaps)[...] = 0.0  # P_i P_i, checked above
-    if not overlaps.max() <= STRUCT_TOL:  # every pair, both orders: report the first failing i < j
-        overlaps = overlaps.max(axis=(1, 3))
-        for i, j in np.argwhere(np.triu(~(overlaps <= STRUCT_TOL), 1))[:1]:
+    for i in range(m - 1):
+        overlaps = np.abs(mats[i] @ mats[i + 1:]).max(axis=(1, 2))
+        if not overlaps.max() <= STRUCT_TOL:
+            j = np.flatnonzero(~(overlaps <= STRUCT_TOL))[0]
             raise ValueError(
-                f"projectors {i} and {j} are not mutually annihilating (max overlap {overlaps[i, j]:.3e})"
+                f"projectors {i} and {i + 1 + j} are not mutually annihilating (max overlap {overlaps[j]:.3e})"
             )
 
 

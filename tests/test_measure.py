@@ -5,6 +5,7 @@ brute-force projector sums, dense kron products and grid searches.  The
 stacked kernels (the instrument check, the expansion, composition and
 matching) are also checked bit for bit against per-matrix loop references.
 """
+import tracemalloc
 from itertools import combinations
 from itertools import product as cartesian
 
@@ -692,6 +693,25 @@ class TestStackedKernelsMatchTheLoops:
         for message, mats in cases.items():
             assert outcome(qcore._require_instrument, np.array(mats)) == (ValueError, message)
             assert outcome(loop_require_instrument, mats) == (ValueError, message)
+
+
+def test_instrument_check_and_matching_hold_a_few_stacks_at_most():
+    # 16 outcomes on 16 dimensions make a 64 KiB stack.  Forming every
+    # P_i P_j, or every pairwise difference, at once takes 1 MiB or more,
+    # which leaves the process heap megabytes larger for the rest of its run.
+    basis = two_qubit_u_basis_measurement(CNOT, (1, 2, 3, 4))
+    mats = np.array([p.matrix for p in basis.projectors])
+    tracemalloc.start()
+    try:
+        qcore._require_instrument(mats)
+        instrument_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        match_projector_sets(basis.projectors, basis.projectors[::-1])
+        matching_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert instrument_peak <= 6 * mats.nbytes
+    assert matching_peak <= 6 * mats.nbytes
 
 
 def test_matching_rejects_non_finite_entries():

@@ -356,7 +356,6 @@ def u_basis_binary_pair(
     The pair uses axes x and z; its four joint projectors are exactly the
     rank-one u-basis projectors, up to outcome relabelling.
     """
-    u = _require_unitary(u, 2)
     mx = expand_f_separate(solve_two_qubit_parity_form(1, u, targets=labels))
     mz = expand_f_separate(solve_two_qubit_parity_form(3, u, targets=labels))
     return mx, mz

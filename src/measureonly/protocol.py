@@ -12,9 +12,14 @@ catalogue gate and one per phased Pauli on one or two qubits, which with
 their successors make at most 24 one-qubit and 65 two-qubit frames; a custom
 gate gets fresh frames that die with its call.  A frame keeps its preparation
 plan, its ancillas' Bell maps and its successor frame after each failure, so
-a trial costs lookups, the random draws and one product with the data block
-in one kernel, ``_bell_block``, which ``bell_measure`` runs too.  A pair
-frame owes a product of two one-qubit Paulis and joins their frames' maps.
+a trial is lookups, the random draws and the drawn Bell map's product with
+the data block, in one kernel, ``_bell_block``.  The ancilla is maximally
+entangled, so each Bell pair's outcome has probability 1/4 whatever the data
+(Gottesman-Chuang, quant-ph/9908010): the kernel draws it from that law and
+forms only the drawn outcome's block.  ``bell_measure`` runs the same kernel
+with weights from its block, as an arbitrary register has no such law.  A
+pair frame owes a product of two one-qubit Paulis and forms only the drawn
+outcome's map from their frames' maps.
 Every successor follows one rule, ``_next_frame``: a failed trial from
 target t that prepared sigma_p and measured sigma_m owes t sigma_m sigma_p
 t^dagger, snapped to a phased Pauli when it is one (always on two qubits),
@@ -31,7 +36,7 @@ import numpy as np
 
 from . import measure as msr
 from . import qcore
-from .pauli import _PAULIS, PhasedPauli, SIGMA, nearest_phased_pauli
+from .pauli import _PAULIS, PhasedPauli, SIGMA, kron2, nearest_phased_pauli
 from .qcore import Label, QuantumState
 
 __all__ = [
@@ -303,7 +308,7 @@ class _Frame:
     (0, j) owe one gate and share one.  A pair frame, one with a two-qubit
     key, owes a product of two one-qubit Paulis: its ``halves`` are their
     frames, the first carrying the whole phase, and it prepares through
-    them, multiplying their maps into one joint map.  Interned frames link
+    them, pairing their maps in a ``_PairMaps``.  Interned frames link
     only to interned frames and the 6 others T reaches, so a custom gate's
     frames are garbage once its call returns.
     """
@@ -316,7 +321,7 @@ class _Frame:
             (p, q), phase = key.indices, key.phase
             self.halves = (_pauli_frame(PhasedPauli(phase, (p,))), _pauli_frame(PhasedPauli(1, (q,))))
         self._plan: Optional[_BranchTable] = None
-        self.direct: list[Optional[np.ndarray]] = [None] * 4**self.k
+        self.direct: list[Union[None, np.ndarray, _PairMaps]] = [None] * 4**self.k
         self.successors: list[Optional[_Frame]] = [None] * 16**self.k
 
     def plan(self) -> _BranchTable:
@@ -333,25 +338,29 @@ class _Frame:
         """The 2k-qubit ancilla vector (order ``_PREP1``/``_PREP2``) prepared with index code ``code``."""
         return qcore.twisted_bell(self.target @ _PAULIS[self.k][code], _PREP1 if self.k == 1 else _PREP2).data
 
-    def maps(self, code: int) -> np.ndarray:
+    def maps(self, code: int) -> Union[np.ndarray, _PairMaps]:
         """The Bell maps of the ancilla prepared with index code ``code``, as ``_bell_block`` takes them."""
-        if self.halves:
-            return _joint_maps(*(half.maps(i) for half, i in zip(self.halves, divmod(code, 4))))
         maps = self.direct[code]
         if maps is None:
-            maps = self.direct[code] = _bell_maps(self.ancilla(code))
+            if self.halves:
+                maps = _PairMaps(*(half.maps(i) for half, i in zip(self.halves, divmod(code, 4))))
+            else:
+                maps = _bell_maps(self.ancilla(code))
+            self.direct[code] = maps
         return maps
 
-    def prepare(self, mode: str, rng: np.random.Generator) -> tuple[int, np.ndarray, Optional[tuple[int, ...]]]:
+    def prepare(self, mode: str, rng: np.random.Generator,
+                ) -> tuple[int, Union[np.ndarray, _PairMaps], Optional[tuple[int, ...]]]:
         """(prepared index code, Bell maps, preparation bits) of one fresh ancilla.
 
         A two-qubit frame draws the control's index and then the target's; a
-        pair frame joins its halves' maps.
+        pair frame pairs its halves' maps.
         """
         if mode == "measured":
             if self.halves:
-                (bits_a, maps_a), (bits_b, maps_b) = (half.plan().prepare(rng) for half in self.halves)
-                bits, maps = bits_a + bits_b, _joint_maps(maps_a, maps_b)
+                a, b = self.halves
+                (bits_a, maps_a), (bits_b, maps_b) = a.plan().prepare(rng), b.plan().prepare(rng)
+                bits, maps = bits_a + bits_b, _PairMaps(maps_a, maps_b)
             else:
                 bits, maps = self.plan().prepare(rng)
             return _CODE[bits], maps, bits
@@ -439,9 +448,24 @@ def _bell_maps(ancilla: np.ndarray) -> np.ndarray:
     return (_BELL_MAPS[k] @ ancilla).reshape(4**k, 2**k, 2**k)
 
 
-def _joint_maps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Bell maps of two one-qubit ancillas side by side: outcome (r1 r2), row (f1 f2), column (d1 d2)."""
-    return (a.reshape(4, 1, 2, 1, 2, 1) * b.reshape(1, 4, 1, 2, 1, 2)).reshape(16, 4, 4)
+class _PairMaps:
+    """The 16 Bell maps of two one-qubit ancillas side by side, each formed when indexed.
+
+    Map 4 r1 + r2 is the Kronecker product of the first ancilla's map r1 and
+    the second's map r2: row (f1 f2), column (d1 d2), as ``_bell_maps`` lays
+    out one two-qubit ancilla's maps.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a, self.b = a, b
+
+    def __len__(self) -> int:
+        return 16
+
+    def __getitem__(self, r: int) -> np.ndarray:
+        return kron2(self.a[r >> 2], self.b[r & 3])
 
 
 def _draw_bell(w: list[float], rng: np.random.Generator,
@@ -459,23 +483,34 @@ def _draw_bell(w: list[float], rng: np.random.Generator,
     return 2 * x + (b ^ vz), (a, b)
 
 
-def _bell_block(block: np.ndarray, maps: np.ndarray, rng: np.random.Generator,
-                variant: tuple[int, int] = (0, 0)) -> tuple[int, np.ndarray, tuple[int, ...]]:
+#: The teleportation law, whatever the data: each Bell pair's outcome has weight 1/4, and each
+#: joint outcome of two pairs 1/16, given to the second pair's draw.
+_QUARTERS, _SIXTEENTHS = [1 / 4] * 4, [1 / 16] * 4
+
+
+def _bell_block(block: np.ndarray, maps: Union[np.ndarray, _PairMaps], rng: np.random.Generator,
+                variant: tuple[int, int] = (0, 0), weights: Optional[list[float]] = None,
+                ) -> tuple[int, np.ndarray, tuple[int, ...]]:
     """Bell-measure the qubits heading a ``qcore._to_front`` block through (outcomes, free, data) maps.
 
-    Map r times the block is the new block given outcome r, its ``free`` rows (an ancilla's free
-    half, or ``bell_measure``'s none) in the data qubits' place; its squared norm is r's weight.
-    One Bell pair or two are drawn in order, the second given the first, ``variant`` going to the
-    first draw.  Returns (outcome index code, new block, bits).
+    Map r times the block, normalised, is the new block given outcome r, its ``free`` rows (an
+    ancilla's free half, or ``bell_measure``'s none) in the data qubits' place; its squared norm
+    is r's weight.  Maps of a twisted-Bell ancilla have M_r^dagger M_r = 4^-k I, so on the
+    teleportation path that weight is 4^-k whatever the block and the draws take the exact law;
+    ``bell_measure``'s one pair passes its own four ``weights``.  One Bell pair or two are drawn
+    in order, ``variant`` going to the first draw, and only the drawn outcome's block is formed.
+    Returns (outcome index code, new block, bits).
     """
-    rows = (maps.reshape(-1, len(block)) @ block).reshape(len(maps), -1)
-    parts = rows.view(np.float64)
-    w = (parts * parts).sum(axis=1).tolist()
-    r, bits = _draw_bell(w if len(w) == 4 else [sum(w[:4]), sum(w[4:8]), sum(w[8:12]), sum(w[12:])], rng, variant)
-    if len(w) == 16:
-        r2, bits2 = _draw_bell(w[4 * r:4 * r + 4], rng)
+    r, bits = _draw_bell(_QUARTERS if weights is None else weights, rng, variant)
+    if len(maps) == 16:
+        r2, bits2 = _draw_bell(_SIXTEENTHS, rng)
         r, bits = 4 * r + r2, bits + bits2
-    return _CODE[bits], (rows[r] / math.sqrt(w[r])).reshape(maps.shape[1], -1), bits
+    new = maps[r] @ block
+    # numpy divides a complex array by a real scalar by scaling with its reciprocal: scaling the
+    # real view gives the same numbers at a fraction of the cost
+    parts = new.view(np.float64)
+    parts *= 1 / math.sqrt((parts * parts).sum())
+    return _CODE[bits], new, bits
 
 
 def bell_measure(
@@ -491,15 +526,20 @@ def bell_measure(
     of either binary, which relabels the outcomes of the same four Bell
     projectors: with variant (0, 0) outcome m projects onto Bell state m,
     and the negated variants report the prepared index of the corresponding
-    Pauli-gate ancilla instead.  It runs the teleportation loop's kernel,
-    ``_bell_block``.  Returns (outcome, remaining state).
+    Pauli-gate ancilla instead.  The outcomes' weights, which depend on the
+    register, come from the 4x4 Gram matrix of the pair's block; the
+    teleportation loop's kernel, ``_bell_block``, then draws and forms only
+    the drawn outcome's remaining state.  Returns (outcome, remaining state).
     """
     if tuple(variant) not in BIT_DECODE:
         raise ValueError("variant must be a pair of bits")
     if len(pair) != 2:
         raise ValueError(f"Bell measurement acts on exactly two qubits, got {len(pair)} labels")
     axes = qcore._axes(state.labels, pair)
-    m, rest, _ = _bell_block(qcore._to_front(state.data, axes, 2), _BELL_ROWS.reshape(4, 1, 4), rng, variant)
+    block = qcore._to_front(state.data, axes, 2)
+    gram = block @ block.conj().T
+    weights = np.einsum("ri,ij,rj->r", _BELL_ROWS, gram, _BELL_ROWS.conj()).real.tolist()
+    m, rest, _ = _bell_block(block, _BELL_ROWS.reshape(4, 1, 4), rng, variant, weights)
     return m, QuantumState._trusted(rest.reshape(-1), tuple(state.labels[p] for p in axes[2:]))
 
 

@@ -307,6 +307,11 @@ class TestUBasisBinaryPair:
             )
 
 
+    def test_rejects_a_matrix_that_is_not_unitary(self):
+        with pytest.raises(ValueError, match="^gate matrix is not unitary$"):
+            u_basis_binary_pair(np.diag([2**0.5, 0]))
+
+
 class TestComposeBinaries:
     def test_partition_recovers_the_nondegenerate_measurement(self):
         # group the four Bell projectors two ways, compose, get them back

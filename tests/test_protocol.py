@@ -4,7 +4,9 @@ Correctness oracles are direct unitary application built in-test; outcome
 distributions are checked against exactly computed overlap probabilities.
 """
 import gc
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,6 +438,118 @@ class TestBellOutcomeLaw:
         assert len(seen) == 3 * frame.k
         for i, w in enumerate(seen):
             np.testing.assert_allclose(w, [1 / 4 if i % frame.k == 0 else 1 / 16] * 4, rtol=0, atol=1e-12)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["haar", "pauli", "cnot", "pair"]),
+        n=st.integers(2, 4),
+        mode=st.sampled_from(["measured", "direct"]),
+        failures=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 15)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_map_is_an_isometry_over_2_to_the_k(self, kind, n, mode, failures, seed):
+        """The kernel draws from 4^-k per outcome without looking at the block.  That holds because
+        every map a frame hands it has M_r^dagger M_r = 4^-k I, so the drawn block's squared norm
+        before normalisation is 4^-k.  Three steps run, following each failure to its successor."""
+        gen = np.random.default_rng(seed)
+        frame = law_frame(kind, failures, gen)
+        block = haar_state(gen, n).reshape(2**frame.k, -1)
+        for _ in range(3):
+            k = frame.k
+            prepared, maps, _ = frame.prepare(mode, gen)
+            assert len(maps) == 4**k
+            for r in range(4**k):
+                np.testing.assert_allclose(maps[r].conj().T @ maps[r], np.eye(2**k) / 4**k, rtol=0, atol=1e-12)
+            measured, new, bits = protocol._bell_block(block, maps, gen)
+            # the row the bits draw: 2x + z for one pair, 4 (2x1 + z1) + 2x2 + z2 for two
+            raw = maps[int("".join(map(str, bits)), 2)] @ block
+            assert abs(np.vdot(raw, raw).real * 4**k - 1) <= 1e-12
+            np.testing.assert_allclose(new, raw / np.linalg.norm(raw), rtol=0, atol=1e-12)
+            if measured != prepared:
+                frame = frame.after(prepared, measured)
+            block = new
+
+
+def law_frame(kind, failures, gen):
+    """A frame of the given kind: a Haar or phased-Pauli one-qubit target, the controlled-NOT's
+    root, or the pair frame its failed trials (measured != prepared) reach."""
+    if kind in ("haar", "pauli"):
+        return protocol._Frame(None, haar_unitary(gen) if kind == "haar" else random_phased_pauli(gen))
+    frame = protocol._named_frame("CNOT")
+    for prepared, offset in failures if kind == "pair" else ():
+        frame = frame.after(prepared, (prepared + offset) % 16)
+    assert bool(frame.halves) == (kind == "pair")
+    return frame
+
+
+def all_outcomes_bell_block(block, maps, rng, variant=(0, 0)):
+    """The Bell kernel that forms every outcome's block and squares it for that outcome's weight.
+
+    ``protocol._bell_block`` forms only the drawn block, from the exact law on the teleportation
+    path and from given weights in ``bell_measure``; this is the reference it must agree with.
+    """
+    rows = (maps.reshape(-1, len(block)) @ block).reshape(len(maps), -1)
+    parts = rows.view(np.float64)
+    w = (parts * parts).sum(axis=1).tolist()
+    first = w if len(w) == 4 else [sum(w[:4]), sum(w[4:8]), sum(w[8:12]), sum(w[12:])]
+    r, bits = protocol._draw_bell(first, rng, variant)
+    if len(w) == 16:
+        r2, bits2 = protocol._draw_bell(w[4 * r:4 * r + 4], rng)
+        r, bits = 4 * r + r2, bits + bits2
+    return protocol._CODE[bits], (rows[r] / math.sqrt(w[r])).reshape(maps.shape[1], -1), bits
+
+
+class TestAllOutcomesReference:
+    """The one-block kernel against the all-outcomes kernel on the same random stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["haar", "pauli", "cnot", "pair"]),
+        n=st.integers(2, 6),
+        mode=st.sampled_from(["measured", "direct"]),
+        failures=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 15)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_teleportation_steps_agree(self, kind, n, mode, failures, seed):
+        gen = np.random.default_rng(seed)
+        frame = law_frame(kind, failures, gen)
+        maps = frame.prepare(mode, gen)[1]
+        block = haar_state(gen, n).reshape(2**frame.k, -1)
+        rng_kernel, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        code, new, bits = protocol._bell_block(block, maps, rng_kernel)
+        code_ref, ref, bits_ref = all_outcomes_bell_block(block, np.stack([maps[r] for r in range(len(maps))]), rng_ref)
+        assert (code, bits) == (code_ref, bits_ref)
+        np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
+        assert rng_kernel.random() == rng_ref.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        order=st.randoms(use_true_random=False),
+        variant=st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
+        seed=st.integers(0, 2**32 - 1),
+        bell_on_pair=st.sampled_from([None, 0, 1, 2, 3]),
+    )
+    def test_bell_measure_agrees(self, n, order, variant, seed, bell_on_pair):
+        labels = list(range(n))
+        order.shuffle(labels)
+        pair = (labels[0], labels[1])
+        gen = np.random.default_rng(seed)
+        if bell_on_pair is None:
+            state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
+        else:
+            # a definite Bell state on the pair makes some outcomes impossible
+            rest = QuantumState.pure(haar_state(gen, n - 2), tuple(labels[2:])) if n > 2 else None
+            state = qcore.bell_state(bell_on_pair, pair)
+            state = qcore.permute_to(kron_states(state, rest) if rest else state, tuple(range(n)))
+        rng_kernel, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        m, post = bell_measure(state, pair, rng_kernel, variant)
+        block = qcore._to_front(state.data, qcore._axes(state.labels, pair), 2)
+        m_ref, ref, _ = all_outcomes_bell_block(block, protocol._BELL_ROWS.reshape(4, 1, 4), rng_ref, variant)
+        assert m == m_ref
+        np.testing.assert_allclose(post.data, ref.reshape(-1), rtol=0, atol=1e-12)
+        assert rng_kernel.random() == rng_ref.random()
 
 
 class TestBranchTables:
@@ -1217,6 +1331,32 @@ class TestWideRegisters:
         for prep in ("measured", "direct"):
             final, traces, _ = run_circuit(circuit, n, ProtocolConfig(epsilon=1e-9, prep_mode=prep), gen)
             assert fidelity_up_to_phase(final, reference) >= 1 - 1e-9
+
+
+    @pytest.mark.parametrize("prep", ["measured", "direct"])
+    @pytest.mark.parametrize("gate", ["H", "CNOT"])
+    def test_one_trial_holds_a_few_states(self, gate, prep):
+        # A trial forms only the drawn outcome's block: forming all 4^k would hold 9 states for H
+        # and 33 for the controlled-NOT.
+        n, gen = 16, np.random.default_rng(43)
+        state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
+        cfg = ProtocolConfig(max_trials=1, prep_mode=prep)
+
+        def trial():
+            if gate == "H":
+                simulate_one_qubit(GateSpec.named("H"), state, 5, cfg, gen)
+            else:
+                simulate_cnot(state, (5, 9), cfg, gen)
+
+        for _ in range(8):  # fill the frames' plans and maps
+            trial()
+        tracemalloc.start()
+        try:
+            trial()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * state.data.nbytes
 
 
 class TestStatistics:

@@ -20,9 +20,6 @@ from .protocol import BudgetExceeded, GateSpec, ProtocolConfig
 
 SCHEMA_VERSION = "1"
 
-_ONE_QUBIT_GATES = ("H", "T", "X", "Y", "Z")
-_GATES = _ONE_QUBIT_GATES + ("CNOT",)
-
 
 def _emit(report: dict, as_json: bool, text_lines: list[str]) -> None:
     if as_json:
@@ -128,8 +125,8 @@ def _gate_report(gate: GateSpec, state_kind: str, args: argparse.Namespace) -> t
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     name = args.gate.upper()
-    if name not in _GATES:
-        return _usage_error(f"unknown gate {args.gate!r} (expected one of {', '.join(_GATES)})")
+    if name not in protocol._GATE_MATRICES:
+        return _usage_error(f"unknown gate {args.gate!r} (expected one of {', '.join(protocol._GATE_MATRICES)})")
     gate = GateSpec.named(name)
     report, lines, status = _gate_report(gate, args.state, args)
     _emit(report, args.json, lines)
@@ -138,8 +135,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     name = args.gate.upper()
-    if name not in _GATES:
-        return _usage_error(f"unknown gate {args.gate!r} (expected one of {', '.join(_GATES)})")
+    if name not in protocol._GATE_MATRICES:
+        return _usage_error(f"unknown gate {args.gate!r} (expected one of {', '.join(protocol._GATE_MATRICES)})")
     if args.trials < 1:
         return _usage_error("trials must be at least 1")
     gate = GateSpec.named(name)
@@ -203,14 +200,11 @@ def parse_circuit_file(text: str) -> list[tuple[GateSpec, tuple[int, ...]]]:
             continue
         parts = line.split()
         name = parts[0].upper()
-        if name in _ONE_QUBIT_GATES:
-            expected = 1
-        elif name == "CNOT":
-            expected = 2
-        else:
+        if name not in protocol._GATE_MATRICES:
             raise CircuitParseError(line_no, f"unknown gate {parts[0]!r}")
-        if len(parts) != expected + 1:
-            raise CircuitParseError(line_no, f"{name} takes {expected} qubit operand(s)")
+        gate = GateSpec.named(name)
+        if len(parts) != gate.arity + 1:
+            raise CircuitParseError(line_no, f"{name} takes {gate.arity} qubit operand(s)")
         if not all(p.isascii() and p.isdigit() for p in parts[1:]):
             raise CircuitParseError(line_no, f"qubit operands must be integers: {line!r}")
         qubits = tuple(int(p) for p in parts[1:])
@@ -218,7 +212,7 @@ def parse_circuit_file(text: str) -> list[tuple[GateSpec, tuple[int, ...]]]:
             raise CircuitParseError(line_no, f"qubit indices must lie in 0..{qcore.MAX_QUBITS - 1}")
         if name == "CNOT" and qubits[0] == qubits[1]:
             raise CircuitParseError(line_no, "controlled-NOT operands must be distinct")
-        ops.append((GateSpec.named(name), qubits))
+        ops.append((gate, qubits))
     return ops
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -70,17 +70,13 @@ class CheckResult:
         return self.deviation <= self.tolerance
 
 
-def identity_checks(
-    tolerance: Optional[float] = None,
-    gamma: Optional[Sequence[float]] = None,
-) -> list[CheckResult]:
+def identity_checks(tolerance: Optional[float] = None) -> list[CheckResult]:
     """Run every verification check; returns one result per named identity.
 
-    ``tolerance`` overrides each check's own tolerance when given; ``gamma``
-    overrides the pair-sum sign vector (negative-control hook for tests).
+    ``tolerance`` overrides each check's own tolerance when given.  The pair
+    sums are checked against ``measure.GAMMA``, read as this module's
+    ``GAMMA`` when the checks run.
     """
-    if gamma is None:
-        gamma = GAMMA
     checks: list[CheckResult] = []
 
     def add(name: str, deviation: float, tol: float) -> None:
@@ -109,7 +105,7 @@ def identity_checks(
     add_all([f"bell projector expansion (B{j})" for j in _BELL_EXPANSION_SIGNS], bell_projs, expected, EXACT_TOL)
 
     # Pair sums: projector 0 plus projector i is a half-rank parity projector.
-    expected = (eye4 + np.array([gamma[i] for i in (1, 2, 3)])[:, None, None] * pair) / 2
+    expected = (eye4 + np.array([GAMMA[i] for i in (1, 2, 3)])[:, None, None] * pair) / 2
     add_all([f"bell pair sum (i={i})" for i in (1, 2, 3)], bell_projs[0] + bell_projs[1:], expected, EXACT_TOL)
 
     # Hadamard conjugation table.

@@ -44,6 +44,9 @@ _PHASE_PREFIX = {1 + 0j: "+", -1 + 0j: "-", 1j: "+i", -1j: "-i"}
 # the cyclic order (1,2,3) carries the +i.
 _CYCLIC = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
 
+# How near a phase must be to the root of unity it snaps to, and the residual nearest_phased_pauli accepts.
+_PHASE_TOL, _NEAREST_TOL = 1e-8, 1e-10
+
 
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices, bit for bit equal to numpy's ``kron``.
@@ -80,9 +83,9 @@ def pauli_product(i: int, j: int) -> tuple[complex, int]:
     return -1j, _CYCLIC[(j, i)]
 
 
-def _snap_phase(z: complex, tol: float = 1e-8) -> complex:
+def _snap_phase(z: complex) -> complex:
     for p in PHASES:
-        if abs(z - p) < tol:
+        if abs(z - p) < _PHASE_TOL:
             return p
     raise ValueError(f"phase {z!r} is not a fourth root of unity")
 
@@ -144,8 +147,8 @@ def _pauli_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return stack, rows
 
 
-def _phased_pauli_row(matrix: np.ndarray, n: int, tol: float) -> Optional[tuple[complex, int]]:
-    """(phase, row) with ``matrix`` equal to phase * (Pauli string ``row``) to ``tol``, or None.
+def _phased_pauli_row(matrix: np.ndarray, n: int) -> Optional[tuple[complex, int]]:
+    """(phase, row) with ``matrix`` equal to phase * (Pauli string ``row``) to ``_NEAREST_TOL``, or None.
 
     The arithmetic of :func:`nearest_phased_pauli` on a checked 2^n x 2^n matrix.
     """
@@ -154,19 +157,19 @@ def _phased_pauli_row(matrix: np.ndarray, n: int, tol: float) -> Optional[tuple[
     row = int(np.argmax(np.abs(coeffs)))
     coeff = complex(coeffs[row])
     for phase in PHASES:
-        if abs(coeff - phase) < tol:
-            if not np.abs(matrix - phase * stack[row]).max() < tol:
+        if abs(coeff - phase) < _NEAREST_TOL:
+            if not np.abs(matrix - phase * stack[row]).max() < _NEAREST_TOL:
                 return None
             return phase, row
     return None
 
 
-def nearest_phased_pauli(matrix: np.ndarray, tol: float = 1e-10) -> Optional[PhasedPauli]:
+def nearest_phased_pauli(matrix: np.ndarray) -> Optional[PhasedPauli]:
     """Canonical phased-Pauli form of ``matrix``, or None if it is not one.
 
     The candidate string is read off from the Pauli expansion coefficient of
     largest magnitude; the match is accepted only if that coefficient is a
-    fourth root of unity and the residual stays below ``tol`` in max-entry
+    fourth root of unity and the residual stays below 1e-10 in max-entry
     norm.  Any wrong candidate misses by an O(1) distance, so the tolerance
     is not delicate.
     """
@@ -175,7 +178,7 @@ def nearest_phased_pauli(matrix: np.ndarray, tol: float = 1e-10) -> Optional[Pha
     n = dim.bit_length() - 1
     if matrix.shape != (dim, dim) or 2**n != dim or n < 1:
         raise ValueError("expected a square matrix with power-of-two dimension >= 2")
-    found = _phased_pauli_row(matrix, n, tol)
+    found = _phased_pauli_row(matrix, n)
     if found is None:
         return None
     phase, row = found

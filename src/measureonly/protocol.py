@@ -70,9 +70,8 @@ _GATE_MATRICES: dict[str, np.ndarray] = {
 for _m in _GATE_MATRICES.values():
     _m.setflags(write=False)
 
-# Internal labels of ancilla registers while they are prepared by measurement;
-# a trial uses only their vectors, in this qubit order.
-_PREP1 = ("prep0", "prep1")
+# Internal labels of the controlled-NOT's ancilla while it is prepared by
+# measurement; a trial uses only its vector, in this qubit order.
 _PREP2 = ("prep0", "prep1", "prep2", "prep3")
 
 
@@ -92,17 +91,17 @@ class BudgetExceeded(ProtocolError):
 
 @dataclass(frozen=True, eq=False)
 class GateSpec:
-    """A gate to simulate: one of the named gates or a custom unitary."""
+    """A gate to simulate: one of the named gates or a custom 2x2 or 4x4 unitary, whose shape gives the arity."""
 
     name: str
     matrix: np.ndarray
-    arity: int
 
     def __post_init__(self) -> None:
-        if self.arity not in (1, 2):
-            raise ValueError(f"arity must be 1 or 2, got {self.arity!r}")
+        shape = np.shape(self.matrix)
+        if shape not in ((2, 2), (4, 4)):
+            raise ValueError(f"expected a 2x2 or 4x4 gate matrix, got shape {shape}")
         # a read-only copy, shared by frames and trial records
-        matrix = qcore._require_unitary(self.matrix, 2**self.arity).copy()
+        matrix = qcore._require_unitary(self.matrix, shape[0]).copy()
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         named = _GATE_MATRICES.get(self.name)
@@ -110,21 +109,24 @@ class GateSpec:
                                       and np.abs(matrix - named).max() <= qcore.STRUCT_TOL):
             raise ValueError(f"the matrix of a gate named {self.name!r} must be that gate's")
 
+    @property
+    def arity(self) -> int:
+        return 1 if len(self.matrix) == 2 else 2
+
     @classmethod
     def named(cls, name: str) -> "GateSpec":
         key = name.upper()
         if key not in _GATE_MATRICES:
             raise ValueError(f"unknown gate {name!r} (expected one of {sorted(_GATE_MATRICES)})")
-        m = _GATE_MATRICES[key]
-        return cls(key, m, 1 if m.shape == (2, 2) else 2)
+        return cls(key, _GATE_MATRICES[key])
 
     @classmethod
     def custom(cls, matrix: np.ndarray) -> "GateSpec":
-        matrix = np.asarray(matrix, dtype=complex)
-        arity = 1 if matrix.shape == (2, 2) else 2
-        return cls("custom", matrix, arity)
+        return cls("custom", matrix)
 
 
+# Every gate asks for its budget, which depends on these two values only.
+@lru_cache(maxsize=64)
 def trials_needed(epsilon: float, arity: int) -> int:
     """Smallest trial budget whose overall failure probability is <= epsilon.
 
@@ -335,8 +337,8 @@ class _Frame:
         return self._plan
 
     def ancilla(self, code: int) -> np.ndarray:
-        """The 2k-qubit ancilla vector (order ``_PREP1``/``_PREP2``) prepared with index code ``code``."""
-        return qcore.twisted_bell(self.target @ _PAULIS[self.k][code], _PREP1 if self.k == 1 else _PREP2).data
+        """The 2k-qubit ancilla vector (order a_1..a_k, f_1..f_k) of index code ``code``; the target is unitary."""
+        return qcore._bell_amplitudes(self.target @ _PAULIS[self.k][code])
 
     def maps(self, code: int) -> Union[np.ndarray, _PairMaps]:
         """The Bell maps of the ancilla prepared with index code ``code``, as ``_bell_block`` takes them."""

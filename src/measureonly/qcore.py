@@ -262,8 +262,6 @@ def measure(
     state: QuantumState,
     instrument: Sequence[Projector],
     rng: np.random.Generator,
-    *,
-    check: bool = True,
 ) -> tuple[int, QuantumState, float]:
     """Sample a projective-measurement outcome and collapse a pure state.
 
@@ -274,13 +272,12 @@ def measure(
     instrument:
         Mutually annihilating projectors summing to the identity, all on the
         same label tuple (a subset of the state's labels); each acts on the
-        block of those qubits.
+        block of those qubits.  Every call validates the instrument
+        (Hermiticity, idempotency, completeness, mutual annihilation) before
+        sampling, and raises ValueError on the first property that fails.
     rng:
         Explicit random stream; outcome ``i`` is drawn with probability
         <psi|P_i|psi>.
-    check:
-        When true, validate the instrument (idempotency, Hermiticity, mutual
-        annihilation, completeness) before sampling.
 
     Returns
     -------
@@ -296,8 +293,7 @@ def measure(
         raise ValueError("instrument projectors must share one label tuple")
     axes = _axes(state.labels, on)
     mats = np.stack([p.matrix for p in projs])
-    if check:
-        _require_instrument(mats)
+    _require_instrument(mats)
     probs, posts = _collapse(_to_front(state.data, axes, len(on)), mats)
     outcome = _draw(probs, rng)
     return outcome, QuantumState._trusted(_from_front(posts[outcome], axes), state.labels), probs[outcome]

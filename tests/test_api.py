@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, and non-finite input is rejected where it enters."""
 import contextlib
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -44,6 +45,65 @@ def test_public_surface_is_pinned():
         "BudgetExceeded", "GateSpec", "ProtocolConfig", "ProtocolError", "ProtocolTrace",
         "TrialRecord", "bell_measure", "direct_state", "prepare_ancilla_one", "run_circuit",
         "simulate_cnot", "simulate_one_qubit", "trials_needed",
+    }
+
+
+def test_public_signatures_are_pinned():
+    # an option added back to (or dropped from) a public callable is a reviewed edit here
+    signatures = {}
+    for module in MODULES:
+        prefix = module.__name__.rpartition(".")[2]
+        for name in getattr(module, "__all__", []):
+            value = getattr(module, name)
+            if callable(value) and getattr(value, "__module__", "").startswith("measureonly"):
+                with contextlib.suppress(ValueError):  # an exception class keeps its builtin constructor
+                    signatures[f"{prefix}.{name}"] = tuple(inspect.signature(value).parameters)
+    assert signatures == {
+        "identities.CheckResult": ("name", "deviation", "tolerance"),
+        "identities.identity_checks": ("tolerance",),
+        "measure.SingleQubitBinary": ("bloch",),
+        "measure.BalancedBooleanFn": ("arity", "table"),
+        "measure.PseudoseparateForm": ("f", "parts", "targets"),
+        "measure.BinaryMeasurement": ("p0", "p1", "pseudoseparate"),
+        "measure.CompleteMeasurement": ("projectors",),
+        "measure.expand_f_separate": ("form",),
+        "measure.parity_slots": ("form",),
+        "measure.solve_two_qubit_parity_form": ("i", "u", "targets"),
+        "measure.u_basis_measurement": ("u", "labels"),
+        "measure.two_qubit_u_basis_measurement": ("u", "labels"),
+        "measure.u_basis_binary_pair": ("u", "labels"),
+        "measure.cnot_measurement_set": ("labels",),
+        "measure.compose_binaries": ("ms", "system"),
+        "measure.is_pseudoseparate_witness": ("m", "form"),
+        "measure.match_projector_sets": ("a", "b"),
+        "pauli.PhasedPauli": ("phase", "indices"),
+        "pauli.kron2": ("a", "b"),
+        "pauli.pauli_product": ("i", "j"),
+        "pauli.cnot_frame_update": ("j", "k"),
+        "pauli.nearest_phased_pauli": ("matrix",),
+        "protocol.GateSpec": ("name", "matrix"),
+        "protocol.ProtocolConfig": ("epsilon", "max_trials", "prep_mode"),
+        "protocol.TrialRecord": ("index", "prepared", "outcome", "prep_bits", "bell_bits", "success", "target"),
+        "protocol.ProtocolTrace": ("trials", "succeeded", "residual_matrix", "residual_pauli"),
+        "protocol.BudgetExceeded": ("message", "traces", "state", "gate_index"),
+        "protocol.trials_needed": ("epsilon", "arity"),
+        "protocol.prepare_ancilla_one": ("u", "mode", "rng", "labels"),
+        "protocol.bell_measure": ("state", "pair", "rng", "variant"),
+        "protocol.simulate_one_qubit": ("gate", "state", "qubit", "cfg", "rng"),
+        "protocol.simulate_cnot": ("state", "qubits", "cfg", "rng"),
+        "protocol.run_circuit": ("circuit", "n_qubits", "cfg", "rng"),
+        "protocol.direct_state": ("circuit", "n_qubits"),
+        "qcore.QuantumState": ("data", "labels"),
+        "qcore.Projector": ("matrix", "labels"),
+        "qcore.zero_state": ("labels",),
+        "qcore.bell_state": ("i", "labels"),
+        "qcore.twisted_bell": ("op", "labels"),
+        "qcore.embed": ("op", "on", "system"),
+        "qcore.embed_at": ("op", "positions", "n"),
+        "qcore.apply_unitary": ("state", "op", "on"),
+        "qcore.measure": ("state", "instrument", "rng"),
+        "qcore.fidelity_up_to_phase": ("a", "b"),
+        "qcore.permute_to": ("state", "new_labels"),
     }
 
 

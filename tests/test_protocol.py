@@ -101,6 +101,20 @@ class TestTrialsNeeded:
         with pytest.raises(ValueError, match="arity"):
             trials_needed(0.5, 3)
 
+    def test_gates_share_one_budget_per_arity(self, monkeypatch):
+        # the budget depends on (epsilon, arity) alone, so 200 gates under one config work it out twice
+        protocol.trials_needed.cache_clear()
+        log, args = math.log, []
+
+        def counting_log(x):
+            args.append(x)
+            return log(x)
+
+        monkeypatch.setattr(math, "log", counting_log)
+        circuit = [(GateSpec.named("H"), (0,)), (GateSpec.named("CNOT"), (0, 1))] * 100
+        run_circuit(circuit, 2, ProtocolConfig(epsilon=1e-7, prep_mode="direct"), np.random.default_rng(3))
+        assert args.count(1e-7) <= 2
+
 
 class TestProtocolConfig:
     def test_budget_from_epsilon_per_arity(self):
@@ -276,7 +290,7 @@ def dense_bell_reference(state, pair, rng, variant):
     for v, p in zip(variant, (X, Z)):
         p0 = qcore.embed((eye + (-1) ** v * np.kron(p, p)) / 2, pair, state.labels)
         slots = (qcore.Projector(p0, state.labels), qcore.Projector(np.eye(state.dim) - p0, state.labels))
-        bit, state, _ = qcore.measure(state, slots, rng, check=False)
+        bit, state, _ = qcore.measure(state, slots, rng)
         bits.append(bit)
     a, b = bits
     bell = np.kron(I2, PAULIS[BIT_DECODE[(a ^ variant[0], b ^ variant[1])]]) @ EPR
@@ -574,7 +588,7 @@ class TestBranchTables:
         u = named[which] if which in named else haar_unitary(np.random.default_rng([which, 29]))
         frame = protocol._named_frame(which) if which in protocol._GATE_MATRICES else protocol._Frame(None, u)
         table = frame.plan()
-        labels = protocol._PREP1
+        labels = ("prep0", "prep1")
         instruments = [parity_slots(solve_two_qubit_parity_form(i, u, targets=labels)) for i in (1, 3)]
         self.replay_matches_fresh(table, instruments, labels, range(40))
 
@@ -844,7 +858,7 @@ class TestClosedFormFrames:
         instruments = frame.plan().instruments
         assert len(instruments) == 2
         for slots, i in zip(instruments, (1, 3)):
-            public = parity_slots(solve_two_qubit_parity_form(i, frame.target, targets=protocol._PREP1))
+            public = parity_slots(solve_two_qubit_parity_form(i, frame.target, targets=("prep0", "prep1")))
             assert len(slots) == 2
             assert all(np.array_equal(mine, theirs.matrix) for mine, theirs in zip(slots, public))
 
@@ -936,17 +950,26 @@ class TestPublicInputs:
         assert self.seeded_outputs() == before
 
     @pytest.mark.parametrize(
-        "name, matrix, arity",
-        [("CNOT", np.eye(4)[[0, 2, 1, 3]], 2), ("CNOT", I2, 1), ("H", X, 1), ("T", T_GATE.conj(), 1)],
+        "name, matrix",
+        [("CNOT", np.eye(4)[[0, 2, 1, 3]]), ("CNOT", I2), ("H", X), ("T", T_GATE.conj())],
         ids=["swap-as-CNOT", "one-qubit-CNOT", "X-as-H", "T-dagger-as-T"],
     )
-    def test_catalogue_names_need_their_own_matrix(self, name, matrix, arity):
+    def test_catalogue_names_need_their_own_matrix(self, name, matrix):
         with pytest.raises(ValueError, match=f"named {name!r} must be that gate's"):
-            GateSpec(name, matrix, arity)
+            GateSpec(name, matrix)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (8, 8), (2, 4), (2,)])
+    def test_a_gate_matrix_is_2x2_or_4x4(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            GateSpec.custom(np.zeros(shape))
+
+    def test_arity_is_read_from_the_matrix(self):
+        arities = {name: GateSpec.named(name).arity for name in protocol._GATE_MATRICES}
+        assert arities == {"H": 1, "T": 1, "X": 1, "Y": 1, "Z": 1, "CNOT": 2}
 
     def test_other_names_take_any_unitary(self):
-        assert GateSpec("swap", np.eye(4)[[0, 2, 1, 3]], 2).arity == 2
-        assert np.array_equal(GateSpec("H", HADAMARD, 1).matrix, HADAMARD)
+        assert GateSpec("swap", np.eye(4)[[0, 2, 1, 3]]).arity == 2
+        assert np.array_equal(GateSpec("H", HADAMARD).matrix, HADAMARD)
 
 
 @settings(max_examples=300, deadline=None)

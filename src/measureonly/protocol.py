@@ -11,15 +11,15 @@ The gates still owed are frames (``_Frame``), interned exactly: one per
 catalogue gate and one per phased Pauli on one or two qubits, which with
 their successors make at most 24 one-qubit and 65 two-qubit frames; a custom
 gate gets fresh frames that die with its call.  A frame keeps its preparation
-plan, its ancillas' Bell maps and its successor frame after each failure, so
-a trial is lookups, the random draws and the drawn Bell map's product with
-the data block, in one kernel, ``_bell_block``.  The ancilla is maximally
-entangled, so each Bell pair's outcome has probability 1/4 whatever the data
-(Gottesman-Chuang, quant-ph/9908010): the kernel draws it from that law and
-forms only the drawn outcome's block.  ``bell_measure`` runs the same kernel
-with weights from its block, as an arbitrary register has no such law.  A
-pair frame owes a product of two one-qubit Paulis and forms only the drawn
-outcome's map from their frames' maps.
+plan, its ancillas' Bell maps and its successor frame after each failure.
+The ancilla is maximally entangled, so each Bell pair's outcome has
+probability 1/4 whatever the data (Gottesman-Chuang, quant-ph/9908010) and
+no choice a trial makes depends on the data: a trial is lookups, one batched
+draw of uniforms (``_Frame.prepare``) and the drawn Bell map's product with
+the data block (``_bell_block``).  The maps are unitary, so the block is
+normalised once per gate.  ``bell_measure`` draws from weights of its block,
+as an arbitrary register has no such law.  A pair frame owes a product of
+two one-qubit Paulis and joins their frames' maps.
 Every successor follows one rule, ``_next_frame``: a failed trial from
 target t that prepared sigma_p and measured sigma_m owes t sigma_m sigma_p
 t^dagger, snapped to a phased Pauli when it is one (always on two qubits),
@@ -270,8 +270,9 @@ class _BranchTable:
     ancilla's Bell maps.  ``instruments`` is one (measurements, 2, d, d)
     array of projector pairs on the whole ancilla.  Each
     entry is filled on its first visit, branches by ``qcore.measure``'s
-    arithmetic, so a replay draws the same bits and reaches the same state
-    as running the measurements afresh on the same random stream.
+    arithmetic, so a walk on uniforms drawn from a random stream draws the
+    same bits and reaches the same state as running the measurements afresh
+    on that stream.
     """
 
     def __init__(self, instruments: np.ndarray):
@@ -279,20 +280,24 @@ class _BranchTable:
         self.start = np.eye(1, instruments.shape[-1], dtype=complex)[0]
         self.branches: dict[tuple[int, ...], object] = {}
 
-    def replay(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:
+    def walk(self, us: Sequence[float]) -> tuple[tuple[int, ...], np.ndarray]:
+        """The bits and ancilla vector of one preparation, drawn as ``qcore._draw2`` draws, a uniform a step."""
         vector, bits = self.start, ()
-        for mats in self.instruments:
+        for u in us[:len(self.instruments)]:
             branch = self.branches.get(bits)
             if branch is None:
-                branch = self.branches[bits] = qcore._collapse(vector, mats)
-            probs, posts = branch
-            b = qcore._draw2(probs[0], probs[1], rng)
+                (p0, p1), posts = qcore._collapse(vector, self.instruments[len(bits)])
+                if p0 + p1 < qcore.STRUCT_TOL:  # _draw2's guard, run once per branch
+                    raise ValueError("degenerate state: all outcome probabilities vanish")
+                branch = self.branches[bits] = (p0, p0 + p1, posts)
+            p0, total, posts = branch
+            b = 0 if u * total < p0 else 1
             vector, bits = posts[b], bits + (b,)
         return bits, vector
 
-    def prepare(self, rng: np.random.Generator) -> tuple[tuple[int, ...], np.ndarray]:
-        """The bits of one replayed preparation and the Bell maps of its ancilla."""
-        bits, ancilla = self.replay(rng)
+    def prepare(self, us: Sequence[float]) -> tuple[tuple[int, ...], np.ndarray]:
+        """The bits of one walked preparation and the Bell maps of its ancilla."""
+        bits, ancilla = self.walk(us)
         maps = self.branches.get(bits)
         if maps is None:
             maps = self.branches[bits] = _bell_maps(ancilla)
@@ -310,7 +315,9 @@ class _Frame:
     (0, j) owe one gate and share one.  A pair frame, one with a two-qubit
     key, owes a product of two one-qubit Paulis: its ``halves`` are their
     frames, the first carrying the whole phase, and it prepares through
-    them, pairing their maps in a ``_PairMaps``.  Interned frames link
+    them, forming the joint maps of each pair of leaves once (``joint``);
+    direct mode pairs their maps in a ``_PairMaps``, as joint maps for all
+    16 codes of every pair frame would hold about 4 MB.  Interned frames link
     only to interned frames and the 6 others T reaches, so a custom gate's
     frames are garbage once its call returns.
     """
@@ -324,6 +331,7 @@ class _Frame:
             self.halves = (_pauli_frame(PhasedPauli(phase, (p,))), _pauli_frame(PhasedPauli(1, (q,))))
         self._plan: Optional[_BranchTable] = None
         self.direct: list[Union[None, np.ndarray, _PairMaps]] = [None] * 4**self.k
+        self.joint: dict[tuple[int, ...], np.ndarray] = {}
         self.successors: list[Optional[_Frame]] = [None] * 16**self.k
 
     def plan(self) -> _BranchTable:
@@ -352,24 +360,29 @@ class _Frame:
         return maps
 
     def prepare(self, mode: str, rng: np.random.Generator,
-                ) -> tuple[int, Union[np.ndarray, _PairMaps], Optional[tuple[int, ...]]]:
-        """(prepared index code, Bell maps, preparation bits) of one fresh ancilla.
+                ) -> tuple[int, Union[np.ndarray, _PairMaps], Optional[tuple[int, ...]], list[float]]:
+        """(prepared index code, Bell maps, preparation bits, Bell uniforms) of one trial.
 
-        A two-qubit frame draws the control's index and then the target's; a
-        pair frame pairs its halves' maps.
+        Measured mode draws 4k uniforms at once and walks the preparation (a
+        pair frame's halves in turn) on the first 2k; direct mode draws k
+        indices, the control's first, then the 2k uniforms of the Bell step.
         """
         if mode == "measured":
+            us = rng.random(4 * self.k).tolist()
             if self.halves:
                 a, b = self.halves
-                (bits_a, maps_a), (bits_b, maps_b) = a.plan().prepare(rng), b.plan().prepare(rng)
-                bits, maps = bits_a + bits_b, _PairMaps(maps_a, maps_b)
+                (bits_a, maps_a), (bits_b, maps_b) = a.plan().prepare(us), b.plan().prepare(us[2:])
+                bits = bits_a + bits_b
+                maps = self.joint.get(bits)
+                if maps is None:  # as _PairMaps forms each map
+                    maps = self.joint[bits] = np.stack([kron2(maps_a[r >> 2], maps_b[r & 3]) for r in range(16)])
             else:
-                bits, maps = self.plan().prepare(rng)
-            return _CODE[bits], maps, bits
+                bits, maps = self.plan().prepare(us)
+            return _CODE[bits], maps, bits, us[2 * self.k:]
         code = int(rng.integers(0, 4))
         if self.k == 2:
             code = 4 * code + int(rng.integers(0, 4))
-        return code, self.maps(code), None
+        return code, self.maps(code), None, rng.random(2 * self.k).tolist()
 
     def after(self, prepared: int, measured: int) -> "_Frame":
         """The frame left by a failed trial, from the index codes it prepared and measured."""
@@ -415,7 +428,7 @@ def prepare_ancilla_one(
     """
     frame = _Frame(None, qcore._require_unitary(u, 2))
     if mode == "measured":
-        bits, ancilla = frame.plan().replay(rng)
+        bits, ancilla = frame.plan().walk(rng.random(2).tolist())
         j = BIT_DECODE[bits]
     elif mode == "direct":
         j = int(rng.integers(0, 4))
@@ -430,18 +443,23 @@ def prepare_ancilla_one(
 _BELL_ROWS = np.array([qcore.bell_state(BIT_DECODE[divmod(r, 2)]).data.conj() for r in range(4)])
 
 # Bell rows of k pairs (data d_i, ancilla a_i) on a 2k-qubit ancilla
-# (a_1..a_k, f_1..f_k): their product with the ancilla vector lists the 4^k
-# maps, outcome (r_1..r_k), row (f_1..f_k), column (d_1..d_k), from the data
-# qubits to the ancilla's free half f.
+# (a_1..a_k, f_1..f_k), times 2^k (exactly) so that each map is unitary: their
+# product with the ancilla vector lists the 4^k maps, outcome (r_1..r_k), row
+# (f_1..f_k), column (d_1..d_k), from the data qubits to the ancilla's free half.
 _B, _I2 = _BELL_ROWS.reshape(4, 2, 2), np.eye(2)
 _BELL_MAPS = {
-    1: np.einsum("rda,fg->rfdag", _B, _I2).reshape(16, 4),
-    2: np.einsum("xca,ytb,fh,gi->xyfgctabhi", _B, _B, _I2, _I2).reshape(256, 16),
+    1: 2 * np.einsum("rda,fg->rfdag", _B, _I2).reshape(16, 4),
+    2: 4 * np.einsum("xca,ytb,fh,gi->xyfgctabhi", _B, _B, _I2, _I2).reshape(256, 16),
 }
 
 #: Index code of the bits of one or two Bell pairs, x-type bit first in each:
 #: BIT_DECODE of one pair, 4 * first + second of two.
 _CODE = {**BIT_DECODE, **{a + b: 4 * BIT_DECODE[a] + BIT_DECODE[b] for a in BIT_DECODE for b in BIT_DECODE}}
+
+#: The index of each index code as a trace reports it: one Bell pair's, or two pairs' (first, second).
+_INDEX = {1: range(4), 2: [divmod(c, 4) for c in range(16)]}
+#: Map row and index code of the bits of one or two Bell pairs: the row is the bits read in binary.
+_ROWS = {bits: (int("".join(map(str, bits)), 2), code) for bits, code in _CODE.items()}
 
 
 def _bell_maps(ancilla: np.ndarray) -> np.ndarray:
@@ -470,49 +488,44 @@ class _PairMaps:
         return kron2(self.a[r >> 2], self.b[r & 3])
 
 
-def _draw_bell(w: list[float], rng: np.random.Generator,
+def _draw_bell(w: list[float], us: Sequence[float],
                variant: tuple[int, int] = (0, 0)) -> tuple[int, tuple[int, int]]:
-    """Row 2x + z of a Bell outcome drawn from the four rows' weights, and its bits.
+    """Row 2x + z of a Bell outcome drawn on two uniforms from the four rows' weights, and its bits.
 
     The x-type then the z-type bit are drawn as two parity measurements
     would draw them; ``variant`` negates either binary's second input bit.
     """
     vx, vz = variant
-    a = qcore._draw2(w[2 * vx] + w[2 * vx + 1], w[2 - 2 * vx] + w[3 - 2 * vx], rng)
+    a = qcore._draw2(w[2 * vx] + w[2 * vx + 1], w[2 - 2 * vx] + w[3 - 2 * vx], us[0])
     x = a ^ vx
     px = w[2 * x] + w[2 * x + 1]
-    b = qcore._draw2(w[2 * x + vz] / px, w[2 * x + 1 - vz] / px, rng)
+    b = qcore._draw2(w[2 * x + vz] / px, w[2 * x + 1 - vz] / px, us[1])
     return 2 * x + (b ^ vz), (a, b)
 
 
-#: The teleportation law, whatever the data: each Bell pair's outcome has weight 1/4, and each
-#: joint outcome of two pairs 1/16, given to the second pair's draw.
-_QUARTERS, _SIXTEENTHS = [1 / 4] * 4, [1 / 16] * 4
-
-
-def _bell_block(block: np.ndarray, maps: Union[np.ndarray, _PairMaps], rng: np.random.Generator,
-                variant: tuple[int, int] = (0, 0), weights: Optional[list[float]] = None,
+def _bell_block(block: np.ndarray, maps: Union[np.ndarray, _PairMaps], us: Sequence[float],
                 ) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """Bell-measure the qubits heading a ``qcore._to_front`` block through (outcomes, free, data) maps.
+    """Bell-measure the qubits heading a ``qcore._to_front`` block through a twisted-Bell ancilla's maps.
 
-    Map r times the block, normalised, is the new block given outcome r, its ``free`` rows (an
-    ancilla's free half, or ``bell_measure``'s none) in the data qubits' place; its squared norm
-    is r's weight.  Maps of a twisted-Bell ancilla have M_r^dagger M_r = 4^-k I, so on the
-    teleportation path that weight is 4^-k whatever the block and the draws take the exact law;
-    ``bell_measure``'s one pair passes its own four ``weights``.  One Bell pair or two are drawn
-    in order, ``variant`` going to the first draw, and only the drawn outcome's block is formed.
-    Returns (outcome index code, new block, bits).
+    ``maps`` are (outcomes, free, data): map r times the block is the new
+    block given outcome r, the ancilla's free half in the data qubits'
+    place.  Each map is unitary, so every outcome has weight 4^-k whatever
+    the block and the block keeps its norm: the bits, x-type then z-type of
+    each pair in turn, take the exact law on the uniforms ``us``, each bit
+    0 when its uniform is below 1/2 (as ``_draw_bell`` draws it from weights
+    1/4, then 1/16 for a second pair), and only the drawn outcome's block is
+    formed, left unnormalised.  Returns (outcome index code, new block, bits).
     """
-    r, bits = _draw_bell(_QUARTERS if weights is None else weights, rng, variant)
-    if len(maps) == 16:
-        r2, bits2 = _draw_bell(_SIXTEENTHS, rng)
-        r, bits = 4 * r + r2, bits + bits2
-    new = maps[r] @ block
-    # numpy divides a complex array by a real scalar by scaling with its reciprocal: scaling the
-    # real view gives the same numbers at a fraction of the cost
-    parts = new.view(np.float64)
-    parts *= 1 / math.sqrt((parts * parts).sum())
-    return _CODE[bits], new, bits
+    bits = tuple([0 if u < 0.5 else 1 for u in us])
+    row, code = _ROWS[bits]
+    return code, maps[row] @ block, bits
+
+
+def _normalised(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous complex array scaled in place to unit norm, through its real view, allocating nothing."""
+    parts = a.reshape(-1).view(np.float64)
+    parts *= 1 / math.sqrt(np.dot(parts, parts))
+    return a
 
 
 def bell_measure(
@@ -529,9 +542,9 @@ def bell_measure(
     projectors: with variant (0, 0) outcome m projects onto Bell state m,
     and the negated variants report the prepared index of the corresponding
     Pauli-gate ancilla instead.  The outcomes' weights, which depend on the
-    register, come from the 4x4 Gram matrix of the pair's block; the
-    teleportation loop's kernel, ``_bell_block``, then draws and forms only
-    the drawn outcome's remaining state.  Returns (outcome, remaining state).
+    register, come from the 4x4 Gram matrix of the pair's block; only the
+    drawn outcome's remaining state is formed.  Returns (outcome, remaining
+    state).
     """
     if tuple(variant) not in BIT_DECODE:
         raise ValueError("variant must be a pair of bits")
@@ -541,8 +554,9 @@ def bell_measure(
     block = qcore._to_front(state.data, axes, 2)
     gram = block @ block.conj().T
     weights = np.einsum("ri,ij,rj->r", _BELL_ROWS, gram, _BELL_ROWS.conj()).real.tolist()
-    m, rest, _ = _bell_block(block, _BELL_ROWS.reshape(4, 1, 4), rng, variant, weights)
-    return m, QuantumState._trusted(rest.reshape(-1), tuple(state.labels[p] for p in axes[2:]))
+    r, bits = _draw_bell(weights, rng.random(2).tolist(), variant)
+    rest = _normalised(_BELL_ROWS[r] @ block)
+    return _CODE[bits], QuantumState._trusted(rest, tuple(state.labels[p] for p in axes[2:]))
 
 
 def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg: ProtocolConfig,
@@ -551,21 +565,21 @@ def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg
 
     The data qubits move to the front of the register once: each Bell step
     leaves the ancilla's free half in their place, so the block keeps its
-    layout until the gate is done.
+    layout, and through unitary maps its norm, until the gate is done.
     """
-    k, index = frame.k, (range(4) if frame.k == 1 else [divmod(c, 4) for c in range(16)])
+    k, index = frame.k, _INDEX[frame.k]
     axes = qcore._axes(state.labels, qubits)
     block = qcore._to_front(state.data, axes, k)
     trials: list[TrialRecord] = []
     for r in range(1, cfg.budget(k) + 1):
-        prepared, maps, prep_bits = frame.prepare(cfg.prep_mode, rng)
-        measured, block, bell_bits = _bell_block(block, maps, rng)
+        prepared, maps, prep_bits, us = frame.prepare(cfg.prep_mode, rng)
+        measured, block, bell_bits = _bell_block(block, maps, us)
         success = measured == prepared
         trials.append(TrialRecord(r, index[prepared], index[measured], prep_bits, bell_bits, success, frame.target))
         if success:
             break
         frame = frame.after(prepared, measured)
-    state = QuantumState._trusted(qcore._from_front(block, axes), state.labels)
+    state = QuantumState._trusted(qcore._from_front(_normalised(block), axes), state.labels)
     if trials[-1].success:
         return state, ProtocolTrace(tuple(trials), True)
     return state, ProtocolTrace(tuple(trials), False, frame.target, frame.key)

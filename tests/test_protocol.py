@@ -405,7 +405,8 @@ class TestTeleportStep:
         state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
         axes = positions + tuple(p for p in range(n) if p not in positions)
         rng_step, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        code, block, bits = protocol._bell_block(qcore._to_front(state.data, axes, k), maps, rng_step)
+        block = qcore._to_front(state.data, axes, k)
+        code, block, bits = protocol._bell_block(block, maps, rng_step.random(2 * k).tolist())
         data = qcore._from_front(block, axes)
         outcomes_ref, post_ref, bits_ref = self.merged_reference(state, positions, ancilla, rng_ref)
         assert (code, bits) == (protocol._CODE[bits_ref], bits_ref)
@@ -416,43 +417,33 @@ class TestTeleportStep:
 
 class TestBellOutcomeLaw:
     """The exact law of every Bell step: whatever the data, each pair's outcome has weight 1/4
-    and each joint outcome of a two-qubit step 1/16, in the weights the draws receive.  Three
-    steps run in a row from one frame, so each later step also sees the block the last one left."""
+    and each joint outcome of a two-qubit step 1/16.  The kernel draws its bits from that law
+    without weights, so they must be the bits ``_draw_bell`` draws from those weights on the same
+    uniforms, and every map a frame hands it must be unitary."""
+
+    EDGES = [0.0, float(np.nextafter(0.5, 0)), 0.5, float(np.nextafter(1, 0))]
+
+    @staticmethod
+    def assert_bits_are_the_weighted_draws(us):
+        k = len(us) // 2
+        maps = np.stack([np.eye(2**k, dtype=complex)] * 4**k)
+        code, _, bits = protocol._bell_block(np.ones((2**k, 1), dtype=complex), maps, us)
+        r, want = protocol._draw_bell([1 / 4] * 4, us[:2])
+        if k == 2:
+            r2, second = protocol._draw_bell([1 / 16] * 4, us[2:])
+            r, want = 4 * r + r2, want + second
+        assert (bits, code, protocol._ROWS[bits][0]) == (want, protocol._CODE[want], r)
+
+    @pytest.mark.parametrize("u", EDGES)
+    @pytest.mark.parametrize("v", EDGES)
+    def test_bits_at_the_edges(self, u, v):
+        self.assert_bits_are_the_weighted_draws([u, v])
+        self.assert_bits_are_the_weighted_draws([u, v, v, u])
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        kind=st.sampled_from(["haar", "pauli", "cnot", "pair"]),
-        n=st.integers(2, 4),
-        mode=st.sampled_from(["measured", "direct"]),
-        failures=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 15)), min_size=1, max_size=4),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_every_weight_is_exact(self, kind, n, mode, failures, seed):
-        gen = np.random.default_rng(seed)
-        if kind in ("haar", "pauli"):
-            u = haar_unitary(gen) if kind == "haar" else random_phased_pauli(gen)
-            frame = protocol._Frame(None, u)
-        else:
-            frame = protocol._named_frame("CNOT")
-            # failed trials (measured != prepared) from the root reach random pair frames
-            for prepared, offset in failures if kind == "pair" else ():
-                frame = frame.after(prepared, (prepared + offset) % 16)
-            assert bool(frame.halves) == (kind == "pair")
-        block = haar_state(gen, n).reshape(2**frame.k, -1)
-        draw, seen = protocol._draw_bell, []
-
-        def recording_draw(w, rng, variant=(0, 0)):
-            seen.append(list(w))
-            return draw(w, rng, variant)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(protocol, "_draw_bell", recording_draw)
-            for _ in range(3):
-                _, block, _ = protocol._bell_block(block, frame.prepare(mode, gen)[1], gen)
-        assert len(seen) == 3 * frame.k
-        for i, w in enumerate(seen):
-            np.testing.assert_allclose(w, [1 / 4 if i % frame.k == 0 else 1 / 16] * 4, rtol=0, atol=1e-12)
-
+    @given(k=st.sampled_from([1, 2]), us=st.lists(st.floats(0, 1, exclude_max=True), min_size=4, max_size=4))
+    def test_bits_are_the_weighted_draws(self, k, us):
+        self.assert_bits_are_the_weighted_draws(us[:2 * k])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -464,22 +455,23 @@ class TestBellOutcomeLaw:
     )
     def test_every_map_is_an_isometry_over_2_to_the_k(self, kind, n, mode, failures, seed):
         """The kernel draws from 4^-k per outcome without looking at the block.  That holds because
-        every map a frame hands it has M_r^dagger M_r = 4^-k I, so the drawn block's squared norm
-        before normalisation is 4^-k.  Three steps run, following each failure to its successor."""
+        every map a frame hands it is unitary, the teleportation's map scaled by 2^k, so the drawn
+        block keeps norm 1 without normalisation.  Three steps run, following each failure to its
+        successor."""
         gen = np.random.default_rng(seed)
         frame = law_frame(kind, failures, gen)
         block = haar_state(gen, n).reshape(2**frame.k, -1)
         for _ in range(3):
             k = frame.k
-            prepared, maps, _ = frame.prepare(mode, gen)
-            assert len(maps) == 4**k
+            prepared, maps, _, us = frame.prepare(mode, gen)
+            assert len(maps) == 4**k and len(us) == 2 * k
             for r in range(4**k):
-                np.testing.assert_allclose(maps[r].conj().T @ maps[r], np.eye(2**k) / 4**k, rtol=0, atol=1e-12)
-            measured, new, bits = protocol._bell_block(block, maps, gen)
+                np.testing.assert_allclose(maps[r].conj().T @ maps[r], np.eye(2**k), rtol=0, atol=1e-12)
+            measured, new, bits = protocol._bell_block(block, maps, us)
             # the row the bits draw: 2x + z for one pair, 4 (2x1 + z1) + 2x2 + z2 for two
             raw = maps[int("".join(map(str, bits)), 2)] @ block
-            assert abs(np.vdot(raw, raw).real * 4**k - 1) <= 1e-12
-            np.testing.assert_allclose(new, raw / np.linalg.norm(raw), rtol=0, atol=1e-12)
+            assert abs(np.vdot(raw, raw).real - 1) <= 1e-12
+            assert np.array_equal(new, raw)
             if measured != prepared:
                 frame = frame.after(prepared, measured)
             block = new
@@ -501,15 +493,16 @@ def all_outcomes_bell_block(block, maps, rng, variant=(0, 0)):
     """The Bell kernel that forms every outcome's block and squares it for that outcome's weight.
 
     ``protocol._bell_block`` forms only the drawn block, from the exact law on the teleportation
-    path and from given weights in ``bell_measure``; this is the reference it must agree with.
+    path, and ``bell_measure`` from given weights; this is the reference both must agree with.
     """
     rows = (maps.reshape(-1, len(block)) @ block).reshape(len(maps), -1)
     parts = rows.view(np.float64)
     w = (parts * parts).sum(axis=1).tolist()
     first = w if len(w) == 4 else [sum(w[:4]), sum(w[4:8]), sum(w[8:12]), sum(w[12:])]
-    r, bits = protocol._draw_bell(first, rng, variant)
+    us = rng.random(2 if len(w) == 4 else 4).tolist()
+    r, bits = protocol._draw_bell(first, us[:2], variant)
     if len(w) == 16:
-        r2, bits2 = protocol._draw_bell(w[4 * r:4 * r + 4], rng)
+        r2, bits2 = protocol._draw_bell(w[4 * r:4 * r + 4], us[2:])
         r, bits = 4 * r + r2, bits + bits2
     return protocol._CODE[bits], (rows[r] / math.sqrt(w[r])).reshape(maps.shape[1], -1), bits
 
@@ -531,7 +524,7 @@ class TestAllOutcomesReference:
         maps = frame.prepare(mode, gen)[1]
         block = haar_state(gen, n).reshape(2**frame.k, -1)
         rng_kernel, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        code, new, bits = protocol._bell_block(block, maps, rng_kernel)
+        code, new, bits = protocol._bell_block(block, maps, rng_kernel.random(2 * frame.k).tolist())
         code_ref, ref, bits_ref = all_outcomes_bell_block(block, np.stack([maps[r] for r in range(len(maps))]), rng_ref)
         assert (code, bits) == (code_ref, bits_ref)
         np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
@@ -566,6 +559,60 @@ class TestAllOutcomesReference:
         assert rng_kernel.random() == rng_ref.random()
 
 
+class TestDrawsPerTrial:
+    """A trial's draws never depend on the data or on the budget: measured mode draws 4k doubles
+    per trial, direct mode k indices (``integers(0, 4)``, the control's first) then 2k doubles.
+    After each gate the stream must be where a twin advanced by that much per trial of the
+    gate's trace is, whether the gate succeeded or ran out of trials."""
+
+    @pytest.mark.parametrize("mode", ["measured", "direct"])
+    def test_each_gate_advances_the_stream_by_its_trials(self, mode):
+        rng, gen = np.random.default_rng(71), np.random.default_rng(72)
+        gates = [GateSpec.named("H"), GateSpec.named("T"), GateSpec.custom(haar_unitary(gen)), None]
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        state = QuantumState.pure(haar_state(gen, 3), (0, 1, 2))
+        cfgs = [ProtocolConfig(prep_mode=mode), ProtocolConfig(max_trials=2, prep_mode=mode)]
+        short = 0
+        for i in range(40):
+            gate, cfg = gates[i % 4], cfgs[i // 4 % 2]
+            if gate is None:
+                state, trace = simulate_cnot(state, (2, 0), cfg, rng)
+            else:
+                state, trace = simulate_one_qubit(gate, state, 1, cfg, rng)
+            k = 1 if gate else 2
+            for _ in range(trace.total_trials):
+                if mode == "measured":
+                    twin.random(4 * k)
+                else:
+                    for _ in range(k):
+                        twin.integers(0, 4)
+                    twin.random(2 * k)
+            assert rng.bit_generator.state == twin.bit_generator.state, (i, trace.total_trials)
+            short += trace.total_trials < cfg.budget(k)
+        assert short >= 10
+
+
+class TestNormDrift:
+    """The Bell maps are unitary, so the loop leaves the block unnormalised between trials: after
+    10^4 consecutive steps, on custom frames or on the controlled-NOT's pair frames, its norm must
+    still be 1 to 1e-10."""
+
+    @pytest.mark.parametrize("mode", ["measured", "direct"])
+    @pytest.mark.parametrize("kind", ["haar", "pair"])
+    def test_ten_thousand_steps_keep_the_norm(self, kind, mode):
+        gen = np.random.default_rng(73)
+        failures = [[(int(gen.integers(16)), int(gen.integers(1, 16)))] for _ in range(8)]
+        frames = [law_frame(kind, f, gen) for f in failures]
+        block = haar_state(gen, 4).reshape(2**frames[0].k, -1)
+        worst = 0.0
+        for step in range(10**4):
+            _, maps, _, us = frames[step % len(frames)].prepare(mode, gen)
+            _, block, _ = protocol._bell_block(block, maps, us)
+            worst = max(worst, abs(np.vdot(block, block).real - 1))
+        assert worst <= 1e-10
+
+
 class TestBranchTables:
     """Replayed measured preparation against a fresh sequence of measurements."""
 
@@ -573,7 +620,7 @@ class TestBranchTables:
     def replay_matches_fresh(table, instruments, labels, seeds):
         for seed in seeds:
             rng_table, rng_fresh = np.random.default_rng(seed), np.random.default_rng(seed)
-            bits, ancilla = table.replay(rng_table)
+            bits, ancilla = table.walk(rng_table.random(len(instruments)).tolist())
             state, fresh_bits = zero_state(labels), ()
             for slots in instruments:
                 b, state, _ = qcore.measure(state, slots, rng_fresh)
@@ -596,6 +643,12 @@ class TestBranchTables:
         labels = protocol._PREP2
         instruments = [m.slots() for m in cnot_measurement_set(labels=labels)]
         self.replay_matches_fresh(protocol._named_frame("CNOT").plan(), instruments, labels, range(80))
+
+    def test_a_branch_whose_outcomes_vanish_is_refused(self):
+        table = protocol._BranchTable(np.zeros((2, 2, 4, 4), dtype=complex))
+        for _ in range(2):  # on every visit, as the branch is not stored
+            with pytest.raises(ValueError, match="degenerate"):
+                table.walk([0.5, 0.5])
 
     def test_fresh_custom_gates_keep_the_cache_bounded(self):
         # With the catalogue's whole graph interned first, the bound is tight:
@@ -982,9 +1035,9 @@ def test_two_outcome_draw_is_the_general_draw(p0, p1, seed):
     rng2, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if p0 + p1 < qcore.STRUCT_TOL:
         with pytest.raises(ValueError, match="degenerate"):
-            qcore._draw2(p0, p1, rng2)
+            qcore._draw2(p0, p1, rng2.random())
         return
-    assert qcore._draw2(p0, p1, rng2) == qcore._draw((p0, p1), rng)
+    assert qcore._draw2(p0, p1, rng2.random()) == qcore._draw((p0, p1), rng)
     assert rng2.random() == rng.random()
 
 

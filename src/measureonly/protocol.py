@@ -11,15 +11,16 @@ The gates still owed are frames (``_Frame``), interned exactly: one per
 catalogue gate and one per phased Pauli on one or two qubits, which with
 their successors make at most 24 one-qubit and 65 two-qubit frames; a custom
 gate gets fresh frames that die with its call.  A frame keeps its preparation
-plan, its ancillas' Bell maps and its successor frame after each failure.
+plan, its trials by prepared ancilla and Bell outcome, and its successor
+frame after each failure.
 The ancilla is maximally entangled, so each Bell pair's outcome has
 probability 1/4 whatever the data (Gottesman-Chuang, quant-ph/9908010) and
-no choice a trial makes depends on the data: a trial is lookups, one batched
-draw of uniforms (``_Frame.prepare``) and the drawn Bell map's product with
-the data block (``_bell_block``).  The maps are unitary, so the block is
-normalised once per gate.  ``bell_measure`` draws from weights of its block,
-as an arbitrary register has no such law.  A pair frame owes a product of
-two one-qubit Paulis and joins their frames' maps.
+no trial reads the data: a trial is one batched draw of uniforms, a table
+lookup of its row (``_Frame.trial``) and one 2x2 product composing the drawn
+Bell map with those drawn before.  The data block is multiplied by the
+composed map and normalised once per gate.  ``bell_measure`` draws from
+weights of its block, as an arbitrary register has no such law.  A pair
+frame owes a product of two one-qubit Paulis and joins their frames' rows.
 Every successor follows one rule, ``_next_frame``: a failed trial from
 target t that prepared sigma_p and measured sigma_m owes t sigma_m sigma_p
 t^dagger, snapped to a phased Pauli when it is one (always on two qubits),
@@ -266,13 +267,12 @@ class _BranchTable:
 
     The table maps the bits drawn so far to the next measurement's outcome
     probabilities and post-measurement vectors, starting from the all-|0>
-    vector ``start``, and the bits of a whole preparation (a leaf) to its
-    ancilla's Bell maps.  ``instruments`` is one (measurements, 2, d, d)
-    array of projector pairs on the whole ancilla.  Each
-    entry is filled on its first visit, branches by ``qcore.measure``'s
-    arithmetic, so a walk on uniforms drawn from a random stream draws the
-    same bits and reaches the same state as running the measurements afresh
-    on that stream.
+    vector ``start``, and the bits of a whole preparation to its ``_Leaf``.
+    ``instruments`` is one (measurements, 2, d, d) array of projector pairs
+    on the whole ancilla.  Each entry is filled on its first visit, branches
+    by ``qcore.measure``'s arithmetic, so a walk on uniforms drawn from a
+    random stream draws the same bits and reaches the same state as running
+    the measurements afresh on that stream.
     """
 
     def __init__(self, instruments: np.ndarray):
@@ -295,13 +295,23 @@ class _BranchTable:
             vector, bits = posts[b], bits + (b,)
         return bits, vector
 
-    def prepare(self, us: Sequence[float]) -> tuple[tuple[int, ...], np.ndarray]:
-        """The bits of one walked preparation and the Bell maps of its ancilla."""
+    def prepare(self, us: Sequence[float]) -> "_Leaf":
+        """The leaf of one walked preparation."""
         bits, ancilla = self.walk(us)
-        maps = self.branches.get(bits)
-        if maps is None:
-            maps = self.branches[bits] = _bell_maps(ancilla)
-        return bits, maps
+        leaf = self.branches.get(bits)
+        if leaf is None:
+            leaf = self.branches[bits] = _Leaf(_CODE[bits], bits, ancilla)
+        return leaf
+
+
+class _Leaf:
+    """A prepared ancilla: index code, preparation bits (None if written down), Bell maps, trials by map row."""
+
+    __slots__ = ("code", "bits", "maps", "rows")
+
+    def __init__(self, code: int, bits: Optional[tuple[int, ...]], ancilla: np.ndarray):
+        self.code, self.bits, self.maps = code, bits, _bell_maps(ancilla)
+        self.rows: list[Optional[tuple]] = [None] * len(self.maps)
 
 
 class _Frame:
@@ -309,17 +319,17 @@ class _Frame:
 
     ``key`` is the target as a phased Pauli on a frame interned on it, else
     None.  A frame holds its read-only target, its measured-preparation
-    plan, its Bell maps per prepared index for direct mode (filled on first
-    use), and its successor frame after each failed trial, at code
+    plan, whose leaves hold its trials, its leaves per prepared index for
+    direct mode, and its successor frame after each failed trial, at code
     prepared * 4^k + measured, filled by ``_next_frame``; codes (j, 0) and
-    (0, j) owe one gate and share one.  A pair frame, one with a two-qubit
-    key, owes a product of two one-qubit Paulis: its ``halves`` are their
-    frames, the first carrying the whole phase, and it prepares through
-    them, forming the joint maps of each pair of leaves once (``joint``);
-    direct mode pairs their maps in a ``_PairMaps``, as joint maps for all
-    16 codes of every pair frame would hold about 4 MB.  Interned frames link
-    only to interned frames and the 6 others T reaches, so a custom gate's
-    frames are garbage once its call returns.
+    (0, j) owe one gate and share one.  Every leaf is filled on first use.  A
+    pair frame, one with a two-qubit key, owes a product of two one-qubit
+    Paulis: its ``halves`` are their frames, the first carrying the whole
+    phase, and it holds no trials of its own but joins one of each half's,
+    as 16 rows for each of its leaves would hold several times the memory of
+    every other frame's.  Interned frames link only to interned frames and
+    the 6 others T reaches, so a custom gate's frames are garbage once its
+    call returns.
     """
 
     def __init__(self, key: Optional[PhasedPauli], target: np.ndarray):
@@ -330,8 +340,7 @@ class _Frame:
             (p, q), phase = key.indices, key.phase
             self.halves = (_pauli_frame(PhasedPauli(phase, (p,))), _pauli_frame(PhasedPauli(1, (q,))))
         self._plan: Optional[_BranchTable] = None
-        self.direct: list[Union[None, np.ndarray, _PairMaps]] = [None] * 4**self.k
-        self.joint: dict[tuple[int, ...], np.ndarray] = {}
+        self.direct: list[Optional[_Leaf]] = [None] * 4**self.k
         self.successors: list[Optional[_Frame]] = [None] * 16**self.k
 
     def plan(self) -> _BranchTable:
@@ -348,41 +357,58 @@ class _Frame:
         """The 2k-qubit ancilla vector (order a_1..a_k, f_1..f_k) of index code ``code``; the target is unitary."""
         return qcore._bell_amplitudes(self.target @ _PAULIS[self.k][code])
 
-    def maps(self, code: int) -> Union[np.ndarray, _PairMaps]:
-        """The Bell maps of the ancilla prepared with index code ``code``, as ``_bell_block`` takes them."""
-        maps = self.direct[code]
-        if maps is None:
-            if self.halves:
-                maps = _PairMaps(*(half.maps(i) for half, i in zip(self.halves, divmod(code, 4))))
-            else:
-                maps = _bell_maps(self.ancilla(code))
-            self.direct[code] = maps
-        return maps
+    def leaf(self, code: int) -> _Leaf:
+        """The leaf of the ancilla written down with index code ``code``."""
+        leaf = self.direct[code]
+        if leaf is None:
+            leaf = self.direct[code] = _Leaf(code, None, self.ancilla(code))
+        return leaf
 
-    def prepare(self, mode: str, rng: np.random.Generator,
-                ) -> tuple[int, Union[np.ndarray, _PairMaps], Optional[tuple[int, ...]], list[float]]:
-        """(prepared index code, Bell maps, preparation bits, Bell uniforms) of one trial.
+    def row(self, leaf: _Leaf, us: Sequence[float]) -> tuple:
+        """The trial of ``leaf`` whose Bell bits the uniforms ``us`` draw, formed on first draw.
+
+        Each map is unitary, so every outcome has weight 4^-k whatever the
+        data: each bit, x-type then z-type of each pair, is 0 when its uniform
+        is below 1/2 (as ``_draw_bell`` draws from weights 1/4, then 1/16), and
+        the bits read in binary give the map.  A row is (the record's fields
+        but its index, prepared and measured index codes, the drawn map, as a
+        row-major 4-tuple of Python complex numbers on one qubit).
+        """
+        r = 0
+        for u in us:
+            r = 2 * r + (0 if u < 0.5 else 1)
+        row = leaf.rows[r]
+        if row is None:
+            bell, index = _BITS[self.k][r], _INDEX[self.k]
+            measured, drawn = _CODE[bell], leaf.maps[r]
+            fields = {"prepared": index[leaf.code], "outcome": index[measured], "prep_bits": leaf.bits,
+                      "bell_bits": bell, "success": measured == leaf.code, "target": self.target}
+            row = leaf.rows[r] = (fields, leaf.code, measured, tuple(drawn.ravel().tolist()) if self.k == 1 else drawn)
+        return row
+
+    def trial(self, mode: str, rng: np.random.Generator) -> tuple:
+        """The row of one trial: a pair frame's joins a row of each half.
 
         Measured mode draws 4k uniforms at once and walks the preparation (a
         pair frame's halves in turn) on the first 2k; direct mode draws k
         indices, the control's first, then the 2k uniforms of the Bell step.
         """
+        k, halves = self.k, self.halves
         if mode == "measured":
-            us = rng.random(4 * self.k).tolist()
-            if self.halves:
-                a, b = self.halves
-                (bits_a, maps_a), (bits_b, maps_b) = a.plan().prepare(us), b.plan().prepare(us[2:])
-                bits = bits_a + bits_b
-                maps = self.joint.get(bits)
-                if maps is None:  # as _PairMaps forms each map
-                    maps = self.joint[bits] = np.stack([kron2(maps_a[r >> 2], maps_b[r & 3]) for r in range(16)])
-            else:
-                bits, maps = self.plan().prepare(us)
-            return _CODE[bits], maps, bits, us[2 * self.k:]
+            us = rng.random(4 * k).tolist()
+            if not halves:
+                return self.row(self.plan().prepare(us), us[2 * k:])
+            a, b = halves
+            return _join(a.row(a.plan().prepare(us), us[4:6]), b.row(b.plan().prepare(us[2:]), us[6:]), self.target)
         code = int(rng.integers(0, 4))
-        if self.k == 2:
-            code = 4 * code + int(rng.integers(0, 4))
-        return code, self.maps(code), None, rng.random(2 * self.k).tolist()
+        if k == 1:
+            return self.row(self.leaf(code), rng.random(2).tolist())
+        second = int(rng.integers(0, 4))
+        us = rng.random(4).tolist()
+        if not halves:
+            return self.row(self.leaf(4 * code + second), us)
+        a, b = halves
+        return _join(a.row(a.leaf(code), us[:2]), b.row(b.leaf(second), us[2:]), self.target)
 
     def after(self, prepared: int, measured: int) -> "_Frame":
         """The frame left by a failed trial, from the index codes it prepared and measured."""
@@ -458,34 +484,14 @@ _CODE = {**BIT_DECODE, **{a + b: 4 * BIT_DECODE[a] + BIT_DECODE[b] for a in BIT_
 
 #: The index of each index code as a trace reports it: one Bell pair's, or two pairs' (first, second).
 _INDEX = {1: range(4), 2: [divmod(c, 4) for c in range(16)]}
-#: Map row and index code of the bits of one or two Bell pairs: the row is the bits read in binary.
-_ROWS = {bits: (int("".join(map(str, bits)), 2), code) for bits, code in _CODE.items()}
+#: The bits of one or two Bell pairs by map row: the row is the bits read in binary.
+_BITS = {k: sorted(bits for bits in _CODE if len(bits) == 2 * k) for k in (1, 2)}
 
 
 def _bell_maps(ancilla: np.ndarray) -> np.ndarray:
     """The Bell maps of a 2k-qubit ancilla vector, of shape (outcomes, free half, data) = (4^k, 2^k, 2^k)."""
     k = 1 if ancilla.size == 4 else 2
     return (_BELL_MAPS[k] @ ancilla).reshape(4**k, 2**k, 2**k)
-
-
-class _PairMaps:
-    """The 16 Bell maps of two one-qubit ancillas side by side, each formed when indexed.
-
-    Map 4 r1 + r2 is the Kronecker product of the first ancilla's map r1 and
-    the second's map r2: row (f1 f2), column (d1 d2), as ``_bell_maps`` lays
-    out one two-qubit ancilla's maps.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        self.a, self.b = a, b
-
-    def __len__(self) -> int:
-        return 16
-
-    def __getitem__(self, r: int) -> np.ndarray:
-        return kron2(self.a[r >> 2], self.b[r & 3])
 
 
 def _draw_bell(w: list[float], us: Sequence[float],
@@ -501,24 +507,6 @@ def _draw_bell(w: list[float], us: Sequence[float],
     px = w[2 * x] + w[2 * x + 1]
     b = qcore._draw2(w[2 * x + vz] / px, w[2 * x + 1 - vz] / px, us[1])
     return 2 * x + (b ^ vz), (a, b)
-
-
-def _bell_block(block: np.ndarray, maps: Union[np.ndarray, _PairMaps], us: Sequence[float],
-                ) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """Bell-measure the qubits heading a ``qcore._to_front`` block through a twisted-Bell ancilla's maps.
-
-    ``maps`` are (outcomes, free, data): map r times the block is the new
-    block given outcome r, the ancilla's free half in the data qubits'
-    place.  Each map is unitary, so every outcome has weight 4^-k whatever
-    the block and the block keeps its norm: the bits, x-type then z-type of
-    each pair in turn, take the exact law on the uniforms ``us``, each bit
-    0 when its uniform is below 1/2 (as ``_draw_bell`` draws it from weights
-    1/4, then 1/16 for a second pair), and only the drawn outcome's block is
-    formed, left unnormalised.  Returns (outcome index code, new block, bits).
-    """
-    bits = tuple([0 if u < 0.5 else 1 for u in us])
-    row, code = _ROWS[bits]
-    return code, maps[row] @ block, bits
 
 
 def _normalised(a: np.ndarray) -> np.ndarray:
@@ -559,28 +547,59 @@ def bell_measure(
     return _CODE[bits], QuantumState._trusted(rest, tuple(state.labels[p] for p in axes[2:]))
 
 
+def _join(first: tuple, second: tuple, target: np.ndarray) -> tuple:
+    """A pair frame's row from a row of each half: codes 4a + b, bits side by side, success when both succeed."""
+    (fa, pa, ma, a), (fb, pb, mb, b) = first, second
+    bits = fa["prep_bits"]
+    fields = {"prepared": (pa, pb), "outcome": (ma, mb), "prep_bits": None if bits is None else bits + fb["prep_bits"],
+              "bell_bits": fa["bell_bits"] + fb["bell_bits"], "success": pa == ma and pb == mb, "target": target}
+    return fields, 4 * pa + pb, 4 * ma + mb, (a, b)
+
+
+def _compose(x: tuple, y: tuple) -> tuple:
+    """The product x y of 2x2 matrices held as row-major 4-tuples of Python complex numbers."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return x0 * y0 + x1 * y2, x0 * y1 + x1 * y3, x2 * y0 + x3 * y2, x2 * y1 + x3 * y3
+
+
 def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg: ProtocolConfig,
               rng: np.random.Generator) -> tuple[QuantumState, ProtocolTrace]:
     """Teleport the gate owed by ``frame`` onto ``qubits`` until a trial succeeds or the budget runs out.
 
-    The data qubits move to the front of the register once: each Bell step
-    leaves the ancilla's free half in their place, so the block keeps its
-    layout, and through unitary maps its norm, until the gate is done.
+    No trial reads the data, so the loop only composes the drawn maps: a 2x2
+    map per data qubit, after the controlled-NOT's 4x4 map when a gate starts
+    from it.  Each Bell step leaves the ancilla's free half in the data
+    qubits' place, so the data block, those qubits at the front, is multiplied
+    by the composed map and normalised once per gate.
     """
-    k, index = frame.k, _INDEX[frame.k]
+    k, mode = frame.k, cfg.prep_mode
     axes = qcore._axes(state.labels, qubits)
-    block = qcore._to_front(state.data, axes, k)
+    a = b = (1 + 0j, 0j, 0j, 1 + 0j)
+    root = None
     trials: list[TrialRecord] = []
     for r in range(1, cfg.budget(k) + 1):
-        prepared, maps, prep_bits, us = frame.prepare(cfg.prep_mode, rng)
-        measured, block, bell_bits = _bell_block(block, maps, us)
-        success = measured == prepared
-        trials.append(TrialRecord(r, index[prepared], index[measured], prep_bits, bell_bits, success, frame.target))
-        if success:
+        fields, prepared, measured, drawn = frame.trial(mode, rng)
+        record = object.__new__(TrialRecord)  # frozen: one dict update, not one __setattr__ per field
+        record.__dict__.update(fields, index=r)
+        trials.append(record)
+        if k == 1:
+            a = _compose(drawn, a)
+        elif frame.halves:
+            a, b = _compose(drawn[0], a), _compose(drawn[1], b)
+        else:  # the controlled-NOT's own 4x4 map; its failures all leave pair frames, so only a first trial's
+            root = drawn
+        if prepared == measured:
             break
         frame = frame.after(prepared, measured)
-    state = QuantumState._trusted(qcore._from_front(_normalised(block), axes), state.labels)
-    if trials[-1].success:
+    op = np.array(a).reshape(2, 2)
+    if k == 2:
+        op = kron2(op, np.array(b).reshape(2, 2))
+        if root is not None:
+            op = op @ root
+    block = _normalised(op @ qcore._to_front(state.data, axes, k))
+    state = QuantumState._trusted(qcore._from_front(block, axes), state.labels)
+    if prepared == measured:
         return state, ProtocolTrace(tuple(trials), True)
     return state, ProtocolTrace(tuple(trials), False, frame.target, frame.key)
 

@@ -3,6 +3,7 @@
 Correctness oracles are direct unitary application built in-test; outcome
 distributions are checked against exactly computed overlap probabilities.
 """
+import dataclasses
 import gc
 import math
 import re
@@ -355,8 +356,27 @@ def random_phased_pauli(gen):
     return (1, -1, 1j, -1j)[int(gen.integers(4))] * PAULIS[int(gen.integers(4))]
 
 
+def drawn_matrix(drawn):
+    """A row's drawn map as an array: a one-qubit row-major 4-tuple, a pair frame's two of them
+    side by side, or the controlled-NOT's own 4x4 array."""
+    if isinstance(drawn, np.ndarray):
+        return drawn
+    if len(drawn) == 2:
+        return np.kron(drawn_matrix(drawn[0]), drawn_matrix(drawn[1]))
+    return np.array(drawn).reshape(2, 2)
+
+
+def skip_preparation_draws(rng, mode, k):
+    """Advance ``rng`` past what a trial draws before its Bell uniforms."""
+    if mode == "measured":
+        rng.random(2 * k)
+    else:
+        for _ in range(k):
+            rng.integers(0, 4)
+
+
 class TestTeleportStep:
-    """The loop's in-place Bell steps against the merged register they replace."""
+    """A trial's row applied to the data against the merged register it replaces."""
 
     @staticmethod
     def merged_reference(state, positions, ancilla, rng):
@@ -378,61 +398,63 @@ class TestTeleportStep:
         extra=st.integers(0, 5),
         order=st.randoms(use_true_random=False),
         kind=st.sampled_from(["haar", "cnot", "pauli"]),
+        mode=st.sampled_from(["measured", "direct"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_merged_register(self, k, extra, order, kind, seed):
+    def test_matches_the_merged_register(self, k, extra, order, kind, mode, seed):
         n = min(k + extra, 8 - 2 * k)
         gen = np.random.default_rng(seed)
         positions = list(range(n))
         order.shuffle(positions)
         positions = tuple(positions[:k])
-        indices = tuple(int(j) for j in gen.integers(4, size=k))
         if kind == "pauli" and k == 2:
             # a phased Pauli pair, the frame left after a failed controlled-NOT
-            # trial: two one-qubit ancillas, whose maps the pair frame joins
-            halves = [random_phased_pauli(gen) for _ in range(2)]
-            ancilla = pair_ancilla(np.kron(*halves), indices)
-            frame = protocol._pauli_frame(nearest_phased_pauli(np.kron(*halves)))
+            # trial: two one-qubit ancillas, whose rows the pair frame joins
+            u = np.kron(*[random_phased_pauli(gen) for _ in range(2)])
+            frame = protocol._pauli_frame(nearest_phased_pauli(u))
             assert frame.halves
-            maps = frame.maps(4 * indices[0] + indices[1])
+        elif kind == "cnot" and k == 2:
+            u, frame = CNOT, protocol._named_frame("CNOT")
         else:
-            if kind == "haar":
-                u = haar_unitary(gen, 2**k)
-            else:
-                u = CNOT if k == 2 else random_phased_pauli(gen)
-            ancilla = pair_ancilla(u, indices)
-            maps = protocol._bell_maps(ancilla)
+            u = haar_unitary(gen, 2**k) if kind == "haar" else random_phased_pauli(gen)
+            frame = protocol._Frame(None, u)
+            if k == 2:
+                mode = "direct"  # a two-qubit frame without halves prepares by measurement as the controlled-NOT
         state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
         axes = positions + tuple(p for p in range(n) if p not in positions)
         rng_step, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        block = qcore._to_front(state.data, axes, k)
-        code, block, bits = protocol._bell_block(block, maps, rng_step.random(2 * k).tolist())
-        data = qcore._from_front(block, axes)
+        fields, prepared, measured, drawn = frame.trial(mode, rng_step)
+        data = qcore._from_front(drawn_matrix(drawn) @ qcore._to_front(state.data, axes, k), axes)
+        skip_preparation_draws(rng_ref, mode, k)
+        # a measured preparation leaves the twisted Bell state of its index, up to a phase
+        ancilla = pair_ancilla(u, divmod(prepared, 4) if k == 2 else (prepared,))
         outcomes_ref, post_ref, bits_ref = self.merged_reference(state, positions, ancilla, rng_ref)
-        assert (code, bits) == (protocol._CODE[bits_ref], bits_ref)
-        assert tuple(BIT_DECODE[bits[i:i + 2]] for i in range(0, 2 * k, 2)) == outcomes_ref
+        assert (measured, fields["bell_bits"]) == (protocol._CODE[bits_ref], bits_ref)
+        assert tuple(BIT_DECODE[bits_ref[i:i + 2]] for i in range(0, 2 * k, 2)) == outcomes_ref
         assert fidelity_up_to_phase(QuantumState.pure(data, state.labels), post_ref) >= 1 - 1e-12
         assert rng_step.random() == rng_ref.random()
 
 
 class TestBellOutcomeLaw:
     """The exact law of every Bell step: whatever the data, each pair's outcome has weight 1/4
-    and each joint outcome of a two-qubit step 1/16.  The kernel draws its bits from that law
+    and each joint outcome of a two-qubit step 1/16.  A trial reads its Bell bits from that law
     without weights, so they must be the bits ``_draw_bell`` draws from those weights on the same
-    uniforms, and every map a frame hands it must be unitary."""
+    uniforms, and every map a frame holds must be unitary."""
 
     EDGES = [0.0, float(np.nextafter(0.5, 0)), 0.5, float(np.nextafter(1, 0))]
 
     @staticmethod
     def assert_bits_are_the_weighted_draws(us):
         k = len(us) // 2
-        maps = np.stack([np.eye(2**k, dtype=complex)] * 4**k)
-        code, _, bits = protocol._bell_block(np.ones((2**k, 1), dtype=complex), maps, us)
+        frame = protocol._named_frame("T" if k == 1 else "CNOT")
+        leaf = frame.leaf(1)
+        fields, _, code, drawn = frame.row(leaf, us)
         r, want = protocol._draw_bell([1 / 4] * 4, us[:2])
         if k == 2:
             r2, second = protocol._draw_bell([1 / 16] * 4, us[2:])
             r, want = 4 * r + r2, want + second
-        assert (bits, code, protocol._ROWS[bits][0]) == (want, protocol._CODE[want], r)
+        assert (fields["bell_bits"], code) == (want, protocol._CODE[want])
+        assert np.array_equal(drawn_matrix(drawn), leaf.maps[r])
 
     @pytest.mark.parametrize("u", EDGES)
     @pytest.mark.parametrize("v", EDGES)
@@ -454,27 +476,33 @@ class TestBellOutcomeLaw:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_every_map_is_an_isometry_over_2_to_the_k(self, kind, n, mode, failures, seed):
-        """The kernel draws from 4^-k per outcome without looking at the block.  That holds because
-        every map a frame hands it is unitary, the teleportation's map scaled by 2^k, so the drawn
-        block keeps norm 1 without normalisation.  Three steps run, following each failure to its
+        """A trial draws from 4^-k per outcome without looking at the data.  That holds because
+        every map a frame holds is unitary, the teleportation's map scaled by 2^k, so the drawn
+        block keeps norm 1 without normalisation.  Three trials run, following each failure to its
         successor."""
         gen = np.random.default_rng(seed)
         frame = law_frame(kind, failures, gen)
         block = haar_state(gen, n).reshape(2**frame.k, -1)
         for _ in range(3):
             k = frame.k
-            prepared, maps, _, us = frame.prepare(mode, gen)
-            assert len(maps) == 4**k and len(us) == 2 * k
-            for r in range(4**k):
-                np.testing.assert_allclose(maps[r].conj().T @ maps[r], np.eye(2**k), rtol=0, atol=1e-12)
-            measured, new, bits = protocol._bell_block(block, maps, us)
-            # the row the bits draw: 2x + z for one pair, 4 (2x1 + z1) + 2x2 + z2 for two
-            raw = maps[int("".join(map(str, bits)), 2)] @ block
-            assert abs(np.vdot(raw, raw).real - 1) <= 1e-12
-            assert np.array_equal(new, raw)
+            _, prepared, measured, drawn = frame.trial(mode, gen)
+            leaves = list(frame_leaves(frame))
+            assert leaves and all(len(leaf.maps) == 4 ** (1 if frame.halves else k) for leaf in leaves)
+            for leaf in leaves:
+                gram = leaf.maps.conj().swapaxes(1, 2) @ leaf.maps
+                assert np.abs(gram - np.eye(gram.shape[-1])).max() <= 1e-12
+            block = drawn_matrix(drawn) @ block
+            assert abs(np.vdot(block, block).real - 1) <= 1e-12
             if measured != prepared:
                 frame = frame.after(prepared, measured)
-            block = new
+
+
+def frame_leaves(frame):
+    """Every leaf filled so far that a frame's trials read: its own, or its halves' for a pair frame."""
+    for f in frame.halves or (frame,):
+        yield from (leaf for leaf in f.direct if leaf is not None)
+        if f._plan is not None:
+            yield from (v for v in f._plan.branches.values() if isinstance(v, protocol._Leaf))
 
 
 def law_frame(kind, failures, gen):
@@ -492,8 +520,9 @@ def law_frame(kind, failures, gen):
 def all_outcomes_bell_block(block, maps, rng, variant=(0, 0)):
     """The Bell kernel that forms every outcome's block and squares it for that outcome's weight.
 
-    ``protocol._bell_block`` forms only the drawn block, from the exact law on the teleportation
-    path, and ``bell_measure`` from given weights; this is the reference both must agree with.
+    A trial's row gives only the drawn map, from the exact law on the teleportation path, and
+    ``bell_measure`` forms only the drawn block from given weights; this is the reference both
+    must agree with.
     """
     rows = (maps.reshape(-1, len(block)) @ block).reshape(len(maps), -1)
     parts = rows.view(np.float64)
@@ -505,6 +534,16 @@ def all_outcomes_bell_block(block, maps, rng, variant=(0, 0)):
         r2, bits2 = protocol._draw_bell(w[4 * r:4 * r + 4], us[2:])
         r, bits = 4 * r + r2, bits + bits2
     return protocol._CODE[bits], (rows[r] / math.sqrt(w[r])).reshape(maps.shape[1], -1), bits
+
+
+def trial_leaves(frame, prep_bits, prepared):
+    """The leaves a trial that prepared index code ``prepared`` with bits ``prep_bits`` (None when
+    written down) read its row from: the frame's own, or one of each half's for a pair frame."""
+    frames = frame.halves or (frame,)
+    if prep_bits is None:
+        return [f.direct[c] for f, c in zip(frames, divmod(prepared, 4) if frame.halves else (prepared,))]
+    step = len(prep_bits) // len(frames)
+    return [f.plan().branches[prep_bits[i * step:(i + 1) * step]] for i, f in enumerate(frames)]
 
 
 class TestAllOutcomesReference:
@@ -521,13 +560,21 @@ class TestAllOutcomesReference:
     def test_teleportation_steps_agree(self, kind, n, mode, failures, seed):
         gen = np.random.default_rng(seed)
         frame = law_frame(kind, failures, gen)
-        maps = frame.prepare(mode, gen)[1]
+        fields, prepared, _, _ = frame.trial(mode, gen)
+        leaves = trial_leaves(frame, fields["prep_bits"], prepared)
+        maps = leaves[0].maps
+        if frame.halves:
+            maps = np.stack([np.kron(leaves[0].maps[r >> 2], leaves[1].maps[r & 3]) for r in range(16)])
         block = haar_state(gen, n).reshape(2**frame.k, -1)
         rng_kernel, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        code, new, bits = protocol._bell_block(block, maps, rng_kernel.random(2 * frame.k).tolist())
-        code_ref, ref, bits_ref = all_outcomes_bell_block(block, np.stack([maps[r] for r in range(len(maps))]), rng_ref)
-        assert (code, bits) == (code_ref, bits_ref)
-        np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
+        us = rng_kernel.random(2 * frame.k).tolist()
+        # a pair frame's halves read two uniforms each
+        frames = frame.halves or (frame,)
+        rows = [f.row(leaf, us[2 * i:2 * i + 2 * f.k]) for i, (f, leaf) in enumerate(zip(frames, leaves))]
+        fields, _, code, drawn = protocol._join(*rows, frame.target) if frame.halves else rows[0]
+        code_ref, ref, bits_ref = all_outcomes_bell_block(block, maps, rng_ref)
+        assert (code, fields["bell_bits"]) == (code_ref, bits_ref)
+        np.testing.assert_allclose(drawn_matrix(drawn) @ block, ref, rtol=0, atol=1e-12)
         assert rng_kernel.random() == rng_ref.random()
 
     @settings(max_examples=150, deadline=None)
@@ -594,9 +641,9 @@ class TestDrawsPerTrial:
 
 
 class TestNormDrift:
-    """The Bell maps are unitary, so the loop leaves the block unnormalised between trials: after
-    10^4 consecutive steps, on custom frames or on the controlled-NOT's pair frames, its norm must
-    still be 1 to 1e-10."""
+    """The Bell maps are unitary, so a gate composes its trials' maps and normalises the block once:
+    after 10^4 maps composed as ``_teleport`` composes them, on custom frames or on the
+    controlled-NOT's pair frames, the block's norm must still be 1 to 1e-10."""
 
     @pytest.mark.parametrize("mode", ["measured", "direct"])
     @pytest.mark.parametrize("kind", ["haar", "pair"])
@@ -605,12 +652,92 @@ class TestNormDrift:
         failures = [[(int(gen.integers(16)), int(gen.integers(1, 16)))] for _ in range(8)]
         frames = [law_frame(kind, f, gen) for f in failures]
         block = haar_state(gen, 4).reshape(2**frames[0].k, -1)
+        composed = ((1 + 0j, 0j, 0j, 1 + 0j),) * (2 if kind == "pair" else 1)
         worst = 0.0
         for step in range(10**4):
-            _, maps, _, us = frames[step % len(frames)].prepare(mode, gen)
-            _, block, _ = protocol._bell_block(block, maps, us)
-            worst = max(worst, abs(np.vdot(block, block).real - 1))
+            drawn = frames[step % len(frames)].trial(mode, gen)[3]
+            drawn = drawn if kind == "pair" else (drawn,)
+            composed = tuple(protocol._compose(m, c) for m, c in zip(drawn, composed))
+            out = drawn_matrix(composed if kind == "pair" else composed[0]) @ block
+            worst = max(worst, abs(np.vdot(out, out).real - 1))
         assert worst <= 1e-10
+
+
+def per_trial_teleport(frame, state, qubits, cfg, rng):
+    """``protocol._teleport`` with each trial's drawn map multiplied into the data block in turn:
+    (unnormalised data, records, residual frame or None)."""
+    k = frame.k
+    axes = qcore._axes(state.labels, qubits)
+    block = qcore._to_front(state.data, axes, k)
+    records = []
+    for r in range(1, cfg.budget(k) + 1):
+        fields, prepared, measured, drawn = frame.trial(cfg.prep_mode, rng)
+        records.append(protocol.TrialRecord(index=r, **fields))
+        block = drawn_matrix(drawn) @ block
+        if prepared == measured:
+            return qcore._from_front(block, axes), records, None
+        frame = frame.after(prepared, measured)
+    return qcore._from_front(block, axes), records, frame
+
+
+class TestComposedTeleport:
+    """A gate composes its trials' maps and multiplies the data block once: the result must be
+    what multiplying each trial's map into the block in turn gives on the same random stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["haar", "pauli", "cnot", "pair"]),
+        n=st.integers(2, 6),
+        mode=st.sampled_from(["measured", "direct"]),
+        budget=st.integers(1, 4),
+        failures=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 15)), min_size=1, max_size=4),
+        order=st.randoms(use_true_random=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_trial_products(self, kind, n, mode, budget, failures, order, seed):
+        gen = np.random.default_rng(seed)
+        frame = law_frame(kind, failures, gen)
+        labels = list(range(n))
+        order.shuffle(labels)
+        qubits = tuple(labels[:frame.k])
+        state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
+        cfg = ProtocolConfig(max_trials=budget, prep_mode=mode)
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        out, trace = protocol._teleport(frame, state, qubits, cfg, rng)
+        data_ref, records_ref, residual = per_trial_teleport(frame, state, qubits, cfg, rng_ref)
+        assert [t.to_dict() for t in trace.trials] == [t.to_dict() for t in records_ref]
+        assert all(t.target is t_ref.target for t, t_ref in zip(trace.trials, records_ref))
+        assert trace.succeeded == (residual is None)
+        if residual is not None:
+            assert trace.residual_matrix is residual.target and trace.residual_pauli == residual.key
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert out.labels == state.labels
+        np.testing.assert_allclose(out.data, data_ref / np.linalg.norm(data_ref), rtol=0, atol=1e-12)
+
+
+class TestTrialRecords:
+    """The loop builds each record without running the frozen dataclass's constructor."""
+
+    @pytest.mark.parametrize("mode", ["measured", "direct"])
+    def test_a_loop_built_record_is_a_constructed_one(self, mode):
+        rng = np.random.default_rng(74)
+        cfg = ProtocolConfig(max_trials=6, prep_mode=mode)
+        names = [f.name for f in dataclasses.fields(protocol.TrialRecord)]
+        for _ in range(20):
+            traces = [simulate_one_qubit(GateSpec.named("T"), zero_state((0, 1)), 1, cfg, rng)[1],
+                      simulate_cnot(zero_state((0, 1, 2)), (2, 0), cfg, rng)[1]]
+            for trace in traces:
+                assert [t.index for t in trace.trials] == list(range(1, trace.total_trials + 1))
+                for record in trace.trials:
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        record.success = not record.success
+                    assert sorted(vars(record)) == sorted(names)
+                    built = protocol.TrialRecord(*(getattr(record, name) for name in names))
+                    for name in names:
+                        mine, theirs = getattr(record, name), getattr(built, name)
+                        assert type(mine) is type(theirs) and (mine is theirs or mine == theirs), name
+                    assert record.success == (record.prepared == record.outcome)
+                    assert repr(record) == repr(built) and record.to_dict() == built.to_dict()
 
 
 class TestBranchTables:

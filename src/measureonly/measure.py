@@ -55,10 +55,10 @@ __all__ = [
 GAMMA: tuple[int, int, int, int] = (0, 1, -1, 1)
 
 # Rows are sigma_x, sigma_y, sigma_z flattened: a Bloch vector times _XYZ is its
-# observable, and since each sigma_a is Hermitian, _XYZ_CONJ times a flattened m
-# is (tr(sigma_a m))_a.
+# observable, and since each sigma_a is Hermitian, a flattened m times _HALF_XYZ_CONJ_T
+# is (tr(sigma_a m) / 2)_a, halved exactly.
 _XYZ = np.stack(SIGMA[1:]).reshape(3, 4)
-_XYZ_CONJ = _XYZ.conj()
+_HALF_XYZ_CONJ_T = _XYZ.conj().T / 2
 _EYE4 = np.eye(4, dtype=complex)
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 
@@ -264,8 +264,8 @@ def _bloch_of(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Row k of the axes is the k-th matrix's; row k of the fit, bloch . sigma
     flattened, is that matrix to STRUCT_TOL.
     """
-    bloch = (ms.reshape(-1, 4) @ _XYZ_CONJ.T).real / 2
-    fit = bloch @ _XYZ
+    bloch = ms.reshape(-1, 4).dot(_HALF_XYZ_CONJ_T).real
+    fit = bloch.dot(_XYZ)
     if not np.abs(ms - fit.reshape(ms.shape)).max() <= STRUCT_TOL:
         raise ValueError("matrix is not a unit combination of the traceless Paulis")
     return bloch, fit
@@ -297,10 +297,12 @@ def solve_two_qubit_parity_form(
     return PseudoseparateForm(BalancedBooleanFn.parity(2), (_AXIS_PARTS[i], second), targets)
 
 
-# The x and z pair-sum forms of a one-qubit gate's ancilla preparation, stacked:
-# gamma_i sigma_i, and +/- the first part's observable by axis and slot.
-_XZ_SIGMA = np.stack([GAMMA[1] * SIGMA[1], GAMMA[3] * SIGMA[3]])
-_XZ_FIRST = np.array([[s * m.observable for s in (1, -1)] for m in (MEAS_X, MEAS_Z)])
+# The x and z pair-sum forms of a one-qubit gate's ancilla preparation: gamma_i sigma_i
+# side by side, and +/- half the first part's observable by axis and slot, to broadcast
+# against the second parts'; halving is exact, so I/2 + (A/2) (x) B is (I + A (x) B) / 2.
+_XZ_SIGMA = np.hstack([GAMMA[1] * SIGMA[1], GAMMA[3] * SIGMA[3]])
+_XZ_HALF_FIRST = np.array([[s * m.observable / 2 for s in (1, -1)] for m in (MEAS_X, MEAS_Z)])[:, :, :, None, :, None]
+_HALF_EYE4 = _EYE4 / 2
 
 
 def _xz_parity_slots(u: np.ndarray) -> np.ndarray:
@@ -309,15 +311,15 @@ def _xz_parity_slots(u: np.ndarray) -> np.ndarray:
     Entry [a, s] equals ``parity_slots(solve_two_qubit_parity_form(i, u))[s].matrix``
     bit for bit, with i = (1, 3)[a]: one Bloch fit of both second axes
     gamma_i u sigma_i u^dagger, each checked for its fit and its unit norm,
-    and no form objects.
+    and no form objects.  The conjugation is two 2-D products: u times both
+    gamma_i sigma_i side by side, then its rows (row of u, axis) times u^dagger.
     """
-    bloch, second = _bloch_of(u @ _XZ_SIGMA @ u.conj().T)
+    bloch, second = _bloch_of(u.dot(_XZ_SIGMA).reshape(4, 2).dot(u.conj().T).reshape(2, 2, 2).swapaxes(0, 1))
     for axis in bloch.tolist():
         norm = math.hypot(*axis)
         if not abs(norm - 1.0) <= STRUCT_TOL:
             raise ValueError(f"Bloch vector norm {norm} is not 1")
-    ab = _XZ_FIRST[:, :, :, None, :, None] * second.reshape(2, 1, 1, 2, 1, 2)
-    return (_EYE4 + ab.reshape(2, 2, 4, 4)) / 2
+    return (_XZ_HALF_FIRST * second.reshape(2, 1, 1, 2, 1, 2)).reshape(2, 2, 4, 4) + _HALF_EYE4
 
 
 def u_basis_measurement(u: np.ndarray, labels: tuple[Label, Label] = (0, 1)) -> CompleteMeasurement:

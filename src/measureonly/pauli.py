@@ -147,23 +147,6 @@ def _pauli_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return stack, rows
 
 
-def _phased_pauli_row(matrix: np.ndarray, n: int) -> Optional[tuple[complex, int]]:
-    """(phase, row) with ``matrix`` equal to phase * (Pauli string ``row``) to ``_NEAREST_TOL``, or None.
-
-    The arithmetic of :func:`nearest_phased_pauli` on a checked 2^n x 2^n matrix.
-    """
-    stack, rows = _pauli_basis(n)
-    coeffs = rows @ matrix.reshape(-1)
-    row = int(np.argmax(np.abs(coeffs)))
-    coeff = complex(coeffs[row])
-    for phase in PHASES:
-        if abs(coeff - phase) < _NEAREST_TOL:
-            if not np.abs(matrix - phase * stack[row]).max() < _NEAREST_TOL:
-                return None
-            return phase, row
-    return None
-
-
 def nearest_phased_pauli(matrix: np.ndarray) -> Optional[PhasedPauli]:
     """Canonical phased-Pauli form of ``matrix``, or None if it is not one.
 
@@ -178,12 +161,14 @@ def nearest_phased_pauli(matrix: np.ndarray) -> Optional[PhasedPauli]:
     n = dim.bit_length() - 1
     if matrix.shape != (dim, dim) or 2**n != dim or n < 1:
         raise ValueError("expected a square matrix with power-of-two dimension >= 2")
-    found = _phased_pauli_row(matrix, n)
-    if found is None:
-        return None
-    phase, row = found
-    digits = tuple((row >> (2 * (n - 1 - q))) & 3 for q in range(n))
-    return PhasedPauli(phase, digits)
+    stack, rows = _pauli_basis(n)
+    coeffs = rows.dot(matrix.reshape(-1))
+    row = int(np.argmax(np.abs(coeffs)))
+    coeff = complex(coeffs[row])
+    for phase in PHASES:  # at most one is within the tolerance
+        if abs(coeff - phase) < _NEAREST_TOL and np.abs(matrix - phase * stack[row]).max() < _NEAREST_TOL:
+            return PhasedPauli(phase, tuple((row >> (2 * (n - 1 - q))) & 3 for q in range(n)))
+    return None
 
 
 # Conjugation of sigma_j (x) sigma_k by the controlled-NOT (first qubit is the

@@ -24,7 +24,8 @@ frame owes a product of two one-qubit Paulis and joins their frames' rows.
 Every successor follows one rule, ``_next_frame``: a failed trial from
 target t that prepared sigma_p and measured sigma_m owes t sigma_m sigma_p
 t^dagger, snapped to a phased Pauli when it is one (always on two qubits),
-else re-unitarised by a closed-form polar step.
+else re-unitarised by a closed-form polar step.  A pair frame applies it to
+each half and joins the two successors (``_pair_frame``).
 """
 from __future__ import annotations
 
@@ -68,7 +69,9 @@ _GATE_MATRICES: dict[str, np.ndarray] = {
     "Z": SIGMA[3],
     "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
 }
-for _m in _GATE_MATRICES.values():
+# The all-|0> start of a preparation: a one-qubit gate's two ancilla qubits, the controlled-NOT's four.
+_ZEROS = {d: np.eye(1, d, dtype=complex)[0] for d in (4, 16)}
+for _m in (*_GATE_MATRICES.values(), *_ZEROS.values()):
     _m.setflags(write=False)
 
 # Internal labels of the controlled-NOT's ancilla while it is prepared by
@@ -178,9 +181,13 @@ class ProtocolConfig:
         return trials_needed(self.epsilon, arity)
 
 
+#: sigma_m sigma_p at [m, p] on k qubits, exact: every entry is 0, +/-1 or +/-i.
+_PRODUCTS = {k: paulis[:, None] @ paulis[None] for k, paulis in _PAULIS.items()}
+
+
 def _next_frame(t: np.ndarray, k: int, prepared: int, measured: int) -> "_Frame":
     """The frame owed after a failed trial from target t: t sigma_measured sigma_prepared t^dagger."""
-    nxt = t @ _PAULIS[k][measured] @ _PAULIS[k][prepared] @ t.conj().T
+    nxt = t.dot(_PRODUCTS[k][measured, prepared]).dot(t.conj().T)
     pauli = nearest_phased_pauli(nxt)
     if pauli is not None:
         # The controlled-NOT normalises the Paulis, and the one-qubit catalogue
@@ -192,7 +199,7 @@ def _next_frame(t: np.ndarray, k: int, prepared: int, measured: int) -> "_Frame"
     # error would otherwise compound multiplicatively along the chain.
     nxt = _unitary_part(nxt)
     nxt.setflags(write=False)
-    return _Frame(None, nxt)
+    return _Frame(None, nxt, checked=True)
 
 
 def _unitary_part(m: np.ndarray) -> np.ndarray:
@@ -277,7 +284,7 @@ class _BranchTable:
 
     def __init__(self, instruments: np.ndarray):
         self.instruments = instruments
-        self.start = np.eye(1, instruments.shape[-1], dtype=complex)[0]
+        self.start = _ZEROS[instruments.shape[-1]]
         self.branches: dict[tuple[int, ...], object] = {}
 
     def walk(self, us: Sequence[float]) -> tuple[tuple[int, ...], np.ndarray]:
@@ -327,13 +334,14 @@ class _Frame:
     Paulis: its ``halves`` are their frames, the first carrying the whole
     phase, and it holds no trials of its own but joins one of each half's,
     as 16 rows for each of its leaves would hold several times the memory of
-    every other frame's.  Interned frames link only to interned frames and
-    the 6 others T reaches, so a custom gate's frames are garbage once its
-    call returns.
+    every other frame's; its successors join its halves' (``_pair_frame``).
+    Interned frames link only to interned frames and the 6 others T reaches,
+    so a custom gate's frames are garbage once its call returns.  A target
+    ``checked`` unitary (a ``GateSpec``'s, or the polar step's) is not checked again.
     """
 
-    def __init__(self, key: Optional[PhasedPauli], target: np.ndarray):
-        self.key, self.target = key, target
+    def __init__(self, key: Optional[PhasedPauli], target: np.ndarray, checked: bool = False):
+        self.key, self.target, self.checked = key, target, checked
         self.k = 1 if len(target) == 2 else 2
         self.halves = None
         if self.k == 2 and key is not None:
@@ -346,7 +354,8 @@ class _Frame:
     def plan(self) -> _BranchTable:
         if self._plan is None:
             if self.k == 1:
-                self._plan = _BranchTable(msr._xz_parity_slots(qcore._require_unitary(self.target, 2)))
+                u = self.target if self.checked else qcore._require_unitary(self.target, 2)
+                self._plan = _BranchTable(msr._xz_parity_slots(u))
             else:  # the controlled-NOT's; a pair frame prepares through its halves
                 binaries = msr.cnot_measurement_set(labels=_PREP2)
                 self._plan = _BranchTable(np.array([[qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()]
@@ -418,7 +427,12 @@ class _Frame:
         code = prepared * 4**self.k + measured
         nxt = self.successors[code]
         if nxt is None:
-            nxt = self.successors[code] = _next_frame(self.target, self.k, prepared, measured)
+            if self.halves:  # P (x) Q owes P sigma_m sigma_p P^dagger (x) Q sigma_n sigma_q Q^dagger
+                (p, q), (m, n) = divmod(prepared, 4), divmod(measured, 4)
+                nxt = _pair_frame(self.halves[0].after(p, m), self.halves[1].after(q, n))
+            else:
+                nxt = _next_frame(self.target, self.k, prepared, measured)
+            self.successors[code] = nxt
         return nxt
 
 
@@ -428,6 +442,13 @@ def _pauli_frame(p: PhasedPauli) -> _Frame:
     target = p.matrix()
     target.setflags(write=False)
     return _Frame(p, target)
+
+
+# At most 16 x 16 keys: the one-qubit Pauli frames.
+@lru_cache(maxsize=None)
+def _pair_frame(a: _Frame, b: _Frame) -> _Frame:
+    """The pair frame owing a's key (x) b's key: phases multiplied, indices side by side."""
+    return _pauli_frame(PhasedPauli(a.key.phase * b.key.phase, a.key.indices + b.key.indices))
 
 
 # At most 6 keys: the catalogue's gates.
@@ -452,7 +473,7 @@ def prepare_ancilla_one(
     ``"direct"`` mode the index is drawn uniformly and the state is written
     down directly.  Returns (state, index).
     """
-    frame = _Frame(None, qcore._require_unitary(u, 2))
+    frame = _Frame(None, qcore._require_unitary(u, 2), checked=True)
     if mode == "measured":
         bits, ancilla = frame.plan().walk(rng.random(2).tolist())
         j = BIT_DECODE[bits]
@@ -491,7 +512,7 @@ _BITS = {k: sorted(bits for bits in _CODE if len(bits) == 2 * k) for k in (1, 2)
 def _bell_maps(ancilla: np.ndarray) -> np.ndarray:
     """The Bell maps of a 2k-qubit ancilla vector, of shape (outcomes, free half, data) = (4^k, 2^k, 2^k)."""
     k = 1 if ancilla.size == 4 else 2
-    return (_BELL_MAPS[k] @ ancilla).reshape(4**k, 2**k, 2**k)
+    return _BELL_MAPS[k].dot(ancilla).reshape(4**k, 2**k, 2**k)
 
 
 def _draw_bell(w: list[float], us: Sequence[float],
@@ -592,12 +613,14 @@ def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg
         if prepared == measured:
             break
         frame = frame.after(prepared, measured)
-    op = np.array(a).reshape(2, 2)
-    if k == 2:
-        op = kron2(op, np.array(b).reshape(2, 2))
-        if root is not None:
-            op = op @ root
-    block = _normalised(op @ qcore._to_front(state.data, axes, k))
+    if root is not None and len(trials) == 1:  # kron(I, I) M_root is M_root
+        op = root
+    elif k == 1:
+        op = np.array(a).reshape(2, 2)
+    else:
+        op = kron2(np.array(a).reshape(2, 2), np.array(b).reshape(2, 2))
+        op = op if root is None else op.dot(root)
+    block = _normalised(op.dot(qcore._to_front(state.data, axes, k)))
     state = QuantumState._trusted(qcore._from_front(block, axes), state.labels)
     if prepared == measured:
         return state, ProtocolTrace(tuple(trials), True)
@@ -621,7 +644,7 @@ def simulate_one_qubit(
     """
     if gate.arity != 1:
         raise ValueError("expected a one-qubit gate")
-    frame = _named_frame(gate.name) if gate.name in _GATE_MATRICES else _Frame(None, gate.matrix)
+    frame = _named_frame(gate.name) if gate.name in _GATE_MATRICES else _Frame(None, gate.matrix, checked=True)
     return _teleport(frame, state, (qubit,), cfg, rng)
 
 

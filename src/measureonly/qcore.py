@@ -23,6 +23,7 @@ Every tolerance check is written so that NaN or inf fails it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Sequence
@@ -164,7 +165,7 @@ def _require_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} gate matrix, got shape {u.shape}")
-    if not np.abs(u @ u.conj().T - _identity(dim)).max() <= STRUCT_TOL:
+    if not np.abs(u.dot(u.conj().T) - _identity(dim)).max() <= STRUCT_TOL:
         raise ValueError("gate matrix is not unitary")
     return u
 
@@ -307,14 +308,19 @@ def _collapse(block: np.ndarray, mats: np.ndarray) -> tuple[list[float], list]:
     stacked product forms every outcome.  This is the arithmetic of
     :func:`measure`, which draws one outcome from it.
     """
-    shots = mats @ block
+    shots = mats.reshape(-1, len(block)).dot(block).reshape(len(mats), *block.shape)
     probs = [float(np.vdot(v, v).real) for v in shots]
-    posts = [v / np.sqrt(p) if p > 0 else None for v, p in zip(shots, probs)]
+    posts = [v / math.sqrt(p) if p > 0 else None for v, p in zip(shots, probs)]
     return probs, posts
 
 
 def _draw(probs: Sequence[float], rng: np.random.Generator) -> int:
-    """Outcome drawn in proportion to ``probs`` from one ``rng.random()``: the package's one sampling rule."""
+    """Outcome drawn in proportion to ``probs`` from one ``rng.random()`` u: the package's sampling rule.
+
+    Of two outcomes it is 0 exactly when ``u * total < p0``, as ``_draw2``, ``protocol._BranchTable.walk`` and
+    ``protocol._Frame.row``'s Bell bits (``u < 0.5``: p0 / total is 1/2) write inline, each pinned against this
+    one (``test_two_outcome_draw_is_the_general_draw``, ``TestBranchTables``, ``TestBellOutcomeLaw``).
+    """
     total_p = sum(probs)
     if total_p < STRUCT_TOL:
         raise ValueError("degenerate state: all outcome probabilities vanish")

@@ -18,7 +18,7 @@ from scipy import sparse, stats
 import measureonly.qcore as qcore
 from measureonly import identities, protocol
 from measureonly.measure import cnot_measurement_set, parity_slots, solve_two_qubit_parity_form
-from measureonly.pauli import PhasedPauli, cnot_frame_update, nearest_phased_pauli
+from measureonly.pauli import PHASES, PhasedPauli, cnot_frame_update, nearest_phased_pauli
 from measureonly.protocol import (
     BIT_DECODE,
     BudgetExceeded,
@@ -1022,6 +1022,27 @@ class TestWalkedFrameGraph:
                         expected = PhasedPauli(a.phase * b.phase, a.indices + b.indices)
                     assert frame.after(prepared, measured).key == expected, (frame.key, prepared, measured)
 
+    def test_a_pair_successor_is_the_dense_successor(self):
+        # joined from the halves' one-qubit successors, it is the very frame _next_frame interns
+        for p, q, phase in ((p, q, phase) for p in range(4) for q in range(4) for phase in PHASES):
+            frame = protocol._pauli_frame(PhasedPauli(phase, (p, q)))
+            for prepared in range(16):
+                for measured in range(16):
+                    dense = protocol._next_frame(frame.target, 2, prepared, measured)
+                    assert frame.after(prepared, measured) is dense, (frame.key, prepared, measured)
+
+    def test_no_keyed_pair_frame_fills_densely(self, monkeypatch):
+        # fresh pair frames (not the interned ones, whose tables may be full) on every key and code
+        dense = []
+        next_frame = protocol._next_frame
+        monkeypatch.setattr(protocol, "_next_frame", lambda t, k, *codes: dense.append(k) or next_frame(t, k, *codes))
+        for key in (PhasedPauli(phase, (p, q)) for p in range(4) for q in range(4) for phase in PHASES):
+            frame = protocol._Frame(key, key.matrix())
+            for prepared in range(16):
+                for measured in range(16):
+                    assert frame.after(prepared, measured).key is not None
+        assert 2 not in dense
+
 
 class TestClosedFormFrames:
     """A fresh one-qubit frame's slots and successors, built without form objects or an SVD."""
@@ -1046,6 +1067,33 @@ class TestClosedFormFrames:
     def test_plan_rejects_a_target_that_is_not_unitary(self, target):
         with pytest.raises(ValueError, match="not unitary"):
             protocol._Frame(None, target).plan()
+
+    def test_a_target_from_outside_is_checked_once(self, monkeypatch):
+        # GateSpec checks a custom matrix; the frames it and the polar step derive are not checked again
+        checked = []
+        require_unitary = qcore._require_unitary
+        monkeypatch.setattr(qcore, "_require_unitary", lambda u, dim: checked.append(u) or require_unitary(u, dim))
+        rng = np.random.default_rng(43)
+        u = haar_unitary(rng)
+        _, trace = simulate_one_qubit(GateSpec.custom(u), zero_state((0,)), 0, ProtocolConfig(max_trials=8), rng)
+        assert trace.total_trials > 1
+        assert len(checked) == 1 and np.array_equal(checked[0], u)
+        checked.clear()
+        prepare_ancilla_one(u, "measured", rng)
+        assert len(checked) == 1
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_the_successor_product_is_the_chained_product(self, seed, monkeypatch):
+        # sigma_m sigma_p comes from a table of exact Pauli products, so t (sigma_m sigma_p) t^dagger
+        # is t sigma_m sigma_p t^dagger to the bit, before the snap reads it
+        owed = []
+        monkeypatch.setattr(protocol, "nearest_phased_pauli", lambda m: owed.append(m) or nearest_phased_pauli(m))
+        t = haar_unitary(np.random.default_rng([seed, 44]))
+        for prepared in range(4):
+            for measured in range(4):
+                protocol._next_frame(t, 1, prepared, measured)
+                chained = t @ PAULIS[measured] @ PAULIS[prepared] @ t.conj().T
+                assert owed.pop().tobytes() == chained.tobytes(), (prepared, measured)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1e-12, 1e-6, 0.1]))

@@ -16,9 +16,10 @@ frame after each failure.
 The ancilla is maximally entangled, so each Bell pair's outcome has
 probability 1/4 whatever the data (Gottesman-Chuang, quant-ph/9908010) and
 no trial reads the data: a trial is one batched draw of uniforms, a table
-lookup of its row (``_Frame.trial``) and one 2x2 product composing the drawn
-Bell map with those drawn before.  The data block is multiplied by the
-composed map and normalised once per gate.  ``bell_measure`` draws from
+lookup of its row (``_Frame.trial``; one keyed by the drawn bits on a warm
+one-qubit frame) and one 2x2 product composing the drawn Bell map with those
+drawn before.  The data is multiplied by the composed map and normalised
+once per gate, in one pass (``qcore._apply``).  ``bell_measure`` draws from
 weights of its block, as an arbitrary register has no such law.  A pair
 frame owes a product of two one-qubit Paulis and joins their frames' rows.
 Every successor follows one rule, ``_next_frame``: a failed trial from
@@ -274,7 +275,9 @@ class _BranchTable:
 
     The table maps the bits drawn so far to the next measurement's outcome
     probabilities and post-measurement vectors, starting from the all-|0>
-    vector ``start``, and the bits of a whole preparation to its ``_Leaf``.
+    vector ``start``, and the bits of a whole preparation to its ``_Leaf``;
+    a node's key is 1 then its bits in binary, and a one-qubit frame's trial
+    row sits under that code of its preparation then Bell bits (16 to 31).
     ``instruments`` is one (measurements, 2, d, d) array of projector pairs
     on the whole ancilla.  Each entry is filled on its first visit, branches
     by ``qcore.measure``'s arithmetic, so a walk on uniforms drawn from a
@@ -285,30 +288,27 @@ class _BranchTable:
     def __init__(self, instruments: np.ndarray):
         self.instruments = instruments
         self.start = _ZEROS[instruments.shape[-1]]
-        self.branches: dict[tuple[int, ...], object] = {}
+        self.branches: dict[Union[int, tuple[int, ...]], object] = {}
 
     def walk(self, us: Sequence[float]) -> tuple[tuple[int, ...], np.ndarray]:
         """The bits and ancilla vector of one preparation, drawn as ``qcore._draw2`` draws, a uniform a step."""
-        vector, bits = self.start, ()
+        vector, node, bits = self.start, 1, ()
         for u in us[:len(self.instruments)]:
-            branch = self.branches.get(bits)
+            branch = self.branches.get(node)
             if branch is None:
                 (p0, p1), posts = qcore._collapse(vector, self.instruments[len(bits)])
                 if p0 + p1 < qcore.STRUCT_TOL:  # _draw2's guard, run once per branch
                     raise ValueError("degenerate state: all outcome probabilities vanish")
-                branch = self.branches[bits] = (p0, p0 + p1, posts)
+                branch = self.branches[node] = (p0, p0 + p1, posts)
             p0, total, posts = branch
             b = 0 if u * total < p0 else 1
-            vector, bits = posts[b], bits + (b,)
+            vector, node, bits = posts[b], 2 * node + b, bits + (b,)
         return bits, vector
 
     def prepare(self, us: Sequence[float]) -> "_Leaf":
         """The leaf of one walked preparation."""
         bits, ancilla = self.walk(us)
-        leaf = self.branches.get(bits)
-        if leaf is None:
-            leaf = self.branches[bits] = _Leaf(_CODE[bits], bits, ancilla)
-        return leaf
+        return self.branches.get(bits) or self.branches.setdefault(bits, _Leaf(_CODE[bits], bits, ancilla))
 
 
 class _Leaf:
@@ -318,7 +318,7 @@ class _Leaf:
 
     def __init__(self, code: int, bits: Optional[tuple[int, ...]], ancilla: np.ndarray):
         self.code, self.bits, self.maps = code, bits, _bell_maps(ancilla)
-        self.rows: list[Optional[tuple]] = [None] * len(self.maps)
+        self.rows: list[Optional[list]] = [None] * len(self.maps)
 
 
 class _Frame:
@@ -328,7 +328,8 @@ class _Frame:
     None.  A frame holds its read-only target, its measured-preparation
     plan, whose leaves hold its trials, its leaves per prepared index for
     direct mode, and its successor frame after each failed trial, at code
-    prepared * 4^k + measured, filled by ``_next_frame``; codes (j, 0) and
+    prepared * 4^k + measured, filled by ``_next_frame`` (and kept in the
+    trial's row once a failure has asked for it); codes (j, 0) and
     (0, j) owe one gate and share one.  Every leaf is filled on first use.  A
     pair frame, one with a two-qubit key, owes a product of two one-qubit
     Paulis: its ``halves`` are their frames, the first carrying the whole
@@ -362,26 +363,23 @@ class _Frame:
                                                     for m in binaries]))
         return self._plan
 
-    def ancilla(self, code: int) -> np.ndarray:
-        """The 2k-qubit ancilla vector (order a_1..a_k, f_1..f_k) of index code ``code``; the target is unitary."""
-        return qcore._bell_amplitudes(self.target @ _PAULIS[self.k][code])
-
     def leaf(self, code: int) -> _Leaf:
-        """The leaf of the ancilla written down with index code ``code``."""
+        """The leaf of the 2k-qubit ancilla (order a_1..a_k, f_1..f_k) written down with index code ``code``."""
         leaf = self.direct[code]
         if leaf is None:
-            leaf = self.direct[code] = _Leaf(code, None, self.ancilla(code))
+            leaf = self.direct[code] = _Leaf(code, None, qcore._bell_amplitudes(self.target @ _PAULIS[self.k][code]))
         return leaf
 
-    def row(self, leaf: _Leaf, us: Sequence[float]) -> tuple:
+    def row(self, leaf: _Leaf, us: Sequence[float]) -> list:
         """The trial of ``leaf`` whose Bell bits the uniforms ``us`` draw, formed on first draw.
 
         Each map is unitary, so every outcome has weight 4^-k whatever the
         data: each bit, x-type then z-type of each pair, is 0 when its uniform
         is below 1/2 (as ``_draw_bell`` draws from weights 1/4, then 1/16), and
-        the bits read in binary give the map.  A row is (the record's fields
-        but its index, prepared and measured index codes, the drawn map, as a
-        row-major 4-tuple of Python complex numbers on one qubit).
+        the bits read in binary give the map.  A row is a list: the record's
+        fields but its index, prepared and measured index codes, the drawn map
+        (a row-major 4-tuple of Python complex numbers on one qubit), and the
+        frame a failure from it leaves, which ``_teleport`` fills from ``after``.
         """
         r = 0
         for u in us:
@@ -392,26 +390,49 @@ class _Frame:
             measured, drawn = _CODE[bell], leaf.maps[r]
             fields = {"prepared": index[leaf.code], "outcome": index[measured], "prep_bits": leaf.bits,
                       "bell_bits": bell, "success": measured == leaf.code, "target": self.target}
-            row = leaf.rows[r] = (fields, leaf.code, measured, tuple(drawn.ravel().tolist()) if self.k == 1 else drawn)
+            drawn = tuple(drawn.ravel().tolist()) if self.k == 1 else drawn
+            row = leaf.rows[r] = [fields, leaf.code, measured, drawn, None]
         return row
 
-    def trial(self, mode: str, rng: np.random.Generator) -> tuple:
+    def measured(self, us: list[float]) -> list:
+        """A one-qubit frame's measured trial on four uniforms: once warm, one lookup of its row, keyed by
+        1 then the preparation bits the walk's arithmetic draws from the table's nodes and the Bell bits."""
+        plan = self._plan or self.plan()
+        branches, (u0, u1, u2, u3) = plan.branches, us
+        node = branches.get(1)
+        if node:
+            code = 2 if u0 * node[1] < node[0] else 3
+            node = branches.get(code)
+            if node:
+                row = branches.get(8 * code + (0 if u1 * node[1] < node[0] else 4) + (0 if u2 < 0.5 else 2)
+                                   + (0 if u3 < 0.5 else 1))
+                if row:
+                    return row
+        leaf = plan.prepare(us)  # a first visit: walk, form the row and file it
+        row = self.row(leaf, us[2:])
+        (b0, b1), (x, z) = leaf.bits, row[0]["bell_bits"]
+        branches[16 + 8 * b0 + 4 * b1 + 2 * x + z] = row
+        return row
+
+    def trial(self, mode: str, rng: np.random.Generator) -> list:
         """The row of one trial: a pair frame's joins a row of each half.
 
-        Measured mode draws 4k uniforms at once and walks the preparation (a
-        pair frame's halves in turn) on the first 2k; direct mode draws k
-        indices, the control's first, then the 2k uniforms of the Bell step.
+        Measured mode draws 4k uniforms at once, the preparation's 2k first (a
+        pair frame's halves in turn); direct mode draws k indices, the
+        control's first, then the 2k uniforms of the Bell step.
         """
         k, halves = self.k, self.halves
         if mode == "measured":
             us = rng.random(4 * k).tolist()
-            if not halves:
-                return self.row(self.plan().prepare(us), us[2 * k:])
+            if k == 1:
+                return self.measured(us)
+            if not halves:  # the controlled-NOT's own
+                return self.row(self.plan().prepare(us), us[4:])
             a, b = halves
-            return _join(a.row(a.plan().prepare(us), us[4:6]), b.row(b.plan().prepare(us[2:]), us[6:]), self.target)
+            return _join(a.measured(us[:2] + us[4:6]), b.measured(us[2:4] + us[6:]), self.target)
         code = int(rng.integers(0, 4))
         if k == 1:
-            return self.row(self.leaf(code), rng.random(2).tolist())
+            return self.row(self.direct[code] or self.leaf(code), rng.random(2).tolist())
         second = int(rng.integers(0, 4))
         us = rng.random(4).tolist()
         if not halves:
@@ -479,7 +500,7 @@ def prepare_ancilla_one(
         j = BIT_DECODE[bits]
     elif mode == "direct":
         j = int(rng.integers(0, 4))
-        ancilla = frame.ancilla(j)
+        ancilla = qcore._bell_amplitudes(frame.target @ SIGMA[j])
     else:
         raise ValueError(f"unknown preparation mode {mode!r}")
     return QuantumState.pure(ancilla, labels), j
@@ -530,13 +551,6 @@ def _draw_bell(w: list[float], us: Sequence[float],
     return 2 * x + (b ^ vz), (a, b)
 
 
-def _normalised(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous complex array scaled in place to unit norm, through its real view, allocating nothing."""
-    parts = a.reshape(-1).view(np.float64)
-    parts *= 1 / math.sqrt(np.dot(parts, parts))
-    return a
-
-
 def bell_measure(
     state: QuantumState,
     pair: tuple[Label, Label],
@@ -564,17 +578,17 @@ def bell_measure(
     gram = block @ block.conj().T
     weights = np.einsum("ri,ij,rj->r", _BELL_ROWS, gram, _BELL_ROWS.conj()).real.tolist()
     r, bits = _draw_bell(weights, rng.random(2).tolist(), variant)
-    rest = _normalised(_BELL_ROWS[r] @ block)
-    return _CODE[bits], QuantumState._trusted(rest, tuple(state.labels[p] for p in axes[2:]))
+    rest, labels = _BELL_ROWS[r] @ block, tuple(q for q in state.labels if q not in pair)
+    return _CODE[bits], QuantumState._trusted(rest / np.linalg.norm(rest), labels)
 
 
-def _join(first: tuple, second: tuple, target: np.ndarray) -> tuple:
+def _join(first: list, second: list, target: np.ndarray) -> list:
     """A pair frame's row from a row of each half: codes 4a + b, bits side by side, success when both succeed."""
-    (fa, pa, ma, a), (fb, pb, mb, b) = first, second
+    (fa, pa, ma, a, _), (fb, pb, mb, b, _) = first, second
     bits = fa["prep_bits"]
     fields = {"prepared": (pa, pb), "outcome": (ma, mb), "prep_bits": None if bits is None else bits + fb["prep_bits"],
               "bell_bits": fa["bell_bits"] + fb["bell_bits"], "success": pa == ma and pb == mb, "target": target}
-    return fields, 4 * pa + pb, 4 * ma + mb, (a, b)
+    return [fields, 4 * pa + pb, 4 * ma + mb, (a, b), None]
 
 
 def _compose(x: tuple, y: tuple) -> tuple:
@@ -588,43 +602,44 @@ def _teleport(frame: _Frame, state: QuantumState, qubits: tuple[Label, ...], cfg
               rng: np.random.Generator) -> tuple[QuantumState, ProtocolTrace]:
     """Teleport the gate owed by ``frame`` onto ``qubits`` until a trial succeeds or the budget runs out.
 
-    No trial reads the data, so the loop only composes the drawn maps: a 2x2
-    map per data qubit, after the controlled-NOT's 4x4 map when a gate starts
-    from it.  Each Bell step leaves the ancilla's free half in the data
-    qubits' place, so the data block, those qubits at the front, is multiplied
-    by the composed map and normalised once per gate.
+    The qubits are resolved, and a repeated or unknown label refused, before
+    the first draw.  No trial reads the data, so the loop only composes the
+    drawn maps: a 2x2 map per data qubit, after the controlled-NOT's 4x4 map
+    when a gate starts from it; a failed trial's row keeps the frame it
+    leaves.  Each Bell step leaves the ancilla's free half in the data qubits'
+    place, so the state is multiplied by the composed map on those qubits'
+    own axes and normalised, once per gate.
     """
     k, mode = frame.k, cfg.prep_mode
     axes = qcore._axes(state.labels, qubits)
-    a = b = (1 + 0j, 0j, 0j, 1 + 0j)
-    root = None
+    a = b = root = None
     trials: list[TrialRecord] = []
     for r in range(1, cfg.budget(k) + 1):
-        fields, prepared, measured, drawn = frame.trial(mode, rng)
+        fields, prepared, measured, drawn, nxt = row = frame.trial(mode, rng)
         record = object.__new__(TrialRecord)  # frozen: one dict update, not one __setattr__ per field
         record.__dict__.update(fields, index=r)
         trials.append(record)
         if k == 1:
-            a = _compose(drawn, a)
+            a = drawn if a is None else _compose(drawn, a)
         elif frame.halves:
-            a, b = _compose(drawn[0], a), _compose(drawn[1], b)
+            a, b = drawn if a is None else (_compose(drawn[0], a), _compose(drawn[1], b))
         else:  # the controlled-NOT's own 4x4 map; its failures all leave pair frames, so only a first trial's
             root = drawn
         if prepared == measured:
             break
-        frame = frame.after(prepared, measured)
-    if root is not None and len(trials) == 1:  # kron(I, I) M_root is M_root
+        row[4] = frame = nxt or frame.after(prepared, measured)
+    if a is None:  # the controlled-NOT's root succeeded at once: kron(I, I) M_root is M_root
         op = root
     elif k == 1:
         op = np.array(a).reshape(2, 2)
     else:
-        op = kron2(np.array(a).reshape(2, 2), np.array(b).reshape(2, 2))
+        op = kron2(*np.array((a, b)).reshape(2, 2, 2))
         op = op if root is None else op.dot(root)
-    block = _normalised(op.dot(qcore._to_front(state.data, axes, k)))
-    state = QuantumState._trusted(qcore._from_front(block, axes), state.labels)
-    if prepared == measured:
-        return state, ProtocolTrace(tuple(trials), True)
-    return state, ProtocolTrace(tuple(trials), False, frame.target, frame.key)
+    done = prepared == measured
+    trace = object.__new__(ProtocolTrace)  # frozen, as a record is
+    trace.__dict__.update(trials=tuple(trials), succeeded=done, residual_matrix=None if done else frame.target,
+                          residual_pauli=None if done else frame.key)
+    return QuantumState._trusted(qcore._apply(state.data, op, axes, normalise=True), state.labels), trace
 
 
 def simulate_one_qubit(

@@ -423,7 +423,7 @@ class TestTeleportStep:
         state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
         axes = positions + tuple(p for p in range(n) if p not in positions)
         rng_step, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        fields, prepared, measured, drawn = frame.trial(mode, rng_step)
+        fields, prepared, measured, drawn, _ = frame.trial(mode, rng_step)
         data = qcore._from_front(drawn_matrix(drawn) @ qcore._to_front(state.data, axes, k), axes)
         skip_preparation_draws(rng_ref, mode, k)
         # a measured preparation leaves the twisted Bell state of its index, up to a phase
@@ -448,7 +448,7 @@ class TestBellOutcomeLaw:
         k = len(us) // 2
         frame = protocol._named_frame("T" if k == 1 else "CNOT")
         leaf = frame.leaf(1)
-        fields, _, code, drawn = frame.row(leaf, us)
+        fields, _, code, drawn, _ = frame.row(leaf, us)
         r, want = protocol._draw_bell([1 / 4] * 4, us[:2])
         if k == 2:
             r2, second = protocol._draw_bell([1 / 16] * 4, us[2:])
@@ -485,7 +485,7 @@ class TestBellOutcomeLaw:
         block = haar_state(gen, n).reshape(2**frame.k, -1)
         for _ in range(3):
             k = frame.k
-            _, prepared, measured, drawn = frame.trial(mode, gen)
+            _, prepared, measured, drawn, _ = frame.trial(mode, gen)
             leaves = list(frame_leaves(frame))
             assert leaves and all(len(leaf.maps) == 4 ** (1 if frame.halves else k) for leaf in leaves)
             for leaf in leaves:
@@ -560,7 +560,7 @@ class TestAllOutcomesReference:
     def test_teleportation_steps_agree(self, kind, n, mode, failures, seed):
         gen = np.random.default_rng(seed)
         frame = law_frame(kind, failures, gen)
-        fields, prepared, _, _ = frame.trial(mode, gen)
+        fields, prepared, _, _, _ = frame.trial(mode, gen)
         leaves = trial_leaves(frame, fields["prep_bits"], prepared)
         maps = leaves[0].maps
         if frame.halves:
@@ -571,7 +571,7 @@ class TestAllOutcomesReference:
         # a pair frame's halves read two uniforms each
         frames = frame.halves or (frame,)
         rows = [f.row(leaf, us[2 * i:2 * i + 2 * f.k]) for i, (f, leaf) in enumerate(zip(frames, leaves))]
-        fields, _, code, drawn = protocol._join(*rows, frame.target) if frame.halves else rows[0]
+        fields, _, code, drawn, _ = protocol._join(*rows, frame.target) if frame.halves else rows[0]
         code_ref, ref, bits_ref = all_outcomes_bell_block(block, maps, rng_ref)
         assert (code, fields["bell_bits"]) == (code_ref, bits_ref)
         np.testing.assert_allclose(drawn_matrix(drawn) @ block, ref, rtol=0, atol=1e-12)
@@ -671,7 +671,7 @@ def per_trial_teleport(frame, state, qubits, cfg, rng):
     block = qcore._to_front(state.data, axes, k)
     records = []
     for r in range(1, cfg.budget(k) + 1):
-        fields, prepared, measured, drawn = frame.trial(cfg.prep_mode, rng)
+        fields, prepared, measured, drawn, _ = frame.trial(cfg.prep_mode, rng)
         records.append(protocol.TrialRecord(index=r, **fields))
         block = drawn_matrix(drawn) @ block
         if prepared == measured:
@@ -738,6 +738,155 @@ class TestTrialRecords:
                         assert type(mine) is type(theirs) and (mine is theirs or mine == theirs), name
                     assert record.success == (record.prepared == record.outcome)
                     assert repr(record) == repr(built) and record.to_dict() == built.to_dict()
+
+
+class TestProtocolTraces:
+    """The loop builds each trace without running the frozen dataclass's constructor, as it builds
+    records: a built trace must be the constructed one, field for field, whether the gate succeeded
+    or ran out of trials with a Pauli or a non-Pauli residual."""
+
+    @pytest.mark.parametrize("mode", ["measured", "direct"])
+    def test_a_loop_built_trace_is_a_constructed_one(self, mode):
+        rng = np.random.default_rng(75)
+        names = [f.name for f in dataclasses.fields(protocol.ProtocolTrace)]
+        seen = set()
+        for i in range(60):
+            cfg = ProtocolConfig(max_trials=1 + i // 3 % 3, prep_mode=mode)
+            trace = [simulate_one_qubit(GateSpec.named("H"), zero_state((0, 1)), 1, cfg, rng)[1],
+                     simulate_one_qubit(GateSpec.named("T"), zero_state((0,)), 0, cfg, rng)[1],
+                     simulate_cnot(zero_state((0, 1, 2)), (2, 0), cfg, rng)[1]][i % 3]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                trace.succeeded = not trace.succeeded
+            assert sorted(vars(trace)) == sorted(names)
+            built = protocol.ProtocolTrace(*(getattr(trace, name) for name in names))
+            for name in names:
+                mine, theirs = getattr(trace, name), getattr(built, name)
+                assert type(mine) is type(theirs) and (mine is theirs or mine == theirs), name
+            assert repr(trace) == repr(built) and trace.to_dict() == built.to_dict()
+            assert trace.succeeded == (trace.residual_matrix is None)
+            seen.add((trace.succeeded, trace.residual_pauli is not None))
+        assert seen == {(True, False), (False, True), (False, False)}
+
+
+class _Uniforms:
+    """Stub random stream handing out fixed uniforms, and fixed indices in direct mode."""
+
+    def __init__(self, us, codes=()):
+        self.us, self.codes = list(us), list(codes)
+
+    def random(self, n):
+        out, self.us = self.us[:n], self.us[n:]
+        return np.array(out)
+
+    def integers(self, *args):
+        return self.codes.pop(0)
+
+
+class TestWarmLookup:
+    """A warm one-qubit trial, or each half of a pair frame's, is one indexed lookup: it must give the
+    very row the reference chain gives (the branch table's walk, then ``_Frame.row``; ``leaf`` then
+    ``row`` when written down), and a failed trial's row must carry the frame ``_Frame.after`` gives.
+    Uniforms sit at the draw's edges: 0, each node's p0/total and its neighbours, 1/2 and 1 - 2^-53."""
+
+    BELL = [0.0, float(np.nextafter(0.5, 0)), 0.5, 1 - 2**-53]
+
+    @staticmethod
+    def frames():
+        gen = np.random.default_rng(76)
+        pair = protocol._named_frame("CNOT").after(4 * 1 + 2, 4 * 3 + 0)
+        return {"H": protocol._named_frame("H"), "T": protocol._named_frame("T"),
+                "X": protocol._named_frame("X"), "haar": protocol._Frame(None, haar_unitary(gen)), "pair": pair}
+
+    @staticmethod
+    def edges(u):
+        """The uniforms at the edges of a draw whose outcome 0 has weight u, all in [0, 1)."""
+        return sorted({x for x in (0.0, float(np.nextafter(u, 0)), u, float(np.nextafter(u, 1)), 0.5, 1 - 2**-53)
+                       if 0 <= x < 1})
+
+    @classmethod
+    def prep_uniforms(cls, frame):
+        """Pairs of preparation uniforms at the edges of the frame's two preparation draws."""
+        table = frame.plan()
+        table.walk([0.0, 0.0])
+        table.walk([1 - 2**-53, 0.0])
+        p0, total, _ = table.branches[1]
+        for u0 in cls.edges(p0 / total):
+            p0, total, _ = table.branches[2 if u0 * total < p0 else 3]
+            for u1 in cls.edges(p0 / total):
+                yield u0, u1
+
+    @staticmethod
+    def reference_row(frame, mode, us, code):
+        if mode == "direct":
+            return frame.row(frame.leaf(code), us[2:])
+        bits, _ = frame.plan().walk(us)
+        return frame.row(frame.plan().branches[bits], us[2:])
+
+    @staticmethod
+    def check_successor(frame, row, mode, us, code):
+        # one trial through _teleport on the same draws; a failure files its successor in the row
+        draws = us[2:] if mode == "direct" else us
+        state, cfg = zero_state((0,)), ProtocolConfig(max_trials=1, prep_mode=mode)
+        _, trace = protocol._teleport(frame, state, (0,), cfg, _Uniforms(draws, [code]))
+        assert trace.succeeded == (row[1] == row[2])
+        if not trace.succeeded:
+            assert row[4] is frame.after(row[1], row[2])
+            assert trace.residual_matrix is row[4].target
+
+    @pytest.mark.parametrize("mode", ["measured", "direct"])
+    @pytest.mark.parametrize("name", ["H", "T", "X", "haar"])
+    def test_one_qubit_frames(self, name, mode):
+        frame = self.frames()[name]
+        preps = list(self.prep_uniforms(frame)) if mode == "measured" else [(None, None)] * 4
+        for i, (u0, u1) in enumerate(preps):
+            code = i % 4
+            for u2 in self.BELL:
+                for u3 in self.BELL:
+                    us = [u0, u1, u2, u3]
+                    draws = us[2:] if mode == "direct" else us
+                    row = frame.trial(mode, _Uniforms(draws, [code]))
+                    assert row is self.reference_row(frame, mode, us, code)
+                    assert frame.trial(mode, _Uniforms(draws, [code])) is row
+                    if mode == "measured":
+                        bits = row[0]["prep_bits"] + row[0]["bell_bits"]
+                        assert frame.plan().branches[int("1" + "".join(map(str, bits)), 2)] is row
+                    self.check_successor(frame, row, mode, us, code)
+
+    def test_a_fresh_frame_fills_on_its_first_visit(self):
+        gen = np.random.default_rng(77)
+        for _ in range(20):
+            u = haar_unitary(gen)
+            twin = protocol._Frame(None, u)
+            for u0, u1 in self.prep_uniforms(twin):
+                us = [u0, u1, float(gen.choice(self.BELL)), float(gen.choice(self.BELL))]
+                fresh = protocol._Frame(None, u)
+                row = fresh.trial("measured", _Uniforms(us))
+                assert row is self.reference_row(fresh, "measured", us, None)
+                assert fresh.trial("measured", _Uniforms(us)) is row
+                assert row[4] is None and row[0]["prep_bits"] == twin.plan().walk(us)[0]
+
+    @pytest.mark.parametrize("mode", ["measured", "direct"])
+    def test_pair_frame_halves(self, mode):
+        frame = self.frames()["pair"]
+        a, b = frame.halves
+        gen = np.random.default_rng(78)
+        for _ in range(200):
+            us = [float(gen.choice(self.BELL + [float(gen.random())])) for _ in range(8)]
+            codes = [int(gen.integers(4)), int(gen.integers(4))]
+            draws = us[4:] if mode == "direct" else us
+            row = frame.trial(mode, _Uniforms(draws, list(codes)))
+            if mode == "measured":
+                ra = self.reference_row(a, mode, us[:2] + us[4:6], None)
+                rb = self.reference_row(b, mode, us[2:4] + us[6:], None)
+            else:
+                ra = self.reference_row(a, mode, [None, None] + us[4:6], codes[0])
+                rb = self.reference_row(b, mode, [None, None] + us[6:], codes[1])
+            assert row[3][0] is ra[3] and row[3][1] is rb[3]
+            assert row[:4] == protocol._join(ra, rb, frame.target)[:4]
+            if row[1] != row[2]:
+                _, trace = protocol._teleport(frame, zero_state((0, 1)), (0, 1),
+                                              ProtocolConfig(max_trials=1, prep_mode=mode), _Uniforms(draws, list(codes)))
+                assert trace.residual_pauli == frame.after(row[1], row[2]).key
 
 
 class TestBranchTables:
@@ -1398,6 +1547,27 @@ class TestSimulateCnot:
             simulate_cnot(zero_state((0, 1, 2)), qubits, self.CFG, np.random.default_rng(0))
 
 
+class TestQubitBoundary:
+    """A gate resolves its qubits before its first draw: an unknown or repeated label raises the
+    register layout's ValueError and leaves the random stream where it was."""
+
+    @pytest.mark.parametrize("mode", ["measured", "direct"])
+    @pytest.mark.parametrize("gate, qubits, match", [
+        ("H", (7,), "unknown"), ("T", ("a",), "unknown"),
+        ("CNOT", (0, 7), "unknown"), ("CNOT", (7, 1), "unknown"), ("CNOT", (2, 2), "duplicate"),
+    ])
+    def test_rejects_before_drawing(self, gate, qubits, match, mode):
+        rng = np.random.default_rng(19)
+        before = rng.bit_generator.state
+        state, cfg = zero_state((0, 1, 2)), ProtocolConfig(prep_mode=mode)
+        with pytest.raises(ValueError, match=match):
+            if gate == "CNOT":
+                simulate_cnot(state, qubits, cfg, rng)
+            else:
+                simulate_one_qubit(GateSpec.named(gate), state, qubits[0], cfg, rng)
+        assert rng.bit_generator.state == before
+
+
 class TestRunCircuit:
     CFG = ProtocolConfig(epsilon=1e-9, prep_mode="measured")
 
@@ -1608,6 +1778,33 @@ class TestWideRegisters:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * state.data.nbytes
+
+
+    @pytest.mark.parametrize("prep", ["measured", "direct"])
+    @pytest.mark.parametrize("qubits", [(0,), (5,), (14,), (15,), (5, 9), (9, 10), (10, 9), (0, 15), (15, 14)])
+    def test_a_gate_is_one_pass(self, qubits, prep):
+        # The product runs on the state's own axes: a one-qubit gate, or a controlled-NOT on adjacent
+        # qubits, allocates only its output; a distant pair still goes to the front of a copy.
+        n, gen = 16, np.random.default_rng(44)
+        state = QuantumState.pure(haar_state(gen, n), tuple(range(n)))
+        cfg = ProtocolConfig(max_trials=3, prep_mode=prep)
+
+        def gate():
+            if len(qubits) == 1:
+                return simulate_one_qubit(GateSpec.named("T"), state, qubits[0], cfg, gen)
+            return simulate_cnot(state, qubits, cfg, gen)
+
+        for _ in range(8):  # fill the frames' plans and maps
+            gate()
+        tracemalloc.start()
+        try:
+            gate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        adjacent = len(qubits) == 1 or abs(qubits[0] - qubits[1]) == 1
+        # a distant pair's front copy and its product are two states; the slack is the trial's bookkeeping
+        assert peak <= 1.1 * state.data.nbytes if adjacent else peak <= 2 * state.data.nbytes + 2**16
 
 
 class TestStatistics:

@@ -333,3 +333,47 @@ class TestLocalKernels:
         assert prob == pytest.approx(probs[outcome], abs=1e-12)
         assert post.labels == labels
         np.testing.assert_allclose(post.data, shots[outcome] / np.sqrt(probs[outcome]), rtol=0, atol=1e-12)
+
+
+class TestOnePassProduct:
+    """``qcore._apply`` multiplies the touched qubits on the state's own axes in one product: against the
+    full-register ``embed_at`` reference, over every register size the catalogue reaches, every axis order
+    (adjacent, reversed and distant pairs) and each of its kernels (N-D dot up to 64 amplitudes, kron(op, I)
+    on many short rows, stacked products otherwise)."""
+
+    @staticmethod
+    def check(n, axes, gen, normalise):
+        k = len(axes)
+        v = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+        data = v / np.linalg.norm(v)
+        before = data.copy()
+        u = haar_unitary(gen, 2**k) * (1 + 1e-3 * normalise)  # a map the normalisation must undo
+        out = qcore._apply(data, u, axes, normalise)
+        want = qcore.embed_at(u, axes, n) @ data
+        want = want / np.linalg.norm(want) if normalise else want
+        assert out.shape == data.shape and out.flags.c_contiguous
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        assert np.array_equal(data, before)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 2),
+        n=st.integers(1, 8),
+        order=st.randoms(use_true_random=False),
+        normalise=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_embedded_reference(self, k, n, order, normalise, seed):
+        n = max(n, k)
+        axes = list(range(n))
+        order.shuffle(axes)
+        self.check(n, tuple(axes[:k]), np.random.default_rng(seed), normalise)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8])
+    def test_every_ordered_pair(self, n):
+        gen = np.random.default_rng(n)
+        for i in range(n):
+            self.check(n, (i,), gen, True)
+            for j in range(n):
+                if i != j:
+                    self.check(n, (i, j), gen, True)

@@ -6,7 +6,9 @@ single-qubit Pauli products, the Bell projector expansions and pair sums,
 the Hadamard and pi/8 conjugation tables (two levels deep), the sixteen
 controlled-NOT conjugations, the three-qubit parity forms of the
 controlled-NOT preparation, the x/z pair equivalences for the catalogue
-gates, and the commutation plus composition of the four-measurement set.
+gates (on the slots the protocol prepares from, all six gates validated in
+stacked passes), and the commutation plus composition of the
+four-measurement set, both read from one embedding of its slots.
 """
 from __future__ import annotations
 
@@ -138,26 +140,22 @@ def identity_checks(tolerance: Optional[float] = None) -> list[CheckResult]:
     add_all(["cnot prep x-parity (1,3,4)", "cnot prep z-parity (2,3,4)"], [sum_j01, sum_k03],
             [qcore.embed(xxx, (1, 3, 4), labels), qcore.embed(zzz, (2, 3, 4), labels)], EXACT_TOL)
 
-    # x/z pair equivalence for the catalogue gates: the joint projectors of
-    # the two parity-form binaries equal the rank-one basis projectors.
-    catalogue = [("I", np.eye(2, dtype=complex))] + [
-        (name, _GATE_MATRICES[name]) for name in ("H", "T", "X", "Y", "Z")
-    ]
-    for name, u in catalogue:
-        joint = msr.compose_binaries(msr.u_basis_binary_pair(u))
-        _, dev = msr.match_projector_sets(joint.projectors, msr.u_basis_measurement(u).projectors)
-        add(f"xz pair equivalence ({name})", dev, EQUIV_TOL)
+    # x/z pair equivalence for the catalogue gates: the joint projectors of the two parity-form
+    # binaries the protocol prepares from equal the rank-one basis projectors.
+    names = ("I", "H", "T", "X", "Y", "Z")
+    us = np.array([np.eye(2, dtype=complex)] + [_GATE_MATRICES[name] for name in names[1:]])
+    for name, joint, basis in zip(names, *msr._xz_pair_bases(us)):
+        add(f"xz pair equivalence ({name})", msr.match_projector_sets(joint, basis)[1], EQUIV_TOL)
 
     # The four-measurement set: pairwise commutation and composition into
-    # the 16-outcome basis measurement.
-    binaries = msr.cnot_measurement_set(labels)
-    embedded = np.array([qcore.embed(m.p0.matrix, m.labels, labels) for m in binaries])
-    products = embedded[:, None] @ embedded
+    # the 16-outcome basis measurement, from one embedding of their slots.
+    products, joint16 = msr._compose(np.array([[qcore.embed(p.matrix, m.labels, labels) for p in m.slots()]
+                                               for m in msr.cnot_measurement_set(labels)]))
     rows, cols = zip(*combinations(range(4), 2))
     add_all([f"cnot binaries commute ({a},{b})" for a, b in zip(rows, cols)],
             products[rows, cols], products[cols, rows], EQUIV_TOL)
-    joint16 = msr.compose_binaries(binaries, system=labels)
-    _, dev = msr.match_projector_sets(joint16.projectors, basis16.projectors)
-    add("cnot binaries compose to 16-outcome basis", dev, EQUIV_TOL)
+    qcore._require_instrument(joint16)
+    add("cnot binaries compose to 16-outcome basis", msr.match_projector_sets(joint16, basis16.projectors)[1],
+        EQUIV_TOL)
 
     return checks

@@ -11,8 +11,8 @@ Each construction is a few stacked numpy operations, not a loop of 2x2 to
 16x16 products: one broadcast Kronecker product per part of a form, one
 batched product per composed binary, one outer product over a basis's
 twisted Bell states and a table of every pairwise distance, one row per
-projector, for matching.
-Every measurement still passes ``qcore._require_instrument`` when built.
+projector, for matching.  Every measurement passes ``qcore._require_instrument``
+when built; ``_xz_pair_bases`` runs the same checks on a stack of gates at once.
 """
 from __future__ import annotations
 
@@ -136,6 +136,8 @@ class BalancedBooleanFn:
     def __call__(self, bits: Sequence[int]) -> int:
         if len(bits) != self.arity:
             raise ValueError(f"expected {self.arity} bits")
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError("outcome bit must be 0 or 1")
         index = 0
         for b in bits:
             index = (index << 1) | int(b)
@@ -182,12 +184,7 @@ class BinaryMeasurement:
     def __post_init__(self) -> None:
         if self.p0.labels != self.p1.labels:
             raise ValueError("both projectors must live on the same labels")
-        mats = np.array((self.p0.matrix, self.p1.matrix))
-        _require_instrument(mats)
-        half = len(mats[0]) // 2
-        for trace in np.trace(mats, axis1=1, axis2=2).real.tolist():
-            if not abs(trace - half) <= STRUCT_TOL:
-                raise ValueError(f"projector trace {trace} is not {half}")
+        _require_binary(np.array((self.p0.matrix, self.p1.matrix)))
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -199,6 +196,15 @@ class BinaryMeasurement:
 
     def slots(self) -> tuple[Projector, Projector]:
         return (self.p0, self.p1)
+
+
+def _require_binary(mats: np.ndarray) -> None:
+    """Raise unless the slot pair ``mats``, or each pair of a stack of them, is an instrument of two equal ranks."""
+    _require_instrument(mats)
+    half, traces = mats.shape[-1] // 2, np.trace(mats, axis1=-2, axis2=-1).real
+    if not np.abs(traces - half).max() <= STRUCT_TOL:
+        *member, slot = np.argwhere(~(np.abs(traces - half) <= STRUCT_TOL))[0]
+        raise ValueError(qcore._member(member, f"projector trace {traces[(*member, slot)]} is not {half}"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +333,7 @@ def u_basis_measurement(u: np.ndarray, labels: tuple[Label, Label] = (0, 1)) -> 
 
     Outcome j projects onto (I (x) u sigma_j) applied to the EPR pair.
     """
-    return _twisted_basis(_require_unitary(u, 2) @ _PAULIS[1], labels)
+    return CompleteMeasurement(tuple(Projector(p, labels) for p in _twisted_basis(_require_unitary(u, 2) @ _PAULIS[1])))
 
 
 def two_qubit_u_basis_measurement(
@@ -340,13 +346,34 @@ def two_qubit_u_basis_measurement(
     (first with third qubit, second with fourth) by applying
     u (sigma_j (x) sigma_k) to the last two qubits.
     """
-    return _twisted_basis(_require_unitary(u, 4) @ _PAULIS[2], labels)
+    return CompleteMeasurement(tuple(Projector(p, labels) for p in _twisted_basis(_require_unitary(u, 4) @ _PAULIS[2])))
 
 
-def _twisted_basis(ops: np.ndarray, labels: tuple[Label, ...]) -> CompleteMeasurement:
-    """Projectors onto the twisted Bell states of a stack of unitaries, one outcome each."""
+def _twisted_basis(ops: np.ndarray) -> np.ndarray:
+    """Projectors onto the twisted Bell states of a stack of unitaries (on any leading axes), one outcome each."""
     vs = qcore._bell_amplitudes(ops)
-    return CompleteMeasurement(tuple(Projector(p, labels) for p in vs[:, :, None] * vs[:, None, :].conj()))
+    return vs[..., :, None] * vs[..., None, :].conj()
+
+
+def _xz_pair_bases(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x/z pair's joint projectors, on the protocol's slots, and the u-basis projectors of each gate in a stack.
+
+    Every check that ``u_basis_binary_pair``, ``compose_binaries`` and ``u_basis_measurement`` run on one gate runs
+    on every member, in stacked passes; a failure raises the one-gate message naming its gate (and binary, 0 for x).
+    """
+    slots = []
+    for k, u in enumerate(us):
+        try:
+            slots.append(_xz_parity_slots(_require_unitary(u, 2)))
+        except ValueError as exc:
+            raise ValueError(qcore._member([k], str(exc))) from None
+    slots = np.array(slots)
+    _require_binary(slots)
+    joints = _compose(slots)[1]
+    bases = _twisted_basis(us[:, None] @ _PAULIS[1])
+    _require_instrument(joints)
+    _require_instrument(bases)
+    return joints, bases
 
 
 def u_basis_binary_pair(
@@ -405,15 +432,25 @@ def compose_binaries(
     # by default every label the binaries touch, in order of first appearance
     system = tuple(dict.fromkeys(q for m in ms for q in m.labels) if system is None else system)
     embedded = np.array([[qcore.embed(p.matrix, m.labels, system) for p in m.slots()] for m in ms])
-    products = embedded[:, None, 0] @ embedded[None, :, 0]  # slot 0 of binary i times slot 0 of binary j
-    norms = np.abs(products - products.swapaxes(0, 1)).max(axis=(2, 3))
-    if not norms.max() <= STRUCT_TOL:  # norms is symmetric: find the first failing pair i < j
-        for i, j in np.argwhere(np.triu(~(norms <= STRUCT_TOL), 1))[:1]:
-            raise ValueError(f"binary measurements {i} and {j} do not commute (commutator norm {norms[i, j]:.3e})")
-    joint = embedded[0]
-    for slots in embedded[1:]:
-        joint = (joint[:, None] @ slots[None]).reshape(-1, *joint.shape[1:])
-    return CompleteMeasurement(tuple(Projector(p, system) for p in joint))
+    return CompleteMeasurement(tuple(Projector(p, system) for p in _compose(embedded)[1]))
+
+
+def _compose(embedded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot-0 products and the unchecked joint projectors of ``compose_binaries``, from each binary's two slots.
+
+    ``embedded`` is (n, 2, d, d), or a stack of such sets on one leading axis; products[..., i, j] is slot 0 of
+    binary i times slot 0 of binary j.  The first non-commuting pair i < j raises, naming a stack's member.
+    """
+    products = embedded[..., :, None, 0, :, :] @ embedded[..., None, :, 0, :, :]
+    norms = np.abs(products - products.swapaxes(-3, -4)).max(axis=(-2, -1))
+    for *member, i, j in np.argwhere(np.triu(~(norms <= STRUCT_TOL), 1))[:1]:
+        message = f"binary measurements {i} and {j} do not commute (commutator norm {norms[(*member, i, j)]:.3e})"
+        raise ValueError(qcore._member(member, message))
+    joint = embedded[..., 0, :, :, :]
+    for k in range(1, embedded.shape[-4]):  # joint outcomes pack the bits, binary 0's the most significant
+        joint = joint[..., :, None, :, :] @ embedded[..., k, None, :, :, :]
+        joint = joint.reshape(*joint.shape[:-4], -1, *joint.shape[-2:])
+    return products, joint
 
 
 def is_pseudoseparate_witness(m: BinaryMeasurement, form: PseudoseparateForm) -> bool:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -176,31 +177,37 @@ def _require_unitary(u: np.ndarray, dim: int) -> np.ndarray:
 def _require_instrument(mats: Sequence[np.ndarray]) -> None:
     """Raise unless ``mats`` are Hermitian idempotents that annihilate pairwise and sum to the identity.
 
-    The checks run on the stacked projectors: one batched product gives
-    every P_i P_i, and one per projector gives its products with the
-    projectors after it, so no temporary holds more than m matrices.  The
-    first failure raises: per projector Hermiticity then idempotency, then
-    completeness, then the pairs i < j in lexicographic order.
+    ``mats`` is one (m, d, d) instrument, or a stack of them on leading axes
+    checked in the same passes.  One batched product gives every P_i P_i,
+    and one per projector its products with the projectors after it, so no
+    temporary holds more than m matrices per member.  The first failing
+    member raises its first failure, in the order: per projector
+    Hermiticity then idempotency, then completeness, then the pairs i < j in
+    lexicographic order; a stack's message names the member.
     """
     mats = np.asarray(mats)
-    m, d = len(mats), len(mats[0])
-    devs = np.stack([
-        np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
-        np.abs(mats @ mats - mats).max(axis=(1, 2)),
-    ])
+    lead, m, d = mats.shape[:-3], *mats.shape[-3:-1]
+    per_projector = np.stack([np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)),
+                              np.abs(mats @ mats - mats).max(axis=(-2, -1))], -1).reshape(*lead, 2 * m)
+    complete = np.abs(mats.sum(axis=-3) - _identity(d)).max(axis=(-2, -1)).reshape(*lead, 1)
+    pairs = [np.abs(mats[..., i, None, :, :] @ mats[..., i + 1:, :, :]).max(axis=(-2, -1)) for i in range(m - 1)]
+    # per member: Hermitian 0, idempotent 0, Hermitian 1, ..., complete, then the pairs
+    devs = np.concatenate([per_projector, complete, *pairs], axis=-1)
     if not devs.max() <= STRUCT_TOL:
-        bad = ~(devs <= STRUCT_TOL)
-        i = np.flatnonzero(bad.any(axis=0))[0]
-        raise ValueError(f"projector {i} is not {'Hermitian' if bad[0, i] else 'idempotent'}")
-    if not np.abs(mats.sum(axis=0) - _identity(d)).max() <= STRUCT_TOL:
-        raise ValueError("incomplete instrument: projectors do not sum to the identity")
-    for i in range(m - 1):
-        overlaps = np.abs(mats[i] @ mats[i + 1:]).max(axis=(1, 2))
-        if not overlaps.max() <= STRUCT_TOL:
-            j = np.flatnonzero(~(overlaps <= STRUCT_TOL))[0]
-            raise ValueError(
-                f"projectors {i} and {i + 1 + j} are not mutually annihilating (max overlap {overlaps[j]:.3e})"
-            )
+        *member, c = np.argwhere(~(devs <= STRUCT_TOL))[0]
+        if c < 2 * m:
+            message = f"projector {c // 2} is not {('Hermitian', 'idempotent')[c % 2]}"
+        elif c == 2 * m:
+            message = "incomplete instrument: projectors do not sum to the identity"
+        else:
+            i, j = list(combinations(range(m), 2))[c - 2 * m - 1]
+            message = f"projectors {i} and {j} are not mutually annihilating (max overlap {devs[(*member, c)]:.3e})"
+        raise ValueError(_member(member, message))
+
+
+def _member(index: Sequence[int], message: str) -> str:
+    """``message``, naming the stack member at ``index`` when there is one."""
+    return f"member {', '.join(map(str, index))}: {message}" if len(index) else message
 
 
 def _axes(labels: tuple[Label, ...], on: Sequence[Label]) -> tuple[int, ...]:

@@ -86,6 +86,16 @@ class TestBalancedBooleanFn:
         with pytest.raises(ValueError, match="length"):
             BalancedBooleanFn(2, (0, 1))
 
+    @pytest.mark.parametrize("bits", [(0, 2), (0, -1), (0.7, 0), (2, 0)])
+    def test_rejects_entries_that_are_not_bits(self, bits):
+        # (0, 2) and (0, -1) used to index the table at 2 and -1, (0.7, 0) truncated to 0, (2, 0) ran past the end
+        with pytest.raises(ValueError, match="^outcome bit must be 0 or 1$"):
+            BalancedBooleanFn.parity(2)(bits)
+
+    def test_accepts_bits_of_any_numeric_type(self):
+        f = BalancedBooleanFn.parity(3)
+        assert [f((True, 0, 1)), f((1.0, np.int64(1), 0)), f((0, 0, np.uint8(1)))] == [0, 0, 1]
+
 
 class TestSingleQubitBinary:
     def test_catalogue_matrices(self):
@@ -536,6 +546,33 @@ def loop_match_projector_sets(mats_a, mats_b):
     return mapping, worst
 
 
+CORRUPTIONS = ["none", "not Hermitian", "not idempotent", "incomplete", "overlapping pair"]
+
+
+def corrupted_instrument(rng, m, d, corruption):
+    """A random m-outcome instrument on d dimensions, with one of CORRUPTIONS applied.
+
+    Outcome i projects onto the columns of a random unitary assigned to it;
+    with more outcomes than dimensions some projectors are zero.
+    """
+    u = haar_unitary(rng, d)
+    owner = rng.permutation(np.arange(d) % m)
+    mats = np.array([u[:, owner == i] @ u[:, owner == i].conj().T for i in range(m)])
+    nonzero = np.flatnonzero(np.bincount(owner, minlength=m))
+    noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    k = int(rng.integers(m))
+    if corruption == "not Hermitian":
+        mats[k] += 1e-3 * (noise - noise.conj().T)
+    elif corruption == "not idempotent":
+        mats[k] += 1e-3 * (noise + noise.conj().T)
+    elif corruption == "incomplete":
+        mats[rng.choice(nonzero)] = 0.0
+    elif corruption == "overlapping pair":
+        j = int(rng.choice(nonzero))
+        mats[(j + 1 + int(rng.integers(m - 1))) % m] = mats[j]
+    return mats
+
+
 def outcome(fn, *args):
     """What a call returns, or the type and message of what it raises."""
     try:
@@ -633,31 +670,31 @@ class TestStackedKernelsMatchTheLoops:
     @given(
         m=st.sampled_from([2, 4, 16]),
         d=st.sampled_from([2, 4, 8, 16]),
-        corruption=st.sampled_from(["none", "not Hermitian", "not idempotent", "incomplete", "overlapping pair"]),
+        corruption=st.sampled_from(CORRUPTIONS),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_instrument_check_fails_first_where_the_loop_does(self, m, d, corruption, seed):
-        # outcome i projects onto the columns of a random unitary assigned to
-        # it; with more outcomes than dimensions some projectors are zero
-        rng = np.random.default_rng(seed)
-        u = haar_unitary(rng, d)
-        owner = rng.permutation(np.arange(d) % m)
-        mats = np.array([u[:, owner == i] @ u[:, owner == i].conj().T for i in range(m)])
-        nonzero = np.flatnonzero(np.bincount(owner, minlength=m))
-        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        k = int(rng.integers(m))
-        if corruption == "not Hermitian":
-            mats[k] += 1e-3 * (noise - noise.conj().T)
-        elif corruption == "not idempotent":
-            mats[k] += 1e-3 * (noise + noise.conj().T)
-        elif corruption == "incomplete":
-            mats[rng.choice(nonzero)] = 0.0
-        elif corruption == "overlapping pair":
-            j = int(rng.choice(nonzero))
-            mats[(j + 1 + int(rng.integers(m - 1))) % m] = mats[j]
+        mats = corrupted_instrument(np.random.default_rng(seed), m, d, corruption)
         want = outcome(loop_require_instrument, list(mats))
         assert outcome(qcore._require_instrument, mats) == want
         assert (want == ("returned", None)) == (corruption == "none")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.sampled_from([2, 4, 16]),
+        d=st.sampled_from([2, 4, 8]),
+        corruptions=st.lists(st.sampled_from(["none"] * 4 + CORRUPTIONS), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_stack_fails_at_its_first_failing_member_as_the_loop_does(self, m, d, corruptions, seed):
+        # member by member, the first whose loop check raises names itself with the loop's message
+        rng = np.random.default_rng(seed)
+        stack = np.array([corrupted_instrument(rng, m, d, corruption) for corruption in corruptions])
+        failures = [(k, got[1]) for k, got in enumerate(outcome(loop_require_instrument, list(mats)) for mats in stack)
+                    if got[0] is ValueError]
+        for mats, prefix in ((stack, ""), (stack[None], "0, ")):  # one leading axis, then two
+            want = (ValueError, f"member {prefix}{failures[0][0]}: {failures[0][1]}") if failures else ("returned", None)
+            assert outcome(qcore._require_instrument, mats) == want
 
     def test_pair_check_reports_the_first_overlapping_pair(self):
         # Two rank-one projectors tilted off orthogonal until their overlap
@@ -746,20 +783,128 @@ def test_matching_empty_families():
 
 
 def test_identity_checks_validate_every_instrument_on_every_call(monkeypatch):
-    # one instrument check per measurement verify builds: 16 binary
-    # measurements and 14 complete ones; a cached or skipped construction
-    # would show as fewer
-    real, calls = qcore._require_instrument, []
+    # every measurement verify builds is checked as an instrument: 16 binary
+    # measurements and 14 complete ones, 24 of them (the six catalogue gates'
+    # x and z binaries, joints and bases) as members of three stacks; a cached
+    # or skipped construction would show as fewer
+    real, instruments = qcore._require_instrument, []
 
     def counting(mats):
-        calls.append(len(mats))
+        instruments.append(int(np.prod(np.shape(mats)[:-3])))  # a stack's members, or 1
         return real(mats)
 
     monkeypatch.setattr(qcore, "_require_instrument", counting)
     monkeypatch.setattr(msr, "_require_instrument", counting)
     counts = []
     for _ in range(2):
-        calls.clear()
+        instruments.clear()
         assert all(c.passed for c in identity_checks())
-        counts.append(len(calls))
-    assert counts == [30, 30]
+        counts.append((sum(instruments), len(instruments)))
+    assert counts == [(30, 9), (30, 9)]
+
+
+def test_a_verdict_makes_a_pinned_number_of_constructions(monkeypatch):
+    # Per verdict: 9 instrument checks (30 instruments, above); 10 full-register
+    # embeddings, the four controlled-NOT binaries' 8 slots once and the 2
+    # parity forms' expected values; 11 unitarity checks, for the 4 Bell
+    # states, the 6 catalogue gates and the controlled-NOT.  Building each
+    # catalogue gate's pair, joint and basis as objects made 30, 38 and 23.
+    counts = dict.fromkeys(["_require_instrument", "embed_at", "_require_unitary"], 0)
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    for name in counts:
+        spy = counted(name, getattr(qcore, name))
+        for module in (qcore, msr):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    per_verdict = []
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        assert all(c.passed for c in identity_checks())
+        per_verdict.append(dict(counts))
+    assert per_verdict == [{"_require_instrument": 9, "embed_at": 10, "_require_unitary": 11}] * 2
+
+
+class TestStackedXZPairs:
+    """``measure._xz_pair_bases``: the x/z pairs of a stack of gates on the protocol's slots, checked in stacks."""
+
+    GATES = np.array([I2, HADAMARD, T_GATE, X, Y, Z])
+
+    def test_joints_and_bases_are_the_public_ones(self):
+        # the catalogue gates' pairs are the public pairs bit for bit; on a Haar gate the protocol's slots
+        # are the public parity slots, one rounding off the expansion's, so its joint is theirs composed
+        haar = np.array([haar_unitary(np.random.default_rng(seed)) for seed in range(20)])
+        joints, bases = msr._xz_pair_bases(np.concatenate([self.GATES, haar]))
+        for k, u in enumerate(np.concatenate([self.GATES, haar])):
+            pair = u_basis_binary_pair(u) if k < len(self.GATES) else [
+                BinaryMeasurement(*parity_slots(solve_two_qubit_parity_form(i, u))) for i in (1, 3)]
+            assert np.array_equal(joints[k], [p.matrix for p in compose_binaries(pair).projectors])
+            assert np.array_equal(bases[k], [p.matrix for p in u_basis_measurement(u).projectors])
+
+    @staticmethod
+    def patch_slots(monkeypatch, k, change):
+        """Make ``_xz_parity_slots`` hand member k's slots to ``change`` first; returns their changed copies."""
+        real, seen, changed = msr._xz_parity_slots, [], []
+
+        def patched(u):
+            slots = real(u)
+            if len(seen) == k:
+                change(slots)
+                changed.append(slots)
+            seen.append(u)
+            return slots
+
+        monkeypatch.setattr(msr, "_xz_parity_slots", patched)
+        return changed
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_a_non_unitary_member_fails_as_one_gate_does(self, k):
+        us = self.GATES.copy()
+        us[k] *= 1.1
+        one = outcome(u_basis_binary_pair, us[k])
+        assert one == outcome(u_basis_measurement, us[k]) == (ValueError, "gate matrix is not unitary")
+        assert outcome(msr._xz_pair_bases, us) == (ValueError, f"member {k}: {one[1]}")
+
+    @pytest.mark.parametrize("k, axis", [(k, axis) for k in range(6) for axis in (0, 1)])
+    def test_a_non_idempotent_slot_fails_as_one_binary_does(self, monkeypatch, k, axis):
+        def halve(slots):
+            slots[axis, 0] *= 0.5
+
+        changed = self.patch_slots(monkeypatch, k, halve)
+        got = outcome(msr._xz_pair_bases, self.GATES)
+        one = outcome(BinaryMeasurement, *(Projector(p, (0, 1)) for p in changed[0][axis]))
+        assert one == (ValueError, "projector 0 is not idempotent")
+        assert got == (ValueError, f"member {k}, {axis}: {one[1]}")
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_a_non_commuting_pair_fails_as_one_composition_does(self, monkeypatch, k):
+        # the x binary measures X (x) B; Z (x) B = (ZX (x) I)(X (x) B) anticommutes with it
+        def anticommuting_z(slots):
+            zb = np.kron(Z @ X, I2) @ (2 * slots[0, 0] - np.eye(4))
+            slots[1] = [(np.eye(4) + zb) / 2, (np.eye(4) - zb) / 2]
+
+        changed = self.patch_slots(monkeypatch, k, anticommuting_z)
+        got = outcome(msr._xz_pair_bases, self.GATES)
+        pair = [BinaryMeasurement(*(Projector(p, (0, 1)) for p in slots)) for slots in changed[0]]
+        one = outcome(compose_binaries, pair)
+        assert one[0] is ValueError and one[1].startswith("binary measurements 0 and 1 do not commute")
+        assert got == (ValueError, f"member {k}: {one[1]}")
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_an_incomplete_basis_fails_as_one_basis_does(self, monkeypatch, k):
+        real = qcore._bell_amplitudes
+
+        def drop_outcome_2(ops):  # member k's in a stack, or a single gate's
+            vs = real(ops).copy()
+            (vs[k] if vs.ndim == 3 else vs)[2] = 0.0
+            return vs
+
+        monkeypatch.setattr(qcore, "_bell_amplitudes", drop_outcome_2)
+        one = outcome(u_basis_measurement, self.GATES[k])
+        assert one == (ValueError, "incomplete instrument: projectors do not sum to the identity")
+        assert outcome(msr._xz_pair_bases, self.GATES) == (ValueError, f"member {k}: {one[1]}")

@@ -77,6 +77,8 @@ class SingleQubitBinary:
     def __post_init__(self) -> None:
         bloch = tuple(float(x) for x in self.bloch)
         object.__setattr__(self, "bloch", bloch)
+        if len(bloch) != 3:
+            raise ValueError(f"a Bloch vector has 3 components, got {len(bloch)}")
         norm = float(np.linalg.norm(bloch))
         if not abs(norm - 1.0) <= STRUCT_TOL:
             raise ValueError(f"Bloch vector norm {norm} is not 1")

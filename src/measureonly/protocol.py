@@ -10,15 +10,15 @@ exactly the requested gate applied, up to a global phase.
 The gates still owed are frames (``_Frame``), interned exactly: one per
 catalogue gate and one per phased Pauli on one or two qubits, which with
 their successors make at most 24 one-qubit and 65 two-qubit frames; a custom
-gate gets fresh frames that die with its call.  A frame keeps its preparation
-plan, its trials by prepared ancilla and Bell outcome, and its successor
-frame after each failure.
+gate gets fresh frames that die with its call.  A frame keeps three tables, each
+filled on first use: its measured preparation as a tree of outcome nodes, its
+trials keyed by the bits each drew, and its successor after each failure.
 The ancilla is maximally entangled, so each Bell pair's outcome has
 probability 1/4 whatever the data (Gottesman-Chuang, quant-ph/9908010) and
-no trial reads the data: a trial is one batched draw of uniforms, a table
-lookup of its row (``_Frame.trial``; one keyed by the drawn bits on a warm
-one-qubit frame) and one 2x2 product composing the drawn Bell map with those
-drawn before.  The data is multiplied by the composed map and normalised
+no trial reads the data: a trial is one batched draw of uniforms, one lookup
+of its row by the bits it drew (``_Frame.trial``; a first visit forms only
+the drawn Bell map) and one 2x2 product composing that map with those drawn
+before.  The data is multiplied by the composed map and normalised
 once per gate, in one pass (``qcore._apply``).  ``bell_measure`` draws from
 weights of its block, as an arbitrary register has no such law.  A pair
 frame owes a product of two one-qubit Paulis and joins their frames' rows.
@@ -177,6 +177,8 @@ class ProtocolConfig:
             raise ValueError(f"max_trials must be an integer of at least 1, got {self.max_trials!r}")
 
     def budget(self, arity: int) -> int:
+        if arity not in (1, 2):
+            raise ValueError(f"arity must be 1 or 2, got {arity!r}")
         if self.max_trials is not None:
             return self.max_trials
         return trials_needed(self.epsilon, arity)
@@ -270,75 +272,26 @@ class ProtocolTrace:
         }
 
 
-class _BranchTable:
-    """Measured preparation of one frame, replayed from its outcome branches.
-
-    The table maps the bits drawn so far to the next measurement's outcome
-    probabilities and post-measurement vectors, starting from the all-|0>
-    vector ``start``, and the bits of a whole preparation to its ``_Leaf``;
-    a node's key is 1 then its bits in binary, and a one-qubit frame's trial
-    row sits under that code of its preparation then Bell bits (16 to 31).
-    ``instruments`` is one (measurements, 2, d, d) array of projector pairs
-    on the whole ancilla.  Each entry is filled on its first visit, branches
-    by ``qcore.measure``'s arithmetic, so a walk on uniforms drawn from a
-    random stream draws the same bits and reaches the same state as running
-    the measurements afresh on that stream.
-    """
-
-    def __init__(self, instruments: np.ndarray):
-        self.instruments = instruments
-        self.start = _ZEROS[instruments.shape[-1]]
-        self.branches: dict[Union[int, tuple[int, ...]], object] = {}
-
-    def walk(self, us: Sequence[float]) -> tuple[tuple[int, ...], np.ndarray]:
-        """The bits and ancilla vector of one preparation, drawn as ``qcore._draw2`` draws, a uniform a step."""
-        vector, node, bits = self.start, 1, ()
-        for u in us[:len(self.instruments)]:
-            branch = self.branches.get(node)
-            if branch is None:
-                (p0, p1), posts = qcore._collapse(vector, self.instruments[len(bits)])
-                if p0 + p1 < qcore.STRUCT_TOL:  # _draw2's guard, run once per branch
-                    raise ValueError("degenerate state: all outcome probabilities vanish")
-                branch = self.branches[node] = (p0, p0 + p1, posts)
-            p0, total, posts = branch
-            b = 0 if u * total < p0 else 1
-            vector, node, bits = posts[b], 2 * node + b, bits + (b,)
-        return bits, vector
-
-    def prepare(self, us: Sequence[float]) -> "_Leaf":
-        """The leaf of one walked preparation."""
-        bits, ancilla = self.walk(us)
-        return self.branches.get(bits) or self.branches.setdefault(bits, _Leaf(_CODE[bits], bits, ancilla))
-
-
-class _Leaf:
-    """A prepared ancilla: index code, preparation bits (None if written down), Bell maps, trials by map row."""
-
-    __slots__ = ("code", "bits", "maps", "rows")
-
-    def __init__(self, code: int, bits: Optional[tuple[int, ...]], ancilla: np.ndarray):
-        self.code, self.bits, self.maps = code, bits, _bell_maps(ancilla)
-        self.rows: list[Optional[list]] = [None] * len(self.maps)
-
-
 class _Frame:
-    """The gate still owed to k data qubits, with what a trial from it needs.
+    """The gate still owed to k data qubits, and three tables a trial from it reads, each filled on first use.
 
     ``key`` is the target as a phased Pauli on a frame interned on it, else
-    None.  A frame holds its read-only target, its measured-preparation
-    plan, whose leaves hold its trials, its leaves per prepared index for
-    direct mode, and its successor frame after each failed trial, at code
-    prepared * 4^k + measured, filled by ``_next_frame`` (and kept in the
-    trial's row once a failure has asked for it); codes (j, 0) and
-    (0, j) owe one gate and share one.  Every leaf is filled on first use.  A
-    pair frame, one with a two-qubit key, owes a product of two one-qubit
-    Paulis: its ``halves`` are their frames, the first carrying the whole
-    phase, and it holds no trials of its own but joins one of each half's,
-    as 16 rows for each of its leaves would hold several times the memory of
-    every other frame's; its successors join its halves' (``_pair_frame``).
-    Interned frames link only to interned frames and the 6 others T reaches,
-    so a custom gate's frames are garbage once its call returns.  A target
-    ``checked`` unitary (a ``GateSpec``'s, or the polar step's) is not checked again.
+    None.  ``nodes`` is the measured preparation as a binary tree of
+    outcomes: the node the bits drawn so far reach, keyed 1 then those bits,
+    holds its next measurement's (p0, p0 + p1, post-measurement vectors).
+    ``rows`` holds the trials, keyed by the bits each drew: the node its
+    preparation reached, or in direct mode the index code it wrote down, then
+    its Bell bits, so measured keys lie in [16^k, 2 * 16^k) and direct ones
+    below 16^k.  ``successors`` holds the frame after each failed trial, at
+    code prepared * 4^k + measured (``after``); codes (j, 0) and (0, j) owe
+    one gate and share one.  A pair frame, one with a two-qubit key, owes a
+    product of two one-qubit Paulis: its ``halves`` are their frames, the
+    first carrying the whole phase, and it holds no nodes or rows but joins a
+    row of each half's, as 16 rows for each of its ancillas would hold
+    several times the memory of every other frame's.  Interned frames link
+    only to interned frames and the 6 others T reaches, so a custom gate's
+    frames are garbage once its call returns.  A target ``checked`` unitary
+    (a ``GateSpec``'s, or the polar step's) is not checked again.
     """
 
     def __init__(self, key: Optional[PhasedPauli], target: np.ndarray, checked: bool = False):
@@ -348,32 +301,44 @@ class _Frame:
         if self.k == 2 and key is not None:
             (p, q), phase = key.indices, key.phase
             self.halves = (_pauli_frame(PhasedPauli(phase, (p,))), _pauli_frame(PhasedPauli(1, (q,))))
-        self._plan: Optional[_BranchTable] = None
-        self.direct: list[Optional[_Leaf]] = [None] * 4**self.k
+        self._instruments: Optional[np.ndarray] = None
+        self.nodes: dict[int, tuple[float, float, list]] = {}
+        self.rows: dict[int, list] = {}
         self.successors: list[Optional[_Frame]] = [None] * 16**self.k
 
-    def plan(self) -> _BranchTable:
-        if self._plan is None:
+    def instruments(self) -> np.ndarray:
+        """The preparation's 2k projector pairs on the whole ancilla, one (2k, 2, d, d) array, formed once."""
+        if self._instruments is None:
             if self.k == 1:
                 u = self.target if self.checked else qcore._require_unitary(self.target, 2)
-                self._plan = _BranchTable(msr._xz_parity_slots(u))
+                self._instruments = msr._xz_parity_slots(u)
             else:  # the controlled-NOT's; a pair frame prepares through its halves
-                binaries = msr.cnot_measurement_set(labels=_PREP2)
-                self._plan = _BranchTable(np.array([[qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()]
-                                                    for m in binaries]))
-        return self._plan
+                self._instruments = np.array([[qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()]
+                                              for m in msr.cnot_measurement_set(labels=_PREP2)])
+        return self._instruments
 
-    def leaf(self, code: int) -> _Leaf:
-        """The leaf of the 2k-qubit ancilla (order a_1..a_k, f_1..f_k) written down with index code ``code``."""
-        leaf = self.direct[code]
-        if leaf is None:
-            leaf = self.direct[code] = _Leaf(code, None, qcore._bell_amplitudes(self.target @ _PAULIS[self.k][code]))
-        return leaf
+    def walk(self, us: Sequence[float]) -> tuple[int, np.ndarray]:
+        """The node and ancilla vector one measured preparation reaches, drawn as ``qcore._draw2`` draws,
+        a uniform a step, from the all-|0> start; a walk on uniforms drawn from a random stream draws the
+        same bits and reaches the same state as running the measurements afresh on that stream."""
+        nodes, vector, node = self.nodes, _ZEROS[4**self.k], 1
+        for u in us[:2 * self.k]:
+            branch = nodes.get(node)
+            if branch is None:
+                (p0, p1), posts = qcore._collapse(vector, self.instruments()[node.bit_length() - 1])
+                if p0 + p1 < qcore.STRUCT_TOL:  # _draw2's guard, run once per node
+                    raise ValueError("degenerate state: all outcome probabilities vanish")
+                branch = nodes[node] = (p0, p0 + p1, posts)
+            p0, total, posts = branch
+            b = 0 if u * total < p0 else 1
+            vector, node = posts[b], 2 * node + b
+        return node, vector
 
-    def row(self, leaf: _Leaf, us: Sequence[float]) -> list:
-        """The trial of ``leaf`` whose Bell bits the uniforms ``us`` draw, formed on first draw.
+    def row(self, prep: int, us: Sequence[float]) -> list:
+        """The trial from ``prep`` whose Bell bits the uniforms ``us`` draw, formed on first draw; ``prep``
+        is the node a measured preparation reached, or the index code of an ancilla written down.
 
-        Each map is unitary, so every outcome has weight 4^-k whatever the
+        Each Bell map is unitary, so every outcome has weight 4^-k whatever the
         data: each bit, x-type then z-type of each pair, is 0 when its uniform
         is below 1/2 (as ``_draw_bell`` draws from weights 1/4, then 1/16), and
         the bits read in binary give the map.  A row is a list: the record's
@@ -381,38 +346,41 @@ class _Frame:
         (a row-major 4-tuple of Python complex numbers on one qubit), and the
         frame a failure from it leaves, which ``_teleport`` fills from ``after``.
         """
-        r = 0
+        key = prep  # then the Bell bits
         for u in us:
-            r = 2 * r + (0 if u < 0.5 else 1)
-        row = leaf.rows[r]
+            key = 2 * key + (0 if u < 0.5 else 1)
+        row = self.rows.get(key)
         if row is None:
-            bell, index = _BITS[self.k][r], _INDEX[self.k]
-            measured, drawn = _CODE[bell], leaf.maps[r]
-            fields = {"prepared": index[leaf.code], "outcome": index[measured], "prep_bits": leaf.bits,
-                      "bell_bits": bell, "success": measured == leaf.code, "target": self.target}
-            drawn = tuple(drawn.ravel().tolist()) if self.k == 1 else drawn
-            row = leaf.rows[r] = [fields, leaf.code, measured, drawn, None]
+            k = self.k
+            r = key % 4**k
+            if prep < 4**k:  # written down with index code prep
+                code, bits = prep, None
+                ancilla = qcore._bell_amplitudes(self.target @ _PAULIS[k][code])
+            else:  # prepared by measurement: the node's bits after its leading 1, and its parent's post vector
+                bits = _BITS[k][prep - 4**k]
+                code, ancilla = _CODE[bits], self.nodes[prep >> 1][2][prep & 1]
+            bell, index = _BITS[k][r], _INDEX[k]
+            measured, drawn = _CODE[bell], _BELL_MAPS[k][r].dot(ancilla)
+            fields = {"prepared": index[code], "outcome": index[measured], "prep_bits": bits,
+                      "bell_bits": bell, "success": measured == code, "target": self.target}
+            drawn = tuple(drawn.tolist()) if k == 1 else drawn.reshape(4, 4)
+            row = self.rows[key] = [fields, code, measured, drawn, None]
         return row
 
     def measured(self, us: list[float]) -> list:
         """A one-qubit frame's measured trial on four uniforms: once warm, one lookup of its row, keyed by
-        1 then the preparation bits the walk's arithmetic draws from the table's nodes and the Bell bits."""
-        plan = self._plan or self.plan()
-        branches, (u0, u1, u2, u3) = plan.branches, us
-        node = branches.get(1)
+        the node the walk's arithmetic reaches through the two preparation nodes, then the Bell bits."""
+        nodes, (u0, u1, u2, u3) = self.nodes, us
+        node = nodes.get(1)
         if node:
             code = 2 if u0 * node[1] < node[0] else 3
-            node = branches.get(code)
+            node = nodes.get(code)
             if node:
-                row = branches.get(8 * code + (0 if u1 * node[1] < node[0] else 4) + (0 if u2 < 0.5 else 2)
-                                   + (0 if u3 < 0.5 else 1))
+                row = self.rows.get(8 * code + (0 if u1 * node[1] < node[0] else 4) + (0 if u2 < 0.5 else 2)
+                                    + (0 if u3 < 0.5 else 1))
                 if row:
                     return row
-        leaf = plan.prepare(us)  # a first visit: walk, form the row and file it
-        row = self.row(leaf, us[2:])
-        (b0, b1), (x, z) = leaf.bits, row[0]["bell_bits"]
-        branches[16 + 8 * b0 + 4 * b1 + 2 * x + z] = row
-        return row
+        return self.row(self.walk(us)[0], us[2:])  # a first visit: walk, form the row and file it
 
     def trial(self, mode: str, rng: np.random.Generator) -> list:
         """The row of one trial: a pair frame's joins a row of each half.
@@ -427,18 +395,18 @@ class _Frame:
             if k == 1:
                 return self.measured(us)
             if not halves:  # the controlled-NOT's own
-                return self.row(self.plan().prepare(us), us[4:])
+                return self.row(self.walk(us)[0], us[4:])
             a, b = halves
             return _join(a.measured(us[:2] + us[4:6]), b.measured(us[2:4] + us[6:]), self.target)
         code = int(rng.integers(0, 4))
         if k == 1:
-            return self.row(self.direct[code] or self.leaf(code), rng.random(2).tolist())
+            return self.row(code, rng.random(2).tolist())
         second = int(rng.integers(0, 4))
         us = rng.random(4).tolist()
         if not halves:
-            return self.row(self.leaf(4 * code + second), us)
+            return self.row(4 * code + second, us)
         a, b = halves
-        return _join(a.row(a.leaf(code), us[:2]), b.row(b.leaf(second), us[2:]), self.target)
+        return _join(a.row(code, us[:2]), b.row(second, us[2:]), self.target)
 
     def after(self, prepared: int, measured: int) -> "_Frame":
         """The frame left by a failed trial, from the index codes it prepared and measured."""
@@ -492,12 +460,16 @@ def prepare_ancilla_one(
     two commuting parity-form binaries for ``u``; the returned index is
     decoded from their bits, and cannot be chosen in advance.  In
     ``"direct"`` mode the index is drawn uniformly and the state is written
-    down directly.  Returns (state, index).
+    down directly.  Returns (state, index).  Labels other than two distinct
+    ones are refused before the first draw.
     """
+    labels = tuple(labels)
+    if len(labels) != 2 or labels[0] == labels[1]:
+        raise ValueError(f"an ancilla pair needs two distinct labels, got {labels!r}")
     frame = _Frame(None, qcore._require_unitary(u, 2), checked=True)
     if mode == "measured":
-        bits, ancilla = frame.plan().walk(rng.random(2).tolist())
-        j = BIT_DECODE[bits]
+        node, ancilla = frame.walk(rng.random(2).tolist())
+        j = _CODE[_BITS[1][node - 4]]
     elif mode == "direct":
         j = int(rng.integers(0, 4))
         ancilla = qcore._bell_amplitudes(frame.target @ SIGMA[j])
@@ -511,13 +483,13 @@ def prepare_ancilla_one(
 _BELL_ROWS = np.array([qcore.bell_state(BIT_DECODE[divmod(r, 2)]).data.conj() for r in range(4)])
 
 # Bell rows of k pairs (data d_i, ancilla a_i) on a 2k-qubit ancilla
-# (a_1..a_k, f_1..f_k), times 2^k (exactly) so that each map is unitary: their
-# product with the ancilla vector lists the 4^k maps, outcome (r_1..r_k), row
-# (f_1..f_k), column (d_1..d_k), from the data qubits to the ancilla's free half.
+# (a_1..a_k, f_1..f_k), times 2^k (exactly) so that each map is unitary, by
+# outcome (r_1..r_k): the product of outcome r's with the ancilla vector is its
+# map, row (f_1..f_k), column (d_1..d_k), from the data qubits to the ancilla's free half.
 _B, _I2 = _BELL_ROWS.reshape(4, 2, 2), np.eye(2)
 _BELL_MAPS = {
-    1: 2 * np.einsum("rda,fg->rfdag", _B, _I2).reshape(16, 4),
-    2: 4 * np.einsum("xca,ytb,fh,gi->xyfgctabhi", _B, _B, _I2, _I2).reshape(256, 16),
+    1: 2 * np.einsum("rda,fg->rfdag", _B, _I2).reshape(4, 4, 4),
+    2: 4 * np.einsum("xca,ytb,fh,gi->xyfgctabhi", _B, _B, _I2, _I2).reshape(16, 16, 16),
 }
 
 #: Index code of the bits of one or two Bell pairs, x-type bit first in each:
@@ -528,12 +500,6 @@ _CODE = {**BIT_DECODE, **{a + b: 4 * BIT_DECODE[a] + BIT_DECODE[b] for a in BIT_
 _INDEX = {1: range(4), 2: [divmod(c, 4) for c in range(16)]}
 #: The bits of one or two Bell pairs by map row: the row is the bits read in binary.
 _BITS = {k: sorted(bits for bits in _CODE if len(bits) == 2 * k) for k in (1, 2)}
-
-
-def _bell_maps(ancilla: np.ndarray) -> np.ndarray:
-    """The Bell maps of a 2k-qubit ancilla vector, of shape (outcomes, free half, data) = (4^k, 2^k, 2^k)."""
-    k = 1 if ancilla.size == 4 else 2
-    return _BELL_MAPS[k].dot(ancilla).reshape(4**k, 2**k, 2**k)
 
 
 def _draw_bell(w: list[float], us: Sequence[float],

@@ -355,7 +355,7 @@ def _collapse(block: np.ndarray, mats: np.ndarray) -> tuple[list[float], list]:
 def _draw(probs: Sequence[float], rng: np.random.Generator) -> int:
     """Outcome drawn in proportion to ``probs`` from one ``rng.random()`` u: the package's sampling rule.
 
-    Of two outcomes it is 0 exactly when ``u * total < p0``, as ``_draw2``, ``protocol._BranchTable.walk`` and
+    Of two outcomes it is 0 exactly when ``u * total < p0``, as ``_draw2``, ``protocol._Frame.walk`` and
     ``protocol._Frame.row``'s Bell bits (``u < 0.5``: p0 / total is 1/2) write inline, each pinned against this
     one (``test_two_outcome_draw_is_the_general_draw``, ``TestBranchTables``, ``TestBellOutcomeLaw``).
     """

@@ -123,6 +123,12 @@ class TestSingleQubitBinary:
         with pytest.raises(ValueError, match="norm"):
             SingleQubitBinary((1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("bloch", [(1.0, 0.0), (0, 0, 1, 0)], ids=["two", "four"])
+    def test_rejects_an_axis_without_three_components(self, bloch):
+        # both are unit vectors, so only the length check refuses them, before numpy's matmul would
+        with pytest.raises(ValueError, match=f"3 components, got {len(bloch)}"):
+            SingleQubitBinary(bloch)
+
 
 class TestExpandFSeparate:
     def test_parity_of_two_x_measurements(self):

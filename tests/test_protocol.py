@@ -5,9 +5,11 @@ distributions are checked against exactly computed overlap probabilities.
 """
 import dataclasses
 import gc
+import io
 import math
 import re
 import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import sparse, stats
 
 import measureonly.qcore as qcore
-from measureonly import identities, protocol
+from measureonly import cli, identities, protocol
 from measureonly.measure import cnot_measurement_set, parity_slots, solve_two_qubit_parity_form
 from measureonly.pauli import PHASES, PhasedPauli, cnot_frame_update, nearest_phased_pauli
 from measureonly.protocol import (
@@ -142,6 +144,13 @@ class TestProtocolConfig:
     def test_integer_max_trials_is_the_budget(self):
         assert ProtocolConfig(max_trials=3).budget(2) == 3
 
+    @pytest.mark.parametrize("cfg", [ProtocolConfig(max_trials=3), ProtocolConfig(epsilon=1e-3)],
+                             ids=["max_trials", "epsilon"])
+    @pytest.mark.parametrize("arity", [0, 3, 7])
+    def test_budget_checks_the_arity_on_both_paths(self, cfg, arity):
+        with pytest.raises(ValueError, match=f"arity must be 1 or 2, got {arity}"):
+            cfg.budget(arity)
+
 
 class TestPrepareAncillaOne:
     def test_measured_identity_yields_a_bell_state(self):
@@ -211,6 +220,14 @@ class TestPrepareAncillaOne:
     def test_custom_labels(self):
         state, _ = prepare_ancilla_one(I2, "direct", _ForcedRng(2), labels=("u", "v"))
         assert state.labels == ("u", "v")
+
+    @pytest.mark.parametrize("mode", ["measured", "direct"])
+    @pytest.mark.parametrize("labels", [("a",), ("a", "a"), ("a", "b", "c"), ()], ids=["one", "twice", "three", "none"])
+    def test_refuses_labels_before_the_draw(self, labels, mode):
+        rng = np.random.default_rng(12)
+        with pytest.raises(ValueError, match="two distinct labels"):
+            prepare_ancilla_one(HADAMARD, mode, rng, labels=labels)
+        assert rng.random() == np.random.default_rng(12).random()
 
     @pytest.mark.parametrize("u", [np.eye(4), np.array([1, 0])], ids=["4x4", "vector"])
     def test_rejects_a_matrix_that_is_not_2x2(self, u):
@@ -447,20 +464,36 @@ class TestBellOutcomeLaw:
     def assert_bits_are_the_weighted_draws(us):
         k = len(us) // 2
         frame = protocol._named_frame("T" if k == 1 else "CNOT")
-        leaf = frame.leaf(1)
-        fields, _, code, drawn, _ = frame.row(leaf, us)
+        fields, _, code, drawn, _ = frame.row(1, us)  # the ancilla written down with index code 1
         r, want = protocol._draw_bell([1 / 4] * 4, us[:2])
         if k == 2:
             r2, second = protocol._draw_bell([1 / 16] * 4, us[2:])
             r, want = 4 * r + r2, want + second
         assert (fields["bell_bits"], code) == (want, protocol._CODE[want])
-        assert np.array_equal(drawn_matrix(drawn), leaf.maps[r])
+        assert np.array_equal(drawn_matrix(drawn), all_bell_maps(prep_ancilla(frame, 1))[r])
 
     @pytest.mark.parametrize("u", EDGES)
     @pytest.mark.parametrize("v", EDGES)
     def test_bits_at_the_edges(self, u, v):
         self.assert_bits_are_the_weighted_draws([u, v])
         self.assert_bits_are_the_weighted_draws([u, v, v, u])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_the_drawn_map_is_its_row_of_every_map(self, k):
+        # a first visit forms only the drawn map; it must be, to the bit, that map in the product of all of them
+        gen = np.random.default_rng(79)
+        every = protocol._BELL_MAPS[k].reshape(16**k, -1)
+        for _ in range(400 // k**3):
+            frame = protocol._Frame(None, haar_unitary(gen, 2**k))
+            for code in range(4**k):
+                for r in range(4**k):
+                    us = [0.5 * int(b) for b in format(r, f"0{2 * k}b")]
+                    drawn = drawn_matrix(frame.row(code, us)[3])
+                    want = every.dot(prep_ancilla(frame, code)).reshape(4**k, 2**k, 2**k)[r]
+                    assert np.array_equal(drawn, want), (code, r)
+            a = haar_state(gen, 2 * k)
+            rows = every.dot(a).reshape(4**k, 4**k)
+            assert all(np.array_equal(protocol._BELL_MAPS[k][r].dot(a), rows[r]) for r in range(4**k))
 
     @settings(max_examples=300, deadline=None)
     @given(k=st.sampled_from([1, 2]), us=st.lists(st.floats(0, 1, exclude_max=True), min_size=4, max_size=4))
@@ -479,17 +512,18 @@ class TestBellOutcomeLaw:
         """A trial draws from 4^-k per outcome without looking at the data.  That holds because
         every map a frame holds is unitary, the teleportation's map scaled by 2^k, so the drawn
         block keeps norm 1 without normalisation.  Three trials run, following each failure to its
-        successor."""
+        successor; every row filled so far, and the whole map of each ancilla a row was drawn from,
+        must be unitary."""
         gen = np.random.default_rng(seed)
         frame = law_frame(kind, failures, gen)
         block = haar_state(gen, n).reshape(2**frame.k, -1)
         for _ in range(3):
-            k = frame.k
             _, prepared, measured, drawn, _ = frame.trial(mode, gen)
-            leaves = list(frame_leaves(frame))
-            assert leaves and all(len(leaf.maps) == 4 ** (1 if frame.halves else k) for leaf in leaves)
-            for leaf in leaves:
-                gram = leaf.maps.conj().swapaxes(1, 2) @ leaf.maps
+            rows = list(frame_rows(frame))
+            assert rows and all(0 <= key < 2 * 16**f.k for f, key, _ in rows)
+            for f, key, row in rows:
+                maps = np.concatenate([drawn_matrix(row[3])[None], all_bell_maps(prep_ancilla(f, key >> 2 * f.k))])
+                gram = maps.conj().swapaxes(1, 2) @ maps
                 assert np.abs(gram - np.eye(gram.shape[-1])).max() <= 1e-12
             block = drawn_matrix(drawn) @ block
             assert abs(np.vdot(block, block).real - 1) <= 1e-12
@@ -497,12 +531,26 @@ class TestBellOutcomeLaw:
                 frame = frame.after(prepared, measured)
 
 
-def frame_leaves(frame):
-    """Every leaf filled so far that a frame's trials read: its own, or its halves' for a pair frame."""
+def frame_rows(frame):
+    """(frame, key, row) of every row filled so far that a frame's trials read: its own, or its
+    halves' for a pair frame."""
     for f in frame.halves or (frame,):
-        yield from (leaf for leaf in f.direct if leaf is not None)
-        if f._plan is not None:
-            yield from (v for v in f._plan.branches.values() if isinstance(v, protocol._Leaf))
+        yield from ((f, key, row) for key, row in f.rows.items())
+
+
+def all_bell_maps(ancilla):
+    """Every Bell map of a 2k-qubit ancilla vector, (4^k, 2^k, 2^k), in one product: the reference
+    for the drawn map a row forms alone."""
+    k = 1 if ancilla.size == 4 else 2
+    return protocol._BELL_MAPS[k].reshape(16**k, -1).dot(ancilla).reshape(4**k, 2**k, 2**k)
+
+
+def prep_ancilla(frame, prep):
+    """The ancilla a frame's rows from ``prep`` were drawn from: written down with index code
+    ``prep`` below 4^k, else the vector its measured preparation left at node ``prep``."""
+    if prep < 4**frame.k:
+        return qcore._bell_amplitudes(frame.target @ protocol._PAULIS[frame.k][prep])
+    return frame.nodes[prep >> 1][2][prep & 1]
 
 
 def law_frame(kind, failures, gen):
@@ -536,14 +584,15 @@ def all_outcomes_bell_block(block, maps, rng, variant=(0, 0)):
     return protocol._CODE[bits], (rows[r] / math.sqrt(w[r])).reshape(maps.shape[1], -1), bits
 
 
-def trial_leaves(frame, prep_bits, prepared):
-    """The leaves a trial that prepared index code ``prepared`` with bits ``prep_bits`` (None when
-    written down) read its row from: the frame's own, or one of each half's for a pair frame."""
+def trial_preps(frame, prep_bits, prepared):
+    """Where a trial that prepared index code ``prepared`` with bits ``prep_bits`` (None when written
+    down) read its row from, the frame's own or one of each half's for a pair frame: the index code,
+    or the node its measured preparation reached, keyed 1 then its bits."""
     frames = frame.halves or (frame,)
     if prep_bits is None:
-        return [f.direct[c] for f, c in zip(frames, divmod(prepared, 4) if frame.halves else (prepared,))]
+        return list(divmod(prepared, 4) if frame.halves else (prepared,))
     step = len(prep_bits) // len(frames)
-    return [f.plan().branches[prep_bits[i * step:(i + 1) * step]] for i, f in enumerate(frames)]
+    return [int("1" + "".join(map(str, prep_bits[i * step:(i + 1) * step])), 2) for i in range(len(frames))]
 
 
 class TestAllOutcomesReference:
@@ -561,16 +610,15 @@ class TestAllOutcomesReference:
         gen = np.random.default_rng(seed)
         frame = law_frame(kind, failures, gen)
         fields, prepared, _, _, _ = frame.trial(mode, gen)
-        leaves = trial_leaves(frame, fields["prep_bits"], prepared)
-        maps = leaves[0].maps
-        if frame.halves:
-            maps = np.stack([np.kron(leaves[0].maps[r >> 2], leaves[1].maps[r & 3]) for r in range(16)])
+        frames = frame.halves or (frame,)
+        preps = trial_preps(frame, fields["prep_bits"], prepared)
+        maps = [all_bell_maps(prep_ancilla(f, prep)) for f, prep in zip(frames, preps)]
+        maps = np.stack([np.kron(maps[0][r >> 2], maps[1][r & 3]) for r in range(16)]) if frame.halves else maps[0]
         block = haar_state(gen, n).reshape(2**frame.k, -1)
         rng_kernel, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         us = rng_kernel.random(2 * frame.k).tolist()
         # a pair frame's halves read two uniforms each
-        frames = frame.halves or (frame,)
-        rows = [f.row(leaf, us[2 * i:2 * i + 2 * f.k]) for i, (f, leaf) in enumerate(zip(frames, leaves))]
+        rows = [f.row(prep, us[2 * i:2 * i + 2 * f.k]) for i, (f, prep) in enumerate(zip(frames, preps))]
         fields, _, code, drawn, _ = protocol._join(*rows, frame.target) if frame.halves else rows[0]
         code_ref, ref, bits_ref = all_outcomes_bell_block(block, maps, rng_ref)
         assert (code, fields["bell_bits"]) == (code_ref, bits_ref)
@@ -784,8 +832,9 @@ class _Uniforms:
 
 class TestWarmLookup:
     """A warm one-qubit trial, or each half of a pair frame's, is one indexed lookup: it must give the
-    very row the reference chain gives (the branch table's walk, then ``_Frame.row``; ``leaf`` then
-    ``row`` when written down), and a failed trial's row must carry the frame ``_Frame.after`` gives.
+    very row the reference chain gives (``_Frame.walk`` then ``_Frame.row`` on the node it reaches;
+    ``row`` on the index code when written down), and a failed trial's row must carry the frame
+    ``_Frame.after`` gives.
     Uniforms sit at the draw's edges: 0, each node's p0/total and its neighbours, 1/2 and 1 - 2^-53."""
 
     BELL = [0.0, float(np.nextafter(0.5, 0)), 0.5, 1 - 2**-53]
@@ -806,21 +855,19 @@ class TestWarmLookup:
     @classmethod
     def prep_uniforms(cls, frame):
         """Pairs of preparation uniforms at the edges of the frame's two preparation draws."""
-        table = frame.plan()
-        table.walk([0.0, 0.0])
-        table.walk([1 - 2**-53, 0.0])
-        p0, total, _ = table.branches[1]
+        frame.walk([0.0, 0.0])
+        frame.walk([1 - 2**-53, 0.0])
+        p0, total, _ = frame.nodes[1]
         for u0 in cls.edges(p0 / total):
-            p0, total, _ = table.branches[2 if u0 * total < p0 else 3]
+            p0, total, _ = frame.nodes[2 if u0 * total < p0 else 3]
             for u1 in cls.edges(p0 / total):
                 yield u0, u1
 
     @staticmethod
     def reference_row(frame, mode, us, code):
         if mode == "direct":
-            return frame.row(frame.leaf(code), us[2:])
-        bits, _ = frame.plan().walk(us)
-        return frame.row(frame.plan().branches[bits], us[2:])
+            return frame.row(code, us[2:])
+        return frame.row(frame.walk(us)[0], us[2:])
 
     @staticmethod
     def check_successor(frame, row, mode, us, code):
@@ -847,9 +894,12 @@ class TestWarmLookup:
                     row = frame.trial(mode, _Uniforms(draws, [code]))
                     assert row is self.reference_row(frame, mode, us, code)
                     assert frame.trial(mode, _Uniforms(draws, [code])) is row
+                    # keyed by the bits the trial drew: 1, preparation and Bell bits, or index code and Bell bits
                     if mode == "measured":
                         bits = row[0]["prep_bits"] + row[0]["bell_bits"]
-                        assert frame.plan().branches[int("1" + "".join(map(str, bits)), 2)] is row
+                        assert frame.rows[int("1" + "".join(map(str, bits)), 2)] is row
+                    else:
+                        assert frame.rows[4 * code + int("".join(map(str, row[0]["bell_bits"])), 2)] is row
                     self.check_successor(frame, row, mode, us, code)
 
     def test_a_fresh_frame_fills_on_its_first_visit(self):
@@ -863,7 +913,7 @@ class TestWarmLookup:
                 row = fresh.trial("measured", _Uniforms(us))
                 assert row is self.reference_row(fresh, "measured", us, None)
                 assert fresh.trial("measured", _Uniforms(us)) is row
-                assert row[4] is None and row[0]["prep_bits"] == twin.plan().walk(us)[0]
+                assert row[4] is None and row[0]["prep_bits"] == node_bits(twin.walk(us)[0])
 
     @pytest.mark.parametrize("mode", ["measured", "direct"])
     def test_pair_frame_halves(self, mode):
@@ -889,14 +939,59 @@ class TestWarmLookup:
                 assert trace.residual_pauli == frame.after(row[1], row[2]).key
 
 
-class TestBranchTables:
-    """Replayed measured preparation against a fresh sequence of measurements."""
+def node_bits(node):
+    """The bits drawn to reach a preparation node, keyed 1 then those bits in binary."""
+    return tuple(int(c) for c in bin(node)[3:])
+
+
+class TestOneFrameBothModes:
+    """A frame's rows hold measured and direct trials side by side, apart by key: a measured row under
+    its preparation node then Bell bits, in [16^k, 2 * 16^k); a direct one under its index code then
+    Bell bits, below 16^k.  Frames warmed in one mode must then give the other mode's seeded run
+    exactly as fresh frames do."""
 
     @staticmethod
-    def replay_matches_fresh(table, instruments, labels, seeds):
+    def stats(gate, mode):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            cli.main(["stats", "--gate", gate, "--prep", mode, "--trials", "50", "--seed", "9", "--json"])
+        return buf.getvalue()
+
+    @staticmethod
+    def clear_frames():
+        for cache in (protocol._pauli_frame, protocol._pair_frame, protocol._named_frame):
+            cache.cache_clear()
+
+    @pytest.mark.parametrize("warm", ["measured", "direct"])
+    def test_warm_frames_in_one_mode_serve_the_other(self, warm):
+        other = "direct" if warm == "measured" else "measured"
+        gates = ("H", "T", "CNOT")
+        self.clear_frames()
+        fresh = [self.stats(gate, other) for gate in gates]
+        self.clear_frames()
+        for gate in gates:
+            self.stats(gate, warm)
+        assert [self.stats(gate, other) for gate in gates] == fresh
+        frames = {id(f): f for name in gates for g in _reachable(protocol._named_frame(name))
+                  for f in (g, *(g.halves or ()))}
+        seen = set()
+        for f in frames.values():
+            for key, row in f.rows.items():
+                measured = row[0]["prep_bits"] is not None
+                assert (16**f.k <= key < 2 * 16**f.k) if measured else (0 <= key < 16**f.k), (key, row[0])
+                seen.add((f.k, measured))
+        assert seen == {(1, True), (1, False), (2, True), (2, False)}
+
+
+class TestBranchTables:
+    """Measured preparation replayed from a frame's nodes against a fresh sequence of measurements."""
+
+    @staticmethod
+    def replay_matches_fresh(frame, instruments, labels, seeds):
         for seed in seeds:
             rng_table, rng_fresh = np.random.default_rng(seed), np.random.default_rng(seed)
-            bits, ancilla = table.walk(rng_table.random(len(instruments)).tolist())
+            node, ancilla = frame.walk(rng_table.random(len(instruments)).tolist())
+            bits = node_bits(node)
             state, fresh_bits = zero_state(labels), ()
             for slots in instruments:
                 b, state, _ = qcore.measure(state, slots, rng_fresh)
@@ -910,21 +1005,22 @@ class TestBranchTables:
         named = {"H": HADAMARD, "T": T_GATE, "I": I2, "X": X, "Y": Y, "Z": Z}
         u = named[which] if which in named else haar_unitary(np.random.default_rng([which, 29]))
         frame = protocol._named_frame(which) if which in protocol._GATE_MATRICES else protocol._Frame(None, u)
-        table = frame.plan()
         labels = ("prep0", "prep1")
         instruments = [parity_slots(solve_two_qubit_parity_form(i, u, targets=labels)) for i in (1, 3)]
-        self.replay_matches_fresh(table, instruments, labels, range(40))
+        self.replay_matches_fresh(frame, instruments, labels, range(40))
 
     def test_cnot_set(self):
         labels = protocol._PREP2
         instruments = [m.slots() for m in cnot_measurement_set(labels=labels)]
-        self.replay_matches_fresh(protocol._named_frame("CNOT").plan(), instruments, labels, range(80))
+        self.replay_matches_fresh(protocol._named_frame("CNOT"), instruments, labels, range(80))
 
     def test_a_branch_whose_outcomes_vanish_is_refused(self):
-        table = protocol._BranchTable(np.zeros((2, 2, 4, 4), dtype=complex))
-        for _ in range(2):  # on every visit, as the branch is not stored
+        frame = protocol._Frame(None, I2)
+        frame._instruments = np.zeros((2, 2, 4, 4), dtype=complex)
+        for _ in range(2):  # on every visit, as the node is not stored
             with pytest.raises(ValueError, match="degenerate"):
-                table.walk([0.5, 0.5])
+                frame.walk([0.5, 0.5])
+            assert frame.nodes == {}
 
     def test_fresh_custom_gates_keep_the_cache_bounded(self):
         # With the catalogue's whole graph interned first, the bound is tight:
@@ -952,12 +1048,12 @@ class TestStackedCollapse:
     def test_matches_the_per_projector_products(self, kind, columns, start, seed):
         gen = np.random.default_rng(seed)
         frame = protocol._Frame(None, haar_unitary(gen)) if kind == "haar" else protocol._named_frame("CNOT")
-        plan = frame.plan()
-        d = plan.instruments.shape[-1]
-        for mats in plan.instruments:
+        instruments = frame.instruments()
+        d = instruments.shape[-1]
+        for mats in instruments:
             if start:
                 # the all-|0> start leaves some outcomes impossible
-                block = np.kron(plan.start, np.eye(1, columns or 1, dtype=complex)[0])
+                block = np.kron(np.eye(1, d, dtype=complex)[0], np.eye(1, columns or 1, dtype=complex)[0])
             else:
                 block = haar_state(gen, (d * (columns or 1)).bit_length() - 1)
             block = block.reshape(d, columns) if columns else block
@@ -1205,7 +1301,7 @@ class TestClosedFormFrames:
         # a Haar root, or the frame 1-6 failed trials leave
         root = protocol._Frame(None, GateSpec.custom(haar_unitary(np.random.default_rng(seed))).matrix)
         frame = _frame_walk(root, [(p, (p + 1 + d) % 4) for p, d in raw])
-        instruments = frame.plan().instruments
+        instruments = frame.instruments()
         assert len(instruments) == 2
         for slots, i in zip(instruments, (1, 3)):
             public = parity_slots(solve_two_qubit_parity_form(i, frame.target, targets=("prep0", "prep1")))
@@ -1215,7 +1311,7 @@ class TestClosedFormFrames:
     @pytest.mark.parametrize("target", [1.1 * I2, np.full((2, 2), np.nan)], ids=["scaled", "nan"])
     def test_plan_rejects_a_target_that_is_not_unitary(self, target):
         with pytest.raises(ValueError, match="not unitary"):
-            protocol._Frame(None, target).plan()
+            protocol._Frame(None, target).instruments()
 
     def test_a_target_from_outside_is_checked_once(self, monkeypatch):
         # GateSpec checks a custom matrix; the frames it and the polar step derive are not checked again
@@ -1734,9 +1830,9 @@ class TestWideRegisters:
         np.testing.assert_allclose(state.data, expected, rtol=0, atol=1e-12)
 
     def test_state_paths_build_no_full_register_operator(self, monkeypatch):
-        # The controlled-NOT's preparation plan is a catalogue construction on
-        # its 4-qubit ancilla, built once per process: build it before the patch.
-        protocol._named_frame("CNOT").plan()
+        # The controlled-NOT's preparation instruments are a catalogue construction
+        # on its 4-qubit ancilla, built once per process: build them before the patch.
+        protocol._named_frame("CNOT").instruments()
 
         def full_register_embedding(*args):
             raise AssertionError("a state path built a full-register operator")

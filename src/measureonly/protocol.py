@@ -15,12 +15,13 @@ filled on first use: its measured preparation as a tree of outcome nodes, its
 trials keyed by the bits each drew, and its successor after each failure.
 The ancilla is maximally entangled, so each Bell pair's outcome has
 probability 1/4 whatever the data (Gottesman-Chuang, quant-ph/9908010) and
-no trial reads the data: a trial is one batched draw of uniforms, one lookup
-of its row by the bits it drew (``_Frame.trial``; a first visit forms only
-the drawn Bell map) and one 2x2 product composing that map with those drawn
-before.  The data is multiplied by the composed map and normalised
-once per gate, in one pass (``qcore._apply``).  ``bell_measure`` draws from
-weights of its block, as an arbitrary register has no such law.  A pair
+no trial reads the data: a trial is one draw of 4k uniforms in either
+preparation mode (direct mode reads its index from the preparation's bits),
+one lookup of its row by the bits it drew (``_Frame.trial``; a first visit
+forms only the drawn Bell map) and one 2x2 product composing that map with
+those drawn before.  The data is multiplied by the composed map and
+normalised once per gate, in one pass (``qcore._apply``).  ``bell_measure``
+draws from weights of its block, as an arbitrary register has no such law.  A pair
 frame owes a product of two one-qubit Paulis and joins their frames' rows.
 Every successor follows one rule, ``_next_frame``: a failed trial from
 target t that prepared sigma_p and measured sigma_m owes t sigma_m sigma_p
@@ -43,19 +44,8 @@ from .pauli import _PAULIS, PhasedPauli, SIGMA, kron2, nearest_phased_pauli
 from .qcore import Label, QuantumState
 
 __all__ = [
-    "BIT_DECODE",
-    "GateSpec",
-    "ProtocolConfig",
-    "TrialRecord",
-    "ProtocolTrace",
-    "ProtocolError",
-    "BudgetExceeded",
-    "trials_needed",
-    "prepare_ancilla_one",
-    "bell_measure",
-    "simulate_one_qubit",
-    "simulate_cnot",
-    "run_circuit",
+    "BIT_DECODE", "GateSpec", "ProtocolConfig", "TrialRecord", "ProtocolTrace", "ProtocolError", "BudgetExceeded",
+    "trials_needed", "prepare_ancilla_one", "bell_measure", "simulate_one_qubit", "simulate_cnot", "run_circuit",
     "direct_state",
 ]
 
@@ -158,8 +148,10 @@ class ProtocolConfig:
     The budget is either explicit (``max_trials``) or derived per arity from
     the failure budget ``epsilon``.  ``prep_mode`` selects how ancillas are
     prepared: ``"measured"`` runs the preparation measurements on an all-zero
-    register, ``"direct"`` draws the index uniformly and writes the state
-    vector down (statistically indistinguishable, useful for large runs).
+    register; ``"direct"`` writes the state vector down with a uniform index
+    read from the same 2k preparation uniforms a measured trial draws (a bit
+    is 1 when its uniform is at least 1/2, the x-type then the z-type bit of
+    each pair read in binary): statistically indistinguishable, and cheaper.
     """
 
     epsilon: Optional[float] = 1e-9
@@ -186,6 +178,15 @@ class ProtocolConfig:
 
 #: sigma_m sigma_p at [m, p] on k qubits, exact: every entry is 0, +/-1 or +/-i.
 _PRODUCTS = {k: paulis[:, None] @ paulis[None] for k, paulis in _PAULIS.items()}
+
+
+def _read(us: Sequence[float], key: int = 0) -> int:
+    """``key`` then the bits of ``us`` read in binary, a bit 1 when its uniform is at least 1/2: a Bell step's map
+    row (as ``_draw_bell`` draws from weights 1/4, then 1/16), or a direct preparation's index code, x-type then
+    z-type bit of each pair, exactly uniform as ``u < 0.5`` holds for 2^52 of the 2^53 doubles ``random()`` gives."""
+    for u in us:
+        key = 2 * key + (0 if u < 0.5 else 1)
+    return key
 
 
 def _next_frame(t: np.ndarray, k: int, prepared: int, measured: int) -> "_Frame":
@@ -302,6 +303,7 @@ class _Frame:
             (p, q), phase = key.indices, key.phase
             self.halves = (_pauli_frame(PhasedPauli(phase, (p,))), _pauli_frame(PhasedPauli(1, (q,))))
         self._instruments: Optional[np.ndarray] = None
+        self._ancillas: Optional[np.ndarray] = None
         self.nodes: dict[int, tuple[float, float, list]] = {}
         self.rows: dict[int, list] = {}
         self.successors: list[Optional[_Frame]] = [None] * 16**self.k
@@ -316,6 +318,12 @@ class _Frame:
                 self._instruments = np.array([[qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()]
                                               for m in msr.cnot_measurement_set(labels=_PREP2)])
         return self._instruments
+
+    def ancillas(self) -> np.ndarray:
+        """The 4^k ancillas direct mode writes down, by index code, formed in one exact product on first use."""
+        if self._ancillas is None:
+            self._ancillas = qcore._bell_amplitudes(self.target @ _PAULIS[self.k])
+        return self._ancillas
 
     def walk(self, us: Sequence[float]) -> tuple[int, np.ndarray]:
         """The node and ancilla vector one measured preparation reaches, drawn as ``qcore._draw2`` draws,
@@ -339,23 +347,19 @@ class _Frame:
         is the node a measured preparation reached, or the index code of an ancilla written down.
 
         Each Bell map is unitary, so every outcome has weight 4^-k whatever the
-        data: each bit, x-type then z-type of each pair, is 0 when its uniform
-        is below 1/2 (as ``_draw_bell`` draws from weights 1/4, then 1/16), and
-        the bits read in binary give the map.  A row is a list: the record's
-        fields but its index, prepared and measured index codes, the drawn map
-        (a row-major 4-tuple of Python complex numbers on one qubit), and the
-        frame a failure from it leaves, which ``_teleport`` fills from ``after``.
+        data, and the Bell bits read in binary (``_read``) give the map.  A row
+        is a list: the record's fields but its index, prepared and measured
+        index codes, the drawn map (a row-major 4-tuple of Python complex
+        numbers on one qubit), and the frame a failure from it leaves, which
+        ``_teleport`` fills from ``after``.
         """
-        key = prep  # then the Bell bits
-        for u in us:
-            key = 2 * key + (0 if u < 0.5 else 1)
+        key = _read(us, prep)  # prep, then the Bell bits
         row = self.rows.get(key)
         if row is None:
             k = self.k
             r = key % 4**k
             if prep < 4**k:  # written down with index code prep
-                code, bits = prep, None
-                ancilla = qcore._bell_amplitudes(self.target @ _PAULIS[k][code])
+                code, bits, ancilla = prep, None, self.ancillas()[prep]
             else:  # prepared by measurement: the node's bits after its leading 1, and its parent's post vector
                 bits = _BITS[k][prep - 4**k]
                 code, ancilla = _CODE[bits], self.nodes[prep >> 1][2][prep & 1]
@@ -367,10 +371,10 @@ class _Frame:
             row = self.rows[key] = [fields, code, measured, drawn, None]
         return row
 
-    def measured(self, us: list[float]) -> list:
+    def measured(self, u0: float, u1: float, u2: float, u3: float) -> list:
         """A one-qubit frame's measured trial on four uniforms: once warm, one lookup of its row, keyed by
         the node the walk's arithmetic reaches through the two preparation nodes, then the Bell bits."""
-        nodes, (u0, u1, u2, u3) = self.nodes, us
+        nodes = self.nodes
         node = nodes.get(1)
         if node:
             code = 2 if u0 * node[1] < node[0] else 3
@@ -380,33 +384,27 @@ class _Frame:
                                     + (0 if u3 < 0.5 else 1))
                 if row:
                     return row
-        return self.row(self.walk(us)[0], us[2:])  # a first visit: walk, form the row and file it
+        return self.row(self.walk((u0, u1))[0], (u2, u3))  # a first visit: walk, form the row and file it
+
+    def direct(self, u0: float, u1: float, u2: float, u3: float) -> list:
+        """A one-qubit frame's direct trial on four uniforms: one lookup of its row, keyed by their bits read
+        in binary (``_read`` inline), the first two the index code written down and the last two the Bell bits."""
+        code = (0 if u0 < 0.5 else 2) + (0 if u1 < 0.5 else 1)
+        return self.rows.get(4 * code + (0 if u2 < 0.5 else 2) + (0 if u3 < 0.5 else 1)) or self.row(code, (u2, u3))
 
     def trial(self, mode: str, rng: np.random.Generator) -> list:
-        """The row of one trial: a pair frame's joins a row of each half.
-
-        Measured mode draws 4k uniforms at once, the preparation's 2k first (a
-        pair frame's halves in turn); direct mode draws k indices, the
-        control's first, then the 2k uniforms of the Bell step.
-        """
-        k, halves = self.k, self.halves
-        if mode == "measured":
-            us = rng.random(4 * k).tolist()
-            if k == 1:
-                return self.measured(us)
-            if not halves:  # the controlled-NOT's own
-                return self.row(self.walk(us)[0], us[4:])
-            a, b = halves
-            return _join(a.measured(us[:2] + us[4:6]), b.measured(us[2:4] + us[6:]), self.target)
-        code = int(rng.integers(0, 4))
-        if k == 1:
-            return self.row(code, rng.random(2).tolist())
-        second = int(rng.integers(0, 4))
-        us = rng.random(4).tolist()
-        if not halves:
-            return self.row(4 * code + second, us)
-        a, b = halves
-        return _join(a.row(code, us[:2]), b.row(second, us[2:]), self.target)
+        """The row of one trial on 4k uniforms drawn at once in either mode, the preparation's 2k then the
+        Bell step's 2k: a pair frame's joins a row of each half, which takes two of each in turn."""
+        us = rng.random(4 * self.k).tolist()
+        if self.k == 1:
+            u0, u1, u2, u3 = us
+            return self.measured(u0, u1, u2, u3) if mode == "measured" else self.direct(u0, u1, u2, u3)
+        if self.halves:
+            half = _Frame.measured if mode == "measured" else _Frame.direct
+            (a, b), (u0, u1, u2, u3, u4, u5, u6, u7) = self.halves, us
+            return _join(half(a, u0, u1, u4, u5), half(b, u2, u3, u6, u7), self.target)
+        # the controlled-NOT's own, or a custom two-qubit target's in direct mode
+        return self.row(self.walk(us)[0] if mode == "measured" else _read(us[:4]), us[4:])
 
     def after(self, prepared: int, measured: int) -> "_Frame":
         """The frame left by a failed trial, from the index codes it prepared and measured."""
@@ -459,9 +457,10 @@ def prepare_ancilla_one(
     In ``"measured"`` mode the pair starts in |00> and is collapsed by the
     two commuting parity-form binaries for ``u``; the returned index is
     decoded from their bits, and cannot be chosen in advance.  In
-    ``"direct"`` mode the index is drawn uniformly and the state is written
-    down directly.  Returns (state, index).  Labels other than two distinct
-    ones are refused before the first draw.
+    ``"direct"`` mode the index is the bits of two uniforms read in binary,
+    as a direct trial reads it, and the state is written down.  Returns
+    (state, index).  Labels other than two distinct ones are refused before
+    the first draw.
     """
     labels = tuple(labels)
     if len(labels) != 2 or labels[0] == labels[1]:
@@ -471,8 +470,8 @@ def prepare_ancilla_one(
         node, ancilla = frame.walk(rng.random(2).tolist())
         j = _CODE[_BITS[1][node - 4]]
     elif mode == "direct":
-        j = int(rng.integers(0, 4))
-        ancilla = qcore._bell_amplitudes(frame.target @ SIGMA[j])
+        j = _read(rng.random(2).tolist())
+        ancilla = frame.ancillas()[j]
     else:
         raise ValueError(f"unknown preparation mode {mode!r}")
     return QuantumState.pure(ancilla, labels), j
@@ -549,12 +548,13 @@ def bell_measure(
 
 
 def _join(first: list, second: list, target: np.ndarray) -> list:
-    """A pair frame's row from a row of each half: codes 4a + b, bits side by side, success when both succeed."""
+    """A pair frame's row from a row of each half: codes 4a + b, bits side by side, success when the codes match."""
     (fa, pa, ma, a, _), (fb, pb, mb, b, _) = first, second
-    bits = fa["prep_bits"]
-    fields = {"prepared": (pa, pb), "outcome": (ma, mb), "prep_bits": None if bits is None else bits + fb["prep_bits"],
-              "bell_bits": fa["bell_bits"] + fb["bell_bits"], "success": pa == ma and pb == mb, "target": target}
-    return [fields, 4 * pa + pb, 4 * ma + mb, (a, b), None]
+    code, measured, bits = 4 * pa + pb, 4 * ma + mb, fa["prep_bits"]
+    fields = {"prepared": _INDEX[2][code], "outcome": _INDEX[2][measured], "prep_bits": None if bits is None else
+              bits + fb["prep_bits"], "bell_bits": fa["bell_bits"] + fb["bell_bits"], "success": code == measured,
+              "target": target}
+    return [fields, code, measured, (a, b), None]
 
 
 def _compose(x: tuple, y: tuple) -> tuple:

@@ -6,6 +6,7 @@ distributions are checked against exactly computed overlap probabilities.
 import dataclasses
 import gc
 import io
+import itertools
 import math
 import re
 import tracemalloc
@@ -70,13 +71,14 @@ def haar_unitary(rng, dim=2):
 
 
 class _ForcedRng:
-    """Stub random stream that always returns a fixed integer."""
+    """Stub random stream whose n uniforms have the bits of a fixed integer, most significant first: 1/4 for
+    a bit 0, 3/4 for a bit 1, so a direct preparation reads that integer as its index code."""
 
     def __init__(self, value):
         self.value = value
 
-    def integers(self, *args, **kwargs):
-        return self.value
+    def random(self, n):
+        return np.array([0.75 if self.value >> (n - 1 - i) & 1 else 0.25 for i in range(n)])
 
 
 class TestTrialsNeeded:
@@ -383,13 +385,9 @@ def drawn_matrix(drawn):
     return np.array(drawn).reshape(2, 2)
 
 
-def skip_preparation_draws(rng, mode, k):
-    """Advance ``rng`` past what a trial draws before its Bell uniforms."""
-    if mode == "measured":
-        rng.random(2 * k)
-    else:
-        for _ in range(k):
-            rng.integers(0, 4)
+def skip_preparation_draws(rng, k):
+    """Advance ``rng`` past what a trial draws before its Bell uniforms, in either mode: its 2k preparation uniforms."""
+    rng.random(2 * k)
 
 
 class TestTeleportStep:
@@ -442,7 +440,7 @@ class TestTeleportStep:
         rng_step, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         fields, prepared, measured, drawn, _ = frame.trial(mode, rng_step)
         data = qcore._from_front(drawn_matrix(drawn) @ qcore._to_front(state.data, axes, k), axes)
-        skip_preparation_draws(rng_ref, mode, k)
+        skip_preparation_draws(rng_ref, k)
         # a measured preparation leaves the twisted Bell state of its index, up to a phase
         ancilla = pair_ancilla(u, divmod(prepared, 4) if k == 2 else (prepared,))
         outcomes_ref, post_ref, bits_ref = self.merged_reference(state, positions, ancilla, rng_ref)
@@ -655,9 +653,9 @@ class TestAllOutcomesReference:
 
 
 class TestDrawsPerTrial:
-    """A trial's draws never depend on the data or on the budget: measured mode draws 4k doubles
-    per trial, direct mode k indices (``integers(0, 4)``, the control's first) then 2k doubles.
-    After each gate the stream must be where a twin advanced by that much per trial of the
+    """A trial's draws never depend on the data or on the budget: either mode draws 4k doubles per
+    trial, 2k for the preparation (direct mode reads its index from their bits) then 2k for the
+    Bell step.  After each gate the stream must be where a twin advanced by that much per trial of the
     gate's trace is, whether the gate succeeded or ran out of trials."""
 
     @pytest.mark.parametrize("mode", ["measured", "direct"])
@@ -677,12 +675,7 @@ class TestDrawsPerTrial:
                 state, trace = simulate_one_qubit(gate, state, 1, cfg, rng)
             k = 1 if gate else 2
             for _ in range(trace.total_trials):
-                if mode == "measured":
-                    twin.random(4 * k)
-                else:
-                    for _ in range(k):
-                        twin.integers(0, 4)
-                    twin.random(2 * k)
+                twin.random(4 * k)
             assert rng.bit_generator.state == twin.bit_generator.state, (i, trace.total_trials)
             short += trace.total_trials < cfg.budget(k)
         assert short >= 10
@@ -817,24 +810,21 @@ class TestProtocolTraces:
 
 
 class _Uniforms:
-    """Stub random stream handing out fixed uniforms, and fixed indices in direct mode."""
+    """Stub random stream handing out fixed uniforms."""
 
-    def __init__(self, us, codes=()):
-        self.us, self.codes = list(us), list(codes)
+    def __init__(self, us):
+        self.us = list(us)
 
     def random(self, n):
         out, self.us = self.us[:n], self.us[n:]
         return np.array(out)
 
-    def integers(self, *args):
-        return self.codes.pop(0)
-
 
 class TestWarmLookup:
     """A warm one-qubit trial, or each half of a pair frame's, is one indexed lookup: it must give the
     very row the reference chain gives (``_Frame.walk`` then ``_Frame.row`` on the node it reaches;
-    ``row`` on the index code when written down), and a failed trial's row must carry the frame
-    ``_Frame.after`` gives.
+    ``row`` on the index code its preparation uniforms' bits give when written down), and a failed
+    trial's row must carry the frame ``_Frame.after`` gives.
     Uniforms sit at the draw's edges: 0, each node's p0/total and its neighbours, 1/2 and 1 - 2^-53."""
 
     BELL = [0.0, float(np.nextafter(0.5, 0)), 0.5, 1 - 2**-53]
@@ -864,17 +854,16 @@ class TestWarmLookup:
                 yield u0, u1
 
     @staticmethod
-    def reference_row(frame, mode, us, code):
-        if mode == "direct":
-            return frame.row(code, us[2:])
+    def reference_row(frame, mode, us):
+        if mode == "direct":  # the index code: x-type bit then z-type bit, each 1 from 1/2 up
+            return frame.row(2 * int(us[0] >= 0.5) + int(us[1] >= 0.5), us[2:])
         return frame.row(frame.walk(us)[0], us[2:])
 
     @staticmethod
-    def check_successor(frame, row, mode, us, code):
+    def check_successor(frame, row, mode, us):
         # one trial through _teleport on the same draws; a failure files its successor in the row
-        draws = us[2:] if mode == "direct" else us
         state, cfg = zero_state((0,)), ProtocolConfig(max_trials=1, prep_mode=mode)
-        _, trace = protocol._teleport(frame, state, (0,), cfg, _Uniforms(draws, [code]))
+        _, trace = protocol._teleport(frame, state, (0,), cfg, _Uniforms(us))
         assert trace.succeeded == (row[1] == row[2])
         if not trace.succeeded:
             assert row[4] is frame.after(row[1], row[2])
@@ -884,23 +873,22 @@ class TestWarmLookup:
     @pytest.mark.parametrize("name", ["H", "T", "X", "haar"])
     def test_one_qubit_frames(self, name, mode):
         frame = self.frames()[name]
-        preps = list(self.prep_uniforms(frame)) if mode == "measured" else [(None, None)] * 4
-        for i, (u0, u1) in enumerate(preps):
-            code = i % 4
+        edges = [(u0, u1) for u0 in self.BELL for u1 in self.BELL]
+        preps = list(self.prep_uniforms(frame)) if mode == "measured" else edges
+        for u0, u1 in preps:
             for u2 in self.BELL:
                 for u3 in self.BELL:
                     us = [u0, u1, u2, u3]
-                    draws = us[2:] if mode == "direct" else us
-                    row = frame.trial(mode, _Uniforms(draws, [code]))
-                    assert row is self.reference_row(frame, mode, us, code)
-                    assert frame.trial(mode, _Uniforms(draws, [code])) is row
-                    # keyed by the bits the trial drew: 1, preparation and Bell bits, or index code and Bell bits
+                    row = frame.trial(mode, _Uniforms(us))
+                    assert row is self.reference_row(frame, mode, us)
+                    assert frame.trial(mode, _Uniforms(us)) is row
+                    # keyed by the bits the trial drew: 1, preparation and Bell bits, or all four bits
                     if mode == "measured":
                         bits = row[0]["prep_bits"] + row[0]["bell_bits"]
                         assert frame.rows[int("1" + "".join(map(str, bits)), 2)] is row
                     else:
-                        assert frame.rows[4 * code + int("".join(map(str, row[0]["bell_bits"])), 2)] is row
-                    self.check_successor(frame, row, mode, us, code)
+                        assert frame.rows[int("".join(str(int(u >= 0.5)) for u in us), 2)] is row
+                    self.check_successor(frame, row, mode, us)
 
     def test_a_fresh_frame_fills_on_its_first_visit(self):
         gen = np.random.default_rng(77)
@@ -911,7 +899,7 @@ class TestWarmLookup:
                 us = [u0, u1, float(gen.choice(self.BELL)), float(gen.choice(self.BELL))]
                 fresh = protocol._Frame(None, u)
                 row = fresh.trial("measured", _Uniforms(us))
-                assert row is self.reference_row(fresh, "measured", us, None)
+                assert row is self.reference_row(fresh, "measured", us)
                 assert fresh.trial("measured", _Uniforms(us)) is row
                 assert row[4] is None and row[0]["prep_bits"] == node_bits(twin.walk(us)[0])
 
@@ -922,20 +910,14 @@ class TestWarmLookup:
         gen = np.random.default_rng(78)
         for _ in range(200):
             us = [float(gen.choice(self.BELL + [float(gen.random())])) for _ in range(8)]
-            codes = [int(gen.integers(4)), int(gen.integers(4))]
-            draws = us[4:] if mode == "direct" else us
-            row = frame.trial(mode, _Uniforms(draws, list(codes)))
-            if mode == "measured":
-                ra = self.reference_row(a, mode, us[:2] + us[4:6], None)
-                rb = self.reference_row(b, mode, us[2:4] + us[6:], None)
-            else:
-                ra = self.reference_row(a, mode, [None, None] + us[4:6], codes[0])
-                rb = self.reference_row(b, mode, [None, None] + us[6:], codes[1])
+            row = frame.trial(mode, _Uniforms(us))
+            ra = self.reference_row(a, mode, us[:2] + us[4:6])
+            rb = self.reference_row(b, mode, us[2:4] + us[6:])
             assert row[3][0] is ra[3] and row[3][1] is rb[3]
             assert row[:4] == protocol._join(ra, rb, frame.target)[:4]
             if row[1] != row[2]:
                 _, trace = protocol._teleport(frame, zero_state((0, 1)), (0, 1),
-                                              ProtocolConfig(max_trials=1, prep_mode=mode), _Uniforms(draws, list(codes)))
+                                              ProtocolConfig(max_trials=1, prep_mode=mode), _Uniforms(us))
                 assert trace.residual_pauli == frame.after(row[1], row[2]).key
 
 
@@ -981,6 +963,79 @@ class TestOneFrameBothModes:
                 assert (16**f.k <= key < 2 * 16**f.k) if measured else (0 <= key < 16**f.k), (key, row[0])
                 seen.add((f.k, measured))
         assert seen == {(1, True), (1, False), (2, True), (2, False)}
+
+
+def bell_row(fields):
+    """The row of a trial's Bell map among its frame's 4^k: its Bell bits read in binary."""
+    return int("".join(map(str, fields["bell_bits"])), 2)
+
+
+class TestDirectDraw:
+    """Direct mode reads each index code from two preparation uniforms, a bit 1 when its uniform is at
+    least 1/2, the x-type then the z-type bit read in binary.  ``random()`` returns the 2^53 doubles
+    j / 2^53, of which exactly 2^52 lie below 1/2, so each of the 4^k codes has probability 4^-k."""
+
+    def test_the_bit_turns_at_one_half(self):
+        below = [float(np.nextafter(0.5, 0)), (2**52 - 1) / 2**53]
+        assert below[1] <= below[0] < 0.5 <= 2**52 / 2**53
+        assert [protocol._read([u]) for u in below + [0.5]] == [0, 0, 1]
+        frame = protocol._Frame(None, HADAMARD)
+        for u, bit in [(below[0], 0), (below[1], 0), (0.5, 1)]:
+            assert frame.trial("direct", _Uniforms([u, 0.0, 0.0, 0.0]))[1] == 2 * bit
+            assert frame.trial("direct", _Uniforms([0.0, u, 0.0, 0.0]))[1] == bit
+            assert prepare_ancilla_one(HADAMARD, "direct", _Uniforms([u, u]))[1] == 3 * bit
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bits_to_index_code_is_a_bijection(self, k):
+        gen = np.random.default_rng(80)
+        frames = [protocol._Frame(None, haar_unitary(gen, 2**k))]
+        if k == 2:
+            frames += [protocol._named_frame("CNOT"), protocol._named_frame("CNOT").after(4 * 1 + 2, 4 * 3 + 0)]
+        codes = []
+        for bits in itertools.product((0, 1), repeat=2 * k):
+            code = protocol._read([0.5 * b for b in bits])
+            codes.append(code)
+            us = [0.25 + 0.5 * b for b in bits] + [float(gen.random()) for _ in range(2 * k)]
+            for frame in frames:
+                row = frame.trial("direct", _Uniforms(us))
+                assert row[1] == code and row[0]["prep_bits"] is None
+        assert sorted(codes) == list(range(4**k))
+
+    def test_prepare_ancilla_one_and_a_trial_prepare_alike(self):
+        # twin streams: the trial's first two uniforms are prepare_ancilla_one's two
+        gen = np.random.default_rng(81)
+        seen = set()
+        for seed in range(64):
+            u = haar_unitary(gen)
+            state, j = prepare_ancilla_one(u, "direct", np.random.default_rng(seed))
+            frame = protocol._Frame(None, u)
+            fields, code, _, drawn, _ = frame.trial("direct", np.random.default_rng(seed))
+            assert (code, fields["prepared"]) == (j, j)
+            assert np.array_equal(state.data, frame.ancillas()[code])
+            assert np.array_equal(drawn_matrix(drawn), all_bell_maps(state.data)[bell_row(fields)])
+            seen.add(j)
+        assert seen == {0, 1, 2, 3}
+
+
+class TestDirectAncillas:
+    """A frame forms the 4^k ancillas direct mode writes down in one product, on its first direct visit,
+    and keeps them.  Products with Pauli entries are exact, so every direct row must be, to the bit, the
+    row formed from its own code's ancilla alone, and each frame must form them once."""
+
+    @pytest.mark.parametrize("kind", ["cnot", "haar"])
+    def test_rows_match_per_code_formation_formed_once(self, kind, monkeypatch):
+        k = 2 if kind == "cnot" else 1
+        target = protocol._GATE_MATRICES["CNOT"] if kind == "cnot" else haar_unitary(np.random.default_rng(82))
+        per_code = [qcore._bell_amplitudes(target @ protocol._PAULIS[k][code]) for code in range(4**k)]
+        formed, real = [], qcore._bell_amplitudes
+        monkeypatch.setattr(qcore, "_bell_amplitudes", lambda ops: formed.append(ops.shape) or real(ops))
+        frame = protocol._Frame(None, target)  # the controlled-NOT's root as _named_frame builds it, fresh
+        for us in itertools.product((0.25, 0.75), repeat=4 * k):
+            fields, code, _, drawn, _ = frame.trial("direct", _Uniforms(us))
+            assert np.array_equal(drawn_matrix(drawn), all_bell_maps(per_code[code])[bell_row(fields)])
+        assert len(frame.rows) == 16**k
+        assert all(np.array_equal(frame.ancillas()[code], per_code[code]) for code in range(4**k))
+        assert formed == [(4**k, 2**k, 2**k)]
 
 
 class TestBranchTables:

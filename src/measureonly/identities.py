@@ -6,9 +6,10 @@ single-qubit Pauli products, the Bell projector expansions and pair sums,
 the Hadamard and pi/8 conjugation tables (two levels deep), the sixteen
 controlled-NOT conjugations, the three-qubit parity forms of the
 controlled-NOT preparation, the x/z pair equivalences for the catalogue
-gates (on the slots the protocol prepares from, all six gates validated in
-stacked passes), and the commutation plus composition of the
-four-measurement set, both read from one embedding of its slots.
+gates (on the dense slots the protocol's closed-form preparation is
+tested against, all six gates validated in stacked passes), and the
+commutation plus composition of the four-measurement set, both read from
+one embedding of its slots.
 """
 from __future__ import annotations
 
@@ -141,7 +142,7 @@ def identity_checks(tolerance: Optional[float] = None) -> list[CheckResult]:
             [qcore.embed(xxx, (1, 3, 4), labels), qcore.embed(zzz, (2, 3, 4), labels)], EXACT_TOL)
 
     # x/z pair equivalence for the catalogue gates: the joint projectors of the two parity-form
-    # binaries the protocol prepares from equal the rank-one basis projectors.
+    # binaries the protocol prepares in closed form equal the rank-one basis projectors.
     names = ("I", "H", "T", "X", "Y", "Z")
     us = np.array([np.eye(2, dtype=complex)] + [_GATE_MATRICES[name] for name in names[1:]])
     for name, joint, basis in zip(names, *msr._xz_pair_bases(us)):

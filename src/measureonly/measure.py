@@ -330,6 +330,19 @@ def _xz_parity_slots(u: np.ndarray) -> np.ndarray:
     return (_XZ_HALF_FIRST * second.reshape(2, 1, 1, 2, 1, 2)).reshape(2, 2, 4, 4) + _HALF_EYE4
 
 
+def _unit_observable(m0: complex, m1: complex, m2: complex, m3: complex) -> tuple[complex, ...]:
+    """``_bloch_of`` and ``_xz_parity_slots``' unit-norm check on one matrix's entries, row-major, as Python complex
+    numbers: the fit bloch . sigma, as a row-major 4-tuple."""
+    x, y, z = (m1.real + m2.real) / 2, (m2.imag - m1.imag) / 2, (m0.real - m3.real) / 2  # tr(sigma_a m) / 2
+    fit = complex(z), complex(x, -y), complex(x, y), complex(-z)
+    if not (abs(m0 - fit[0]) <= STRUCT_TOL and abs(m1 - fit[1]) <= STRUCT_TOL
+            and abs(m2 - fit[2]) <= STRUCT_TOL and abs(m3 - fit[3]) <= STRUCT_TOL):
+        raise ValueError("matrix is not a unit combination of the traceless Paulis")
+    if not abs(math.hypot(x, y, z) - 1.0) <= STRUCT_TOL:
+        raise ValueError(f"Bloch vector norm {math.hypot(x, y, z)} is not 1")
+    return fit
+
+
 def u_basis_measurement(u: np.ndarray, labels: tuple[Label, Label] = (0, 1)) -> CompleteMeasurement:
     """The complete rank-one measurement in the u-twisted Bell basis.
 

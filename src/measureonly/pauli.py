@@ -161,6 +161,8 @@ def nearest_phased_pauli(matrix: np.ndarray) -> Optional[PhasedPauli]:
     n = dim.bit_length() - 1
     if matrix.shape != (dim, dim) or 2**n != dim or n < 1:
         raise ValueError("expected a square matrix with power-of-two dimension >= 2")
+    if n == 1:
+        return _nearest_one_qubit(*matrix.ravel().tolist())
     stack, rows = _pauli_basis(n)
     coeffs = rows.dot(matrix.reshape(-1))
     row = int(np.argmax(np.abs(coeffs)))
@@ -168,6 +170,17 @@ def nearest_phased_pauli(matrix: np.ndarray) -> Optional[PhasedPauli]:
     for phase in PHASES:  # at most one is within the tolerance
         if abs(coeff - phase) < _NEAREST_TOL and np.abs(matrix - phase * stack[row]).max() < _NEAREST_TOL:
             return PhasedPauli(phase, tuple((row >> (2 * (n - 1 - q))) & 3 for q in range(n)))
+    return None
+
+
+def _nearest_one_qubit(a: complex, b: complex, c: complex, d: complex) -> Optional[PhasedPauli]:
+    """:func:`nearest_phased_pauli`'s rule on a 2x2 matrix's entries, row-major, as Python complex numbers."""
+    coeffs = ((a + d) / 2, (b + c) / 2, 1j * (b - c) / 2, (a - d) / 2)  # tr(sigma_k m) / 2
+    row = max(range(4), key=lambda k: abs(coeffs[k]))  # the first of equal largest, as argmax reads
+    for phase in PHASES:  # at most one is within the tolerance
+        if abs(coeffs[row] - phase) < _NEAREST_TOL and all(
+                abs(x - phase * s) < _NEAREST_TOL for x, s in zip((a, b, c, d), SIGMA[row].ravel().tolist())):
+            return PhasedPauli(phase, (row,))
     return None
 
 

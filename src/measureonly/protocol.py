@@ -12,7 +12,9 @@ catalogue gate and one per phased Pauli on one or two qubits, which with
 their successors make at most 24 one-qubit and 65 two-qubit frames; a custom
 gate gets fresh frames that die with its call.  A frame keeps three tables, each
 filled on first use: its measured preparation as a tree of outcome nodes, its
-trials keyed by the bits each drew, and its successor after each failure.
+trials keyed by the bits each drew, and its successor after each failure.  A
+one-qubit frame fills its nodes in closed form (``_parity``), the
+controlled-NOT's by ``qcore._collapse`` on its dense slots.
 The ancilla is maximally entangled, so each Bell pair's outcome has
 probability 1/4 whatever the data (Gottesman-Chuang, quant-ph/9908010) and
 no trial reads the data: a trial is one draw of 4k uniforms in either
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import measure as msr
 from . import qcore
-from .pauli import _PAULIS, PhasedPauli, SIGMA, kron2, nearest_phased_pauli
+from .pauli import _PAULIS, PhasedPauli, SIGMA, _nearest_one_qubit, kron2, nearest_phased_pauli
 from .qcore import Label, QuantumState
 
 __all__ = [
@@ -60,9 +62,9 @@ _GATE_MATRICES: dict[str, np.ndarray] = {
     "Z": SIGMA[3],
     "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
 }
-# The all-|0> start of a preparation: a one-qubit gate's two ancilla qubits, the controlled-NOT's four.
-_ZEROS = {d: np.eye(1, d, dtype=complex)[0] for d in (4, 16)}
-for _m in (*_GATE_MATRICES.values(), *_ZEROS.values()):
+# The all-|0> start of a preparation: a one-qubit gate's two ancilla qubits (scalars), the controlled-NOT's four.
+_ZEROS = {1: (1 + 0j, 0j, 0j, 0j), 2: np.eye(1, 16, dtype=complex)[0]}
+for _m in (*_GATE_MATRICES.values(), _ZEROS[2]):
     _m.setflags(write=False)
 
 # Internal labels of the controlled-NOT's ancilla while it is prepared by
@@ -191,8 +193,9 @@ def _read(us: Sequence[float], key: int = 0) -> int:
 
 def _next_frame(t: np.ndarray, k: int, prepared: int, measured: int) -> "_Frame":
     """The frame owed after a failed trial from target t: t sigma_measured sigma_prepared t^dagger."""
-    nxt = t.dot(_PRODUCTS[k][measured, prepared]).dot(t.conj().T)
-    pauli = nearest_phased_pauli(nxt)
+    product = _PRODUCTS[k][measured, prepared]
+    nxt = _conjugated(t, product) if k == 1 else t.dot(product).dot(t.conj().T)  # on one qubit, as Python scalars
+    pauli = _nearest_one_qubit(*nxt) if k == 1 else nearest_phased_pauli(nxt)
     if pauli is not None:
         # The controlled-NOT normalises the Paulis, and the one-qubit catalogue
         # gates close into phased Paulis after at most two trials; in floating
@@ -201,19 +204,24 @@ def _next_frame(t: np.ndarray, k: int, prepared: int, measured: int) -> "_Frame"
         return _pauli_frame(pauli)
     # One qubit: the update conjugates by the previous target, so floating-point
     # error would otherwise compound multiplicatively along the chain.
-    nxt = _unitary_part(nxt)
+    nxt = _unitary_part(*nxt)
     nxt.setflags(write=False)
     return _Frame(None, nxt, checked=True)
 
 
-def _unitary_part(m: np.ndarray) -> np.ndarray:
-    """The unitary polar factor of an invertible 2x2 matrix, in closed form.
+def _conjugated(t: np.ndarray, p: np.ndarray) -> tuple[complex, ...]:
+    """t p t^dagger for 2x2 matrices, on their entries as Python complex numbers, row-major."""
+    a, b, c, d = entries = t.ravel().tolist()
+    return _compose(_compose(entries, p.ravel().tolist()), (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()))
+
+
+def _unitary_part(a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
+    """The unitary polar factor of an invertible 2x2 matrix m, from its entries row-major, in closed form.
 
     For m = u p with p positive, Cayley-Hamilton gives p^2 + |det m| = tr(p) p,
     so m + |det m| m^(-dagger) = tr(p) u, where |det m| m^(-dagger) is
     (det m / |det m|) adj(m)^dagger and tr(p)^2 = |m|_F^2 + 2 |det m|.
     """
-    (a, b), (c, d) = m.tolist()
     det = a * d - b * c
     w = det / abs(det)
     scale = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2 + 2 * abs(det))
@@ -279,7 +287,8 @@ class _Frame:
     ``key`` is the target as a phased Pauli on a frame interned on it, else
     None.  ``nodes`` is the measured preparation as a binary tree of
     outcomes: the node the bits drawn so far reach, keyed 1 then those bits,
-    holds its next measurement's (p0, p0 + p1, post-measurement vectors).
+    holds its next measurement's (p0, p0 + p1, post-measurement vectors), a
+    one-qubit frame's filled in closed form as 4-tuples of Python scalars.
     ``rows`` holds the trials, keyed by the bits each drew: the node its
     preparation reached, or in direct mode the index code it wrote down, then
     its Bell bits, so measured keys lie in [16^k, 2 * 16^k) and direct ones
@@ -302,38 +311,42 @@ class _Frame:
         if self.k == 2 and key is not None:
             (p, q), phase = key.indices, key.phase
             self.halves = (_pauli_frame(PhasedPauli(phase, (p,))), _pauli_frame(PhasedPauli(1, (q,))))
-        self._instruments: Optional[np.ndarray] = None
-        self._ancillas: Optional[np.ndarray] = None
+        self._instruments: Optional[Sequence] = None
+        self._ancillas: Optional[Sequence] = None
         self.nodes: dict[int, tuple[float, float, list]] = {}
         self.rows: dict[int, list] = {}
         self.successors: list[Optional[_Frame]] = [None] * 16**self.k
 
-    def instruments(self) -> np.ndarray:
-        """The preparation's 2k projector pairs on the whole ancilla, one (2k, 2, d, d) array, formed once."""
+    def instruments(self) -> Sequence:
+        """The preparation's 2k binaries, formed once: one qubit's x then z parity binary (I +/- A (x) B) / 2 as the
+        entries of A and B = t A t^dagger (B checked as ``measure._xz_parity_slots`` checks it), or one array."""
         if self._instruments is None:
             if self.k == 1:
                 u = self.target if self.checked else qcore._require_unitary(self.target, 2)
-                self._instruments = msr._xz_parity_slots(u)
+                self._instruments = [(a.ravel().tolist(), msr._unit_observable(*_conjugated(u, a)))
+                                     for a in SIGMA[1::2]]
             else:  # the controlled-NOT's; a pair frame prepares through its halves
                 self._instruments = np.array([[qcore.embed(p.matrix, m.labels, _PREP2) for p in m.slots()]
                                               for m in msr.cnot_measurement_set(labels=_PREP2)])
         return self._instruments
 
-    def ancillas(self) -> np.ndarray:
+    def ancillas(self) -> Sequence:
         """The 4^k ancillas direct mode writes down, by index code, formed in one exact product on first use."""
         if self._ancillas is None:
-            self._ancillas = qcore._bell_amplitudes(self.target @ _PAULIS[self.k])
+            ancillas = qcore._bell_amplitudes(self.target @ _PAULIS[self.k])
+            self._ancillas = list(map(tuple, ancillas.tolist())) if self.k == 1 else ancillas  # one qubit's as scalars
         return self._ancillas
 
-    def walk(self, us: Sequence[float]) -> tuple[int, np.ndarray]:
+    def walk(self, us: Sequence[float]) -> tuple[int, Sequence[complex]]:
         """The node and ancilla vector one measured preparation reaches, drawn as ``qcore._draw2`` draws,
         a uniform a step, from the all-|0> start; a walk on uniforms drawn from a random stream draws the
         same bits and reaches the same state as running the measurements afresh on that stream."""
-        nodes, vector, node = self.nodes, _ZEROS[4**self.k], 1
+        nodes, vector, node = self.nodes, _ZEROS[self.k], 1
         for u in us[:2 * self.k]:
             branch = nodes.get(node)
             if branch is None:
-                (p0, p1), posts = qcore._collapse(vector, self.instruments()[node.bit_length() - 1])
+                binary = self.instruments()[node.bit_length() - 1]
+                (p0, p1), posts = _parity(vector, *binary) if self.k == 1 else qcore._collapse(vector, binary)
                 if p0 + p1 < qcore.STRUCT_TOL:  # _draw2's guard, run once per node
                     raise ValueError("degenerate state: all outcome probabilities vanish")
                 branch = nodes[node] = (p0, p0 + p1, posts)
@@ -364,10 +377,14 @@ class _Frame:
                 bits = _BITS[k][prep - 4**k]
                 code, ancilla = _CODE[bits], self.nodes[prep >> 1][2][prep & 1]
             bell, index = _BITS[k][r], _INDEX[k]
-            measured, drawn = _CODE[bell], _BELL_MAPS[k][r].dot(ancilla)
+            measured = _CODE[bell]
             fields = {"prepared": index[code], "outcome": index[measured], "prep_bits": bits,
                       "bell_bits": bell, "success": measured == code, "target": self.target}
-            drawn = tuple(drawn.tolist()) if k == 1 else drawn.reshape(4, 4)
+            if k == 1:  # 2 (B_r anc)^T, the ancilla's amplitudes and <B_r| each read as a 2x2 matrix row-major
+                m0, m1, m2, m3 = _compose(_BELL_ROWS[r].tolist(), ancilla)
+                drawn = (2 * m0, 2 * m2, 2 * m1, 2 * m3)
+            else:
+                drawn = _BELL_MAPS[k][r].dot(ancilla).reshape(4, 4)
             row = self.rows[key] = [fields, code, measured, drawn, None]
         return row
 
@@ -545,6 +562,18 @@ def bell_measure(
     r, bits = _draw_bell(weights, rng.random(2).tolist(), variant)
     rest, labels = _BELL_ROWS[r] @ block, tuple(q for q in state.labels if q not in pair)
     return _CODE[bits], QuantumState._trusted(rest / np.linalg.norm(rest), labels)
+
+
+def _parity(v: Sequence[complex], a: Sequence[complex], b: Sequence[complex]) -> tuple[list[float], list]:
+    """``qcore._collapse`` of two qubits' amplitudes v by the parity binary (I +/- A (x) B) / 2, in closed form on
+    entries as Python complex numbers, row-major: read as a 2x2 matrix V, (A (x) B) v is A V B^T."""
+    (v0, v1, v2, v3), (w0, w1, w2, w3) = v, _compose(_compose(a, v), (b[0], b[2], b[1], b[3]))
+    probs, posts = [], []
+    for x0, x1, x2, x3 in (((v0 + w0) / 2, (v1 + w1) / 2, (v2 + w2) / 2, (v3 + w3) / 2),
+                           ((v0 - w0) / 2, (v1 - w1) / 2, (v2 - w2) / 2, (v3 - w3) / 2)):
+        probs.append(p := abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2 + abs(x3) ** 2)
+        posts.append((x0 * (r := 1 / math.sqrt(p)), x1 * r, x2 * r, x3 * r) if p > 0 else None)
+    return probs, posts
 
 
 def _join(first: list, second: list, target: np.ndarray) -> list:

@@ -18,11 +18,12 @@ operator only for the small catalogue constructions and tests.
 
 The u-twisted Bell states, the resource of gate teleportation, are written
 down in closed form by :func:`twisted_bell`.  :func:`measure` is the one
-generic projective measurement; the protocol replays its arithmetic
-(``_collapse``, ``_draw2``) from branch tables, and tests take it as their
-reference.  The two structural checks the other modules run at their public
-boundaries live here once: ``_require_unitary`` and ``_require_instrument``.
-Every tolerance check is written so that NaN or inf fails it.
+generic projective measurement; the protocol fills the controlled-NOT's
+preparation by its arithmetic (``_collapse``), draws by its rule
+(``_draw2``), and is tested against it.  The two structural checks the
+other modules run at their public boundaries live here once:
+``_require_unitary`` and ``_require_instrument``.  Every tolerance check is
+written so that NaN or inf fails it.
 """
 from __future__ import annotations
 

@@ -250,6 +250,22 @@ class TestParitySlots:
                     assert got.labels == want.labels == ("a", "b")
                     np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
 
+    def test_scalar_observable_is_the_dense_fit(self):
+        # a one-qubit frame's B = u A u^dagger, fit and checked on its entries as Python complex numbers
+        rng = np.random.default_rng(18)
+        for u in [haar_unitary(rng) for _ in range(20)] + [HADAMARD, T_GATE] + PAULIS:
+            for a in (X, Z):
+                m = u @ a @ u.conj().T
+                fit = msr._unit_observable(*m.ravel().tolist())
+                assert np.abs(np.array(fit) - msr._bloch_of(m)[1][0]).max() <= 1e-15
+
+    @pytest.mark.parametrize("m, match", [(X + 1e-9 * I2, "unit combination"), (np.triu(X), "unit combination"),
+                                          (np.full((2, 2), np.nan), "unit combination"), (2 * Z, "norm"),
+                                          ((1 + 1e-9) * X, "norm")])
+    def test_scalar_observable_keeps_both_checks(self, m, match):
+        with pytest.raises(ValueError, match=match):
+            msr._unit_observable(*m.ravel().tolist())
+
     def test_rejects_non_parity_forms(self):
         form = PseudoseparateForm(BalancedBooleanFn.parity(3), (MEAS_X,) * 3, (0, 1, 2))
         with pytest.raises(ValueError, match="parity"):

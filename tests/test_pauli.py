@@ -126,6 +126,32 @@ class TestNearestPhasedPauli:
         assert nearest_phased_pauli(0.9 * X) is None
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        index=st.integers(0, 3),
+        phase=st.sampled_from(PHASES),
+        noise=st.sampled_from([0.0, 1e-13, 1e-11, 3e-11, 3e-10, 1e-8, 0.3, np.nan]),
+        unitary=st.booleans(),
+    )
+    def test_one_qubit_rule_is_the_dense_rule(self, seed, index, phase, noise, unitary):
+        # a 2x2 matrix is snapped on its four entries as Python complex numbers; the rule must be the
+        # general path's numpy rule, here written out on n = 1
+        rng = np.random.default_rng(seed)
+        if unitary:
+            m = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        else:
+            m = PhasedPauli(phase, (index,)).matrix() + noise * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        stack = np.array(PAULIS)
+        coeffs = (stack.transpose(0, 2, 1).reshape(4, 4) / 2).dot(m.reshape(-1))  # tr(sigma_k m) / 2
+        row = int(np.argmax(np.abs(coeffs)))
+        want = next((PhasedPauli(p, (row,)) for p in PHASES if abs(complex(coeffs[row]) - p) < 1e-10
+                     and np.abs(m - p * stack[row]).max() < 1e-10), None)
+        assert nearest_phased_pauli(m) == want
+        if not unitary and noise <= 1e-11:
+            assert want == PhasedPauli(phase, (index,))
+
+
 def conjugated(gate, p):
     """gate p gate^dagger by dense matmul, with its phased-Pauli form or None."""
     out = gate @ p.matrix() @ gate.conj().T

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse, stats
 
+import measureonly.measure as msr
 import measureonly.qcore as qcore
 from measureonly import cli, identities, protocol
 from measureonly.measure import cnot_measurement_set, parity_slots, solve_two_qubit_parity_form
@@ -539,16 +540,18 @@ def frame_rows(frame):
 def all_bell_maps(ancilla):
     """Every Bell map of a 2k-qubit ancilla vector, (4^k, 2^k, 2^k), in one product: the reference
     for the drawn map a row forms alone."""
+    ancilla = np.asarray(ancilla)
     k = 1 if ancilla.size == 4 else 2
     return protocol._BELL_MAPS[k].reshape(16**k, -1).dot(ancilla).reshape(4**k, 2**k, 2**k)
 
 
 def prep_ancilla(frame, prep):
-    """The ancilla a frame's rows from ``prep`` were drawn from: written down with index code
-    ``prep`` below 4^k, else the vector its measured preparation left at node ``prep``."""
+    """The ancilla a frame's rows from ``prep`` were drawn from, as an array: written down with index
+    code ``prep`` below 4^k, else the vector its measured preparation left at node ``prep`` (a one-qubit
+    frame's nodes hold theirs as 4-tuples of Python complex numbers)."""
     if prep < 4**frame.k:
         return qcore._bell_amplitudes(frame.target @ protocol._PAULIS[frame.k][prep])
-    return frame.nodes[prep >> 1][2][prep & 1]
+    return np.asarray(frame.nodes[prep >> 1][2][prep & 1])
 
 
 def law_frame(kind, failures, gen):
@@ -1039,10 +1042,12 @@ class TestDirectAncillas:
 
 
 class TestBranchTables:
-    """Measured preparation replayed from a frame's nodes against a fresh sequence of measurements."""
+    """Measured preparation read from a frame's nodes against a fresh sequence of measurements: the same
+    bits and stream position exactly, and the same ancilla, to the bit where both run ``qcore._collapse``
+    (the controlled-NOT's) and to 1e-12 where a one-qubit frame's nodes are filled in closed form."""
 
     @staticmethod
-    def replay_matches_fresh(frame, instruments, labels, seeds):
+    def replay_matches_fresh(frame, instruments, labels, seeds, tol=0.0):
         for seed in seeds:
             rng_table, rng_fresh = np.random.default_rng(seed), np.random.default_rng(seed)
             node, ancilla = frame.walk(rng_table.random(len(instruments)).tolist())
@@ -1052,7 +1057,7 @@ class TestBranchTables:
                 b, state, _ = qcore.measure(state, slots, rng_fresh)
                 fresh_bits += (b,)
             assert bits == fresh_bits
-            assert np.array_equal(ancilla, state.data)
+            assert np.abs(np.asarray(ancilla) - state.data).max() <= tol
             assert rng_table.random() == rng_fresh.random()
 
     @pytest.mark.parametrize("which", list(range(20)) + ["H", "T", "I", "X", "Y", "Z"])
@@ -1062,19 +1067,24 @@ class TestBranchTables:
         frame = protocol._named_frame(which) if which in protocol._GATE_MATRICES else protocol._Frame(None, u)
         labels = ("prep0", "prep1")
         instruments = [parity_slots(solve_two_qubit_parity_form(i, u, targets=labels)) for i in (1, 3)]
-        self.replay_matches_fresh(frame, instruments, labels, range(40))
+        self.replay_matches_fresh(frame, instruments, labels, range(40), tol=1e-12)
 
     def test_cnot_set(self):
         labels = protocol._PREP2
         instruments = [m.slots() for m in cnot_measurement_set(labels=labels)]
         self.replay_matches_fresh(protocol._named_frame("CNOT"), instruments, labels, range(80))
 
-    def test_a_branch_whose_outcomes_vanish_is_refused(self):
-        frame = protocol._Frame(None, I2)
-        frame._instruments = np.zeros((2, 2, 4, 4), dtype=complex)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_branch_whose_outcomes_vanish_is_refused(self, k, monkeypatch):
+        if k == 1:  # a closed-form binary's outcomes vanish together only on the zero vector
+            frame = protocol._Frame(None, I2)
+            monkeypatch.setitem(protocol._ZEROS, 1, (0j, 0j, 0j, 0j))
+        else:
+            frame = protocol._Frame(None, CNOT)
+            frame._instruments = np.zeros((4, 2, 16, 16), dtype=complex)
         for _ in range(2):  # on every visit, as the node is not stored
             with pytest.raises(ValueError, match="degenerate"):
-                frame.walk([0.5, 0.5])
+                frame.walk([0.5] * 4)
             assert frame.nodes == {}
 
     def test_fresh_custom_gates_keep_the_cache_bounded(self):
@@ -1102,8 +1112,10 @@ class TestStackedCollapse:
     )
     def test_matches_the_per_projector_products(self, kind, columns, start, seed):
         gen = np.random.default_rng(seed)
-        frame = protocol._Frame(None, haar_unitary(gen)) if kind == "haar" else protocol._named_frame("CNOT")
-        instruments = frame.instruments()
+        if kind == "haar":  # the dense slots a one-qubit frame's closed form is tested against
+            instruments = msr._xz_parity_slots(haar_unitary(gen))
+        else:
+            instruments = protocol._named_frame("CNOT").instruments()
         d = instruments.shape[-1]
         for mats in instruments:
             if start:
@@ -1353,15 +1365,69 @@ class TestClosedFormFrames:
         raw=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=6),
     )
     def test_slots_are_the_public_parity_slots(self, seed, raw):
-        # a Haar root, or the frame 1-6 failed trials leave
+        # a Haar root, or the frame 1-6 failed trials leave: its observables B make the slots (I +/- A (x) B) / 2
         root = protocol._Frame(None, GateSpec.custom(haar_unitary(np.random.default_rng(seed))).matrix)
         frame = _frame_walk(root, [(p, (p + 1 + d) % 4) for p, d in raw])
         instruments = frame.instruments()
         assert len(instruments) == 2
-        for slots, i in zip(instruments, (1, 3)):
-            public = parity_slots(solve_two_qubit_parity_form(i, frame.target, targets=("prep0", "prep1")))
-            assert len(slots) == 2
-            assert all(np.array_equal(mine, theirs.matrix) for mine, theirs in zip(slots, public))
+        for (a, b), i in zip(instruments, (1, 3)):
+            form = solve_two_qubit_parity_form(i, frame.target, targets=("prep0", "prep1"))
+            public = parity_slots(form)
+            a, b = np.array(a).reshape(2, 2), np.array(b).reshape(2, 2)
+            assert np.array_equal(a, form.parts[0].observable)
+            assert np.abs(b - form.parts[1].observable).max() <= 1e-12
+            mine = [(np.eye(4) + sign * np.kron(a, b)) / 2 for sign in (1, -1)]
+            assert all(np.abs(m - theirs.matrix).max() <= 1e-12 for m, theirs in zip(mine, public))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        raw=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=6),
+        us=st.lists(st.floats(0, 1, exclude_max=True), min_size=2, max_size=2),
+    )
+    def test_the_closed_form_fill_is_the_dense_fill(self, seed, raw, us):
+        # a Haar root, or the frame 1-6 failed trials leave: its nodes draw the bits that qcore._collapse on the
+        # dense slots draws from |00>, with the same weights and posts, and its successors are the dense chain's.
+        # Posts are compared scaled by sqrt(p): normalising a branch of weight p scales its rounding by
+        # 1 / sqrt(p), and a frame near a phased Pauli has branches of weight 1e-10 and less.
+        root = protocol._Frame(None, GateSpec.custom(haar_unitary(np.random.default_rng(seed))).matrix)
+        frame = _frame_walk(root, [(p, (p + 1 + d) % 4) for p, d in raw])
+        node, ancilla = frame.walk(us)
+        vector, dense_node = np.eye(1, 4, dtype=complex)[0], 1
+        for slots, u in zip(msr._xz_parity_slots(frame.target), us):
+            probs, posts = qcore._collapse(vector, slots)
+            p0, total, mine = frame.nodes[dense_node]
+            assert abs(p0 - probs[0]) <= 1e-12 and abs(total - sum(probs)) <= 1e-12
+            for post, ref, p in zip(mine, posts, probs):
+                assert (post is None) == (ref is None)
+                assert ref is None or math.sqrt(p) * np.abs(np.asarray(post) - ref).max() <= 1e-12
+            b = qcore._draw2(*probs, u)
+            vector, dense_node = posts[b], 2 * dense_node + b
+        assert node == dense_node and ancilla is frame.nodes[node >> 1][2][node & 1]
+        t = frame.target
+        for prepared in range(4):
+            for measured in range(4):
+                dense = t @ PAULIS[measured] @ PAULIS[prepared] @ t.conj().T
+                nxt = frame.after(prepared, measured)
+                assert nxt.key == nearest_phased_pauli(dense), (prepared, measured)
+                # a snapped successor is its phased Pauli exactly, within the snap's 1e-10 of the chain
+                if nxt.key is None:
+                    assert np.abs(nxt.target - dense).max() <= 1e-12
+                else:
+                    assert np.array_equal(nxt.target, nxt.key.matrix())
+
+    @pytest.mark.parametrize("mode", ["measured", "direct"])
+    def test_a_cold_custom_gate_forms_no_dense_slots(self, mode, monkeypatch):
+        dense = []
+        monkeypatch.setattr(qcore, "_collapse", lambda *args: dense.append("_collapse"))
+        monkeypatch.setattr(msr, "_xz_parity_slots", lambda *args: dense.append("_xz_parity_slots"))
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            gate = GateSpec.custom(haar_unitary(rng))
+            _, trace = simulate_one_qubit(gate, zero_state((0,)), 0, ProtocolConfig(prep_mode=mode), rng)
+            assert trace.succeeded
+        prepare_ancilla_one(haar_unitary(rng), mode, rng)
+        assert dense == []
 
     @pytest.mark.parametrize("target", [1.1 * I2, np.full((2, 2), np.nan)], ids=["scaled", "nan"])
     def test_plan_rejects_a_target_that_is_not_unitary(self, target):
@@ -1385,15 +1451,25 @@ class TestClosedFormFrames:
     @pytest.mark.parametrize("seed", range(50))
     def test_the_successor_product_is_the_chained_product(self, seed, monkeypatch):
         # sigma_m sigma_p comes from a table of exact Pauli products, so t (sigma_m sigma_p) t^dagger
-        # is t sigma_m sigma_p t^dagger to the bit, before the snap reads it
+        # is t sigma_m sigma_p t^dagger, chained on Python complex numbers, to the bit (but the signs of
+        # zeros, which == does not read), before the snap reads it
         owed = []
-        monkeypatch.setattr(protocol, "nearest_phased_pauli", lambda m: owed.append(m) or nearest_phased_pauli(m))
+        snap = protocol._nearest_one_qubit
+        monkeypatch.setattr(protocol, "_nearest_one_qubit", lambda *m: owed.append(m) or snap(*m))
+
+        def mul(x, y):
+            return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                    x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
         t = haar_unitary(np.random.default_rng([seed, 44]))
+        entries = tuple(t.ravel().tolist())
+        dagger = tuple(t.conj().T.ravel().tolist())
         for prepared in range(4):
             for measured in range(4):
                 protocol._next_frame(t, 1, prepared, measured)
-                chained = t @ PAULIS[measured] @ PAULIS[prepared] @ t.conj().T
-                assert owed.pop().tobytes() == chained.tobytes(), (prepared, measured)
+                sigma_m, sigma_p = (tuple(PAULIS[j].ravel().tolist()) for j in (measured, prepared))
+                chained = mul(mul(mul(entries, sigma_m), sigma_p), dagger)
+                assert owed.pop() == chained, (prepared, measured)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1e-12, 1e-6, 0.1]))
@@ -1401,7 +1477,7 @@ class TestClosedFormFrames:
         rng = np.random.default_rng(seed)
         m = haar_unitary(rng) + scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         u, _, vh = np.linalg.svd(m)
-        np.testing.assert_allclose(protocol._unitary_part(m), u @ vh, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(protocol._unitary_part(*m.ravel().tolist()), u @ vh, rtol=0, atol=1e-12)
 
     @staticmethod
     def walk(frame, rng, until_pauli):

@@ -6,8 +6,8 @@ single-qubit Pauli products, the Bell projector expansions and pair sums,
 the Hadamard and pi/8 conjugation tables (two levels deep), the sixteen
 controlled-NOT conjugations, the three-qubit parity forms of the
 controlled-NOT preparation, the x/z pair equivalences for the catalogue
-gates (on the dense slots the protocol's closed-form preparation is
-tested against, all six gates validated in stacked passes), and the
+gates (on the public parity slots the protocol's closed-form preparation
+is tested against, all six gates validated in stacked passes), and the
 commutation plus composition of the four-measurement set, both read from
 one embedding of its slots.
 """

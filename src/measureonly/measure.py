@@ -299,40 +299,19 @@ def solve_two_qubit_parity_form(
     """
     if i not in (1, 2, 3):
         raise ValueError(f"axis index must be 1, 2 or 3, got {i!r}")
-    u = _require_unitary(u, 2)
+    return _parity_form(i, _require_unitary(u, 2), targets)
+
+
+def _parity_form(i: int, u: np.ndarray, targets: tuple[Label, Label] = (0, 1)) -> PseudoseparateForm:
+    """``solve_two_qubit_parity_form`` for axis 1, 2 or 3 of a 2x2 unitary already checked."""
     conjugated = u @ SIGMA[i] @ u.conj().T
     second = SingleQubitBinary(tuple(_bloch_of(GAMMA[i] * conjugated)[0][0].tolist()))
     return PseudoseparateForm(BalancedBooleanFn.parity(2), (_AXIS_PARTS[i], second), targets)
 
 
-# The x and z pair-sum forms of a one-qubit gate's ancilla preparation: gamma_i sigma_i
-# side by side, and +/- half the first part's observable by axis and slot, to broadcast
-# against the second parts'; halving is exact, so I/2 + (A/2) (x) B is (I + A (x) B) / 2.
-_XZ_SIGMA = np.hstack([GAMMA[1] * SIGMA[1], GAMMA[3] * SIGMA[3]])
-_XZ_HALF_FIRST = np.array([[s * m.observable / 2 for s in (1, -1)] for m in (MEAS_X, MEAS_Z)])[:, :, :, None, :, None]
-_HALF_EYE4 = _EYE4 / 2
-
-
-def _xz_parity_slots(u: np.ndarray) -> np.ndarray:
-    """Slots of the x then the z pair-sum form of a checked 2x2 unitary, as a (2, 2, 4, 4) array.
-
-    Entry [a, s] equals ``parity_slots(solve_two_qubit_parity_form(i, u))[s].matrix``
-    bit for bit, with i = (1, 3)[a]: one Bloch fit of both second axes
-    gamma_i u sigma_i u^dagger, each checked for its fit and its unit norm,
-    and no form objects.  The conjugation is two 2-D products: u times both
-    gamma_i sigma_i side by side, then its rows (row of u, axis) times u^dagger.
-    """
-    bloch, second = _bloch_of(u.dot(_XZ_SIGMA).reshape(4, 2).dot(u.conj().T).reshape(2, 2, 2).swapaxes(0, 1))
-    for axis in bloch.tolist():
-        norm = math.hypot(*axis)
-        if not abs(norm - 1.0) <= STRUCT_TOL:
-            raise ValueError(f"Bloch vector norm {norm} is not 1")
-    return (_XZ_HALF_FIRST * second.reshape(2, 1, 1, 2, 1, 2)).reshape(2, 2, 4, 4) + _HALF_EYE4
-
-
 def _unit_observable(m0: complex, m1: complex, m2: complex, m3: complex) -> tuple[complex, ...]:
-    """``_bloch_of`` and ``_xz_parity_slots``' unit-norm check on one matrix's entries, row-major, as Python complex
-    numbers: the fit bloch . sigma, as a row-major 4-tuple."""
+    """``_bloch_of`` and ``SingleQubitBinary``'s unit-norm check on one matrix's entries, row-major, as Python
+    complex numbers: the fit bloch . sigma, as a row-major 4-tuple."""
     x, y, z = (m1.real + m2.real) / 2, (m2.imag - m1.imag) / 2, (m0.real - m3.real) / 2  # tr(sigma_a m) / 2
     fit = complex(z), complex(x, -y), complex(x, y), complex(-z)
     if not (abs(m0 - fit[0]) <= STRUCT_TOL and abs(m1 - fit[1]) <= STRUCT_TOL
@@ -371,7 +350,8 @@ def _twisted_basis(ops: np.ndarray) -> np.ndarray:
 
 
 def _xz_pair_bases(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The x/z pair's joint projectors, on the protocol's slots, and the u-basis projectors of each gate in a stack.
+    """The x/z pair's joint projectors, from the public parity slots, and the u-basis projectors of each gate in a
+    stack.
 
     Every check that ``u_basis_binary_pair``, ``compose_binaries`` and ``u_basis_measurement`` run on one gate runs
     on every member, in stacked passes; a failure raises the one-gate message naming its gate (and binary, 0 for x).
@@ -379,7 +359,8 @@ def _xz_pair_bases(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slots = []
     for k, u in enumerate(us):
         try:
-            slots.append(_xz_parity_slots(_require_unitary(u, 2)))
+            u = _require_unitary(u, 2)
+            slots.append([[p.matrix for p in parity_slots(_parity_form(i, u))] for i in (1, 3)])
         except ValueError as exc:
             raise ValueError(qcore._member([k], str(exc))) from None
     slots = np.array(slots)

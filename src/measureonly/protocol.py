@@ -319,7 +319,7 @@ class _Frame:
 
     def instruments(self) -> Sequence:
         """The preparation's 2k binaries, formed once: one qubit's x then z parity binary (I +/- A (x) B) / 2 as the
-        entries of A and B = t A t^dagger (B checked as ``measure._xz_parity_slots`` checks it), or one array."""
+        entries of A and B = t A t^dagger (B checked as ``measure.solve_two_qubit_parity_form`` checks it), or one array."""
         if self._instruments is None:
             if self.k == 1:
                 u = self.target if self.checked else qcore._require_unitary(self.target, 2)

@@ -853,13 +853,13 @@ def test_a_verdict_makes_a_pinned_number_of_constructions(monkeypatch):
 
 
 class TestStackedXZPairs:
-    """``measure._xz_pair_bases``: the x/z pairs of a stack of gates on the protocol's slots, checked in stacks."""
+    """``measure._xz_pair_bases``: the x/z pairs of a stack of gates on the public parity slots, checked in stacks."""
 
     GATES = np.array([I2, HADAMARD, T_GATE, X, Y, Z])
 
     def test_joints_and_bases_are_the_public_ones(self):
-        # the catalogue gates' pairs are the public pairs bit for bit; on a Haar gate the protocol's slots
-        # are the public parity slots, one rounding off the expansion's, so its joint is theirs composed
+        # the catalogue gates' pairs are the public pairs bit for bit; on a Haar gate the parity slots are
+        # one rounding off the expansion's, so its joint is theirs composed
         haar = np.array([haar_unitary(np.random.default_rng(seed)) for seed in range(20)])
         joints, bases = msr._xz_pair_bases(np.concatenate([self.GATES, haar]))
         for k, u in enumerate(np.concatenate([self.GATES, haar])):
@@ -870,18 +870,17 @@ class TestStackedXZPairs:
 
     @staticmethod
     def patch_slots(monkeypatch, k, change):
-        """Make ``_xz_parity_slots`` hand member k's slots to ``change`` first; returns their changed copies."""
-        real, seen, changed = msr._xz_parity_slots, [], []
+        """Make the stacked check hand member k's (2, 2, 4, 4) slots to ``change`` first, in place, so the
+        composition reads them changed too; returns their changed copies. One binary's checks are left alone."""
+        real, changed = msr._require_binary, []
 
-        def patched(u):
-            slots = real(u)
-            if len(seen) == k:
-                change(slots)
-                changed.append(slots)
-            seen.append(u)
-            return slots
+        def patched(mats):
+            if mats.ndim == 5:
+                change(mats[k])
+                changed.append(mats[k].copy())
+            return real(mats)
 
-        monkeypatch.setattr(msr, "_xz_parity_slots", patched)
+        monkeypatch.setattr(msr, "_require_binary", patched)
         return changed
 
     @pytest.mark.parametrize("k", range(6))

@@ -1067,7 +1067,7 @@ class TestBranchTables:
         frame = protocol._named_frame(which) if which in protocol._GATE_MATRICES else protocol._Frame(None, u)
         labels = ("prep0", "prep1")
         instruments = [parity_slots(solve_two_qubit_parity_form(i, u, targets=labels)) for i in (1, 3)]
-        self.replay_matches_fresh(frame, instruments, labels, range(40), tol=1e-12)
+        self.replay_matches_fresh(frame, instruments, labels, range(40), tol=0.0 if which in named else 1e-12)
 
     def test_cnot_set(self):
         labels = protocol._PREP2
@@ -1113,7 +1113,7 @@ class TestStackedCollapse:
     def test_matches_the_per_projector_products(self, kind, columns, start, seed):
         gen = np.random.default_rng(seed)
         if kind == "haar":  # the dense slots a one-qubit frame's closed form is tested against
-            instruments = msr._xz_parity_slots(haar_unitary(gen))
+            instruments = dense_parity_slots(haar_unitary(gen))
         else:
             instruments = protocol._named_frame("CNOT").instruments()
         d = instruments.shape[-1]
@@ -1188,6 +1188,12 @@ class TestPendingGateClosure:
             oracle = before @ np.kron(PAULIS[m] @ PAULIS[j], PAULIS[n] @ PAULIS[k]) @ before.conj().T
             assert frame.key is not None
             np.testing.assert_allclose(frame.target, oracle, atol=1e-12)
+
+
+def dense_parity_slots(u):
+    """The x then the z parity binary's dense 4x4 slots (I +/- A (x) B) / 2 of a one-qubit gate, as a (2, 2, 4, 4)
+    array: the reference a one-qubit frame's closed-form preparation is tested against."""
+    return np.array([[p.matrix for p in parity_slots(solve_two_qubit_parity_form(i, u))] for i in (1, 3)])
 
 
 def _frame_walk(root, steps):
@@ -1394,7 +1400,7 @@ class TestClosedFormFrames:
         frame = _frame_walk(root, [(p, (p + 1 + d) % 4) for p, d in raw])
         node, ancilla = frame.walk(us)
         vector, dense_node = np.eye(1, 4, dtype=complex)[0], 1
-        for slots, u in zip(msr._xz_parity_slots(frame.target), us):
+        for slots, u in zip(dense_parity_slots(frame.target), us):
             probs, posts = qcore._collapse(vector, slots)
             p0, total, mine = frame.nodes[dense_node]
             assert abs(p0 - probs[0]) <= 1e-12 and abs(total - sum(probs)) <= 1e-12
@@ -1420,7 +1426,7 @@ class TestClosedFormFrames:
     def test_a_cold_custom_gate_forms_no_dense_slots(self, mode, monkeypatch):
         dense = []
         monkeypatch.setattr(qcore, "_collapse", lambda *args: dense.append("_collapse"))
-        monkeypatch.setattr(msr, "_xz_parity_slots", lambda *args: dense.append("_xz_parity_slots"))
+        monkeypatch.setattr(msr, "parity_slots", lambda *args: dense.append("parity_slots"))
         rng = np.random.default_rng(47)
         for _ in range(40):
             gate = GateSpec.custom(haar_unitary(rng))
